@@ -140,9 +140,12 @@ def _parse_prior(text: str):
     if text == "uniform":
         return uniform_prior()
     if text.startswith("power:"):
-        return load_prior({"prior": "power", "exponent": float(text.split(":", 1)[1])})
+        return load_prior({"prior": "power", "exponent": text.split(":", 1)[1]})
     if Path(text).exists():
-        obj = json.loads(Path(text).read_text(encoding="utf-8"))
+        try:
+            obj = json.loads(Path(text).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or undecodable bytes
+            raise ValidationError(f"prior file {text!r}: {exc}") from exc
         return load_prior(obj)
     raise ValidationError(f"prior {text!r} is neither 'uniform', 'power:<e>' nor a file")
 

@@ -136,7 +136,7 @@ def power_prior(exponent: float, lipschitz_sq: float | None = None) -> PriorSpec
     A declared ``lipschitz_sq`` overrides the derived e^2 and still has to
     survive the grid validation (so an understated constant is rejected).
     """
-    if exponent < 1.0:
+    if not exponent >= 1.0:  # also refuses nan
         raise ValidationError("power prior needs exponent >= 1 (else the CDF is not Lipschitz)")
     e = float(exponent)
     return PriorSpec(
@@ -167,6 +167,13 @@ def from_uniform(prior: PriorSpec, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
+def _number(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"power prior: {name} {value!r} is not a number") from exc
+
+
 def load_prior(obj: dict) -> PriorSpec:
     """Prior from a config mapping: {"prior": "uniform"} or {"prior": "power", "exponent": e}."""
     if not isinstance(obj, dict):
@@ -179,7 +186,7 @@ def load_prior(obj: dict) -> PriorSpec:
             raise ValidationError("power prior: missing field 'exponent'")
         declared = obj.get("lipschitz_sq")
         return power_prior(
-            float(obj["exponent"]),
-            lipschitz_sq=None if declared is None else float(declared),
+            _number(obj["exponent"], "exponent"),
+            lipschitz_sq=None if declared is None else _number(declared, "lipschitz_sq"),
         )
     raise ValidationError(f"unknown prior {kind!r}")

@@ -175,6 +175,27 @@ class TestNonuniform:
         assert rc == 2
         assert "lipschitz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "prior, file_text",
+        [
+            ("power:abc", None),
+            ("power:nan", None),
+            ("file", '{"prior": "power", "exponent": 2'),
+            ("file", '{"prior": "power", "exponent": "abc"}'),
+        ],
+        ids=["power-not-a-number", "power-nan", "file-invalid-json", "file-exponent-not-a-number"],
+    )
+    def test_bad_prior_exits_2(self, tmp_path, capsys, prior, file_text):
+        if file_text is not None:
+            prior = str(tmp_path / "prior.json")
+            Path(prior).write_text(file_text, encoding="utf-8")
+        rc = main(["nonuniform", "--channel", "bsc:0.1", "--prior", prior,
+                   "--pattern", "3,1", "--trials", "100", "--seed", "0",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_bad_pattern(self, tmp_path):
         rc = main(["nonuniform", "--channel", "bsc:0.1", "--prior", "uniform",
                    "--pattern", "3,x", "--trials", "100", "--seed", "0",

@@ -1,7 +1,9 @@
 """Patterns, bounds, search and the staircase policy."""
 
+import heapq
 import math
 
+import numpy as np
 import pytest
 
 from dyadicsearch import (
@@ -40,6 +42,50 @@ def series_upper(t, C, terms=200):
 
 def series_lower(t, B, terms=200):
     return 0.25 * series_upper(t, B, terms)
+
+
+def heap_fill(counts, units, C, max_depth):
+    """One-use-at-a-time oracle: pop the index with the largest U-decrease.
+
+    Key (k+1) ln4 + c C is the negative log of the U-decrease from giving
+    index k (0-based, at count c) one more use; ties go to the smaller index.
+    Fresh indices are pushed lazily, since index k+1 never beats index k at
+    equal counts.
+    """
+    counts = list(counts)
+    heap = [((k + 1) * LN4 + c * C, k) for k, c in enumerate(counts)]
+    if max_depth is None or len(counts) < max_depth:
+        heap.append(((len(counts) + 1) * LN4, len(counts)))
+    heapq.heapify(heap)
+    for _ in range(units):
+        key, k = heapq.heappop(heap)
+        if k == len(counts):
+            counts.append(0)
+            if max_depth is None or len(counts) < max_depth:
+                heapq.heappush(heap, ((len(counts) + 1) * LN4, len(counts)))
+        counts[k] += 1
+        heapq.heappush(heap, (key + C, k))
+    return pattern(counts).t
+
+
+def staircase_oracle(n, k):
+    """Aurelian pattern: the largest staircase within n, remainder by heap_fill."""
+    q = 1
+    while k.r * (q + 1) * (q + 2) // 2 <= n:
+        q += 1
+    base = [(q - j) * k.r for j in range(q)]
+    return heap_fill(base, n - k.r * q * (q + 1) // 2, k.C, None)
+
+
+def pairwise_spacing_violations(t, r_real):
+    """O(q^2) oracle: pairs k1 < k2 with t_k1 - t_k2 outside (k2-k1) r_real +- 1."""
+    bad = 0
+    for i in range(t.q):
+        for j in range(i + 1, t.q):
+            gap = (j - i) * r_real
+            if not (gap - 1.0 - 1e-9 <= t.t[i] - t.t[j] <= gap + 1.0 + 1e-9):
+                bad += 1
+    return bad
 
 
 class TestPattern:
@@ -156,6 +202,41 @@ class TestEfficientSearch:
         e = efficient_search(40, C, mode="exhaustive", max_depth=6)
         assert e.t == efficient_search(40, C, mode="greedy").t
 
+    def test_threshold_fill_matches_heap_oracle(self):
+        gen = np.random.default_rng(2024)
+        for case in range(400):
+            C = float(gen.uniform(0.01, 1.3))
+            n = int(gen.integers(0, 200_001 if case % 20 == 0 else 3_000))
+            depth = None if case % 3 == 0 else int(gen.integers(1, 9))
+            got = efficient_search(n, C, mode="greedy", max_depth=depth)
+            assert got.t == heap_fill([], n, C, depth), (C, n, depth)
+
+    def test_exact_ties_go_to_the_smaller_index(self):
+        # With C = ln4 / j the keys (k+1) j + c are integers, so U ties
+        # exactly; the n smallest (key, k) pairs, enumerated with integers,
+        # fix the pattern.
+        for j in (1, 2, 3, 4, 8):
+            for n in range(120):
+                for depth in (None, 3):
+                    indices = range(n if depth is None else min(n, depth))
+                    keys = sorted(((k + 1) * j + c, k) for k in indices for c in range(n))
+                    expected = [0] * n
+                    for _, k in keys[:n]:
+                        expected[k] += 1
+                    got = efficient_search(n, LN4 / j, max_depth=depth)
+                    assert got.t == pattern(expected).t, (j, n, depth)
+
+    def test_single_move_optimal_at_one_million(self):
+        # Moving one use from bit i to bit j lowers U exactly when
+        # (j+1) ln4 + t_j C < (i+1) ln4 + (t_i - 1) C; compared in log space
+        # because U itself underflows at this budget.
+        for C in (BAC_C, 0.05, 1.1):
+            t = efficient_search(10**6, C).t
+            assert sum(t) == 10**6
+            gain = min((k + 1) * LN4 + c * C for k, c in enumerate(t + (0,)))
+            loss = max((k + 1) * LN4 + (c - 1) * C for k, c in enumerate(t) if c > 0)
+            assert loss <= gain + 1e-9 * gain, C
+
     def test_exhaustive_requires_depth(self):
         with pytest.raises(ValidationError):
             efficient_search(5, 0.3, mode="exhaustive")
@@ -202,6 +283,16 @@ class TestAurelian:
             assert all(a >= b for a, b in zip(t.t, t.t[1:]))  # non-increasing
             assert depth_bounds(t, k.r).q_bound
 
+    @pytest.mark.parametrize(
+        "ch",
+        [make_bac(0.9, 0.8), make_bsc(0.05), make_bsc(0.1), make_bsc(0.15), make_bsc(0.25)],
+        ids=["bac-0.9-0.8", "bsc-0.05", "bsc-0.1", "bsc-0.15", "bsc-0.25"],
+    )
+    def test_staircase_matches_heap_oracle_every_budget(self, ch):
+        k = info_constants(ch)
+        for n in range(k.r, 5001):
+            assert aurelian(n, k).t == staircase_oracle(n, k), n
+
     def test_too_small_budget_rejected(self):
         k = info_constants(make_bsc(0.25))
         assert k.r == 9
@@ -228,6 +319,38 @@ class TestStructuralChecks:
         rep = check_efficient_properties(pattern([5, 0, 5]), 2.0)
         assert not rep.no_gap
         assert rep.violations
+
+    @pytest.mark.parametrize(
+        "counts, passes",
+        [((5, 2), True), ((6, 2), False), ((3, 2), True), ((2, 2), False),
+         ((7, 5, 3, 1), True), ((8, 5, 3, 1), True), ((9, 5, 3, 1), False),
+         ((7, 5, 3, 0, 1), False), ((1,), True)],
+    )
+    def test_spacing_on_the_plus_minus_one_edges(self, counts, passes):
+        t = pattern(counts)
+        rep = check_efficient_properties(t, 2.0)
+        assert rep.spacing is passes
+        assert rep.violating_pairs == pairwise_spacing_violations(t, 2.0)
+
+    def test_spacing_matches_pairwise_oracle(self, rng):
+        for case in range(2000):
+            r_real = 2.0 if case % 4 == 0 else float(rng.uniform(0.5, 8.0))
+            q = int(rng.integers(1, 40))
+            stair = (q - np.arange(q)) * r_real
+            t = pattern(np.maximum(0, np.round(stair + rng.integers(-2, 3, size=q))).astype(int))
+            rep = check_efficient_properties(t, r_real)
+            bad = pairwise_spacing_violations(t, r_real)
+            assert rep.violating_pairs == bad, (t.t, r_real)
+            assert rep.spacing is (bad == 0)
+            assert len([v for v in rep.violations if v.startswith("spacing")]) == (bad > 0)
+
+    def test_staircase_at_one_million_reports_one_spacing_line(self):
+        k = info_constants(make_bac(0.9, 0.8))
+        t = aurelian(10**6, k)
+        rep = check_efficient_properties(t, k.r_real)
+        assert not rep.spacing
+        assert len(rep.violations) <= 2
+        assert rep.violating_pairs == pairwise_spacing_violations(t, k.r_real)
 
     def test_minimizers_pass_checks(self, rng):
         for _ in range(10):
