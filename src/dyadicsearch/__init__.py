@@ -22,7 +22,6 @@ from .channel import (
     load_channel,
     make_bac,
     make_bsc,
-    sample_output,
 )
 from .decoder import (
     PosteriorState,
@@ -61,7 +60,7 @@ from .sim import (
     aurelian_sweep,
     estimate_distortion,
     nonuniform_experiment,
-    run_trial,
+    trial_values,
 )
 from .source import (
     Message,
@@ -87,7 +86,6 @@ __all__ = [
     "load_channel",
     "make_bac",
     "make_bsc",
-    "sample_output",
     "PosteriorState",
     "conditional_distortion",
     "exact_bit_variance",
@@ -118,7 +116,7 @@ __all__ = [
     "aurelian_sweep",
     "estimate_distortion",
     "nonuniform_experiment",
-    "run_trial",
+    "trial_values",
     "Message",
     "PriorSpec",
     "bit_of",

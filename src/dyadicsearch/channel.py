@@ -50,13 +50,17 @@ class ChannelSpec:
         m = len(self.outputs)
         if m < 2:
             raise ValidationError("channel needs at least 2 output symbols")
-        if len(set(self.outputs)) != m:
+        try:
+            distinct = len(set(self.outputs))
+        except TypeError:
+            raise ValidationError("output symbols must be hashable labels") from None
+        if distinct != m:
             raise ValidationError("duplicate output symbols")
         if len(self.f0) != m or len(self.f1) != m:
             raise ValidationError("f0/f1 length must match the output alphabet")
         for name, f in (("f0", self.f0), ("f1", self.f1)):
-            if any(p < 0.0 for p in f):
-                raise ValidationError(f"{name} has negative mass")
+            if not all(p >= 0.0 for p in f):
+                raise ValidationError(f"{name} has negative or NaN mass")
             if abs(math.fsum(f) - 1.0) > _MASS_TOL:
                 raise ValidationError(f"{name} does not sum to 1 (got {math.fsum(f)!r})")
         if any(a == 0.0 and b == 0.0 for a, b in zip(self.f0, self.f1)):
@@ -239,34 +243,44 @@ def info_constants(ch: ChannelSpec) -> InfoConstants:
     return InfoConstants(C=C, B=B, r=r, r_real=r_real, A1=A1, A2=A2)
 
 
-def sample_output(ch: ChannelSpec, bit: int, rng: np.random.Generator):
-    """Draw one output symbol for the given input bit from an owned rng stream.
+_PRESETS = {"bac": (make_bac, ("p00", "p11")), "bsc": (make_bsc, ("eps",))}
 
-    The caller owns the generator: one exclusive stream per worker. The
-    simulator derives its streams counter-style from the root seed (Philox
-    keyed by (seed, block)); anything equally collision-free works here.
-    """
-    if bit not in (0, 1):
-        raise ValidationError(f"input bit must be 0 or 1, got {bit!r}")
-    probs = ch.f1 if bit else ch.f0
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return ch.outputs[min(idx, len(ch.outputs) - 1)]
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _preset_config(text: str) -> dict:
+    """{"preset": name, field: value, ...} from "bac:p00,p11" or "bsc:eps"."""
+    name, _, args = text.partition(":")
+    values = [v for v in args.split(",") if v]
+    if name not in _PRESETS:
+        raise ValidationError(f"unknown channel preset {name!r}")
+    fields = _PRESETS[name][1]
+    if len(values) != len(fields):
+        raise ValidationError(
+            f"channel preset {text!r}: {name} needs {len(fields)} value(s): "
+            f"{name}:{','.join(fields)}"
+        )
+    return {"preset": name, **dict(zip(fields, values))}
 
 
 def load_channel(source: dict | str | Path) -> ChannelSpec:
-    """Build a channel from a config mapping or a JSON file.
+    """Build a channel from a config mapping, a preset string or a JSON file.
 
     Accepted forms: {"preset": "bac", "p00": .., "p11": ..},
     {"preset": "bsc", "eps": ..}, or the explicit
-    {"outputs": [...], "f0": [...], "f1": [...]}.
+    {"outputs": [...], "f0": [...], "f1": [...]}. A string that names no
+    existing file and contains ":" is a preset string, "bac:p00,p11" or
+    "bsc:eps", read as the mapping with the same values in field order.
+    Malformed values raise ``ValidationError``.
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, str) and ":" in source and not Path(source).exists():
+        obj = _preset_config(source)
+    elif isinstance(source, (str, Path)):
         try:
             obj = json.loads(Path(source).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ValidationError(f"cannot read channel file {source!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON or undecodable bytes
             raise ValidationError(f"channel file {source!r}: invalid JSON ({exc})") from exc
     else:
         obj = source
@@ -274,18 +288,22 @@ def load_channel(source: dict | str | Path) -> ChannelSpec:
         raise ValidationError("channel config must be a JSON object")
     if "preset" in obj:
         preset = obj["preset"]
+        if not isinstance(preset, str) or preset not in _PRESETS:
+            raise ValidationError(f"unknown channel preset {preset!r}")
+        factory, fields = _PRESETS[preset]
         try:
-            if preset == "bac":
-                return make_bac(float(obj["p00"]), float(obj["p11"]))
-            if preset == "bsc":
-                return make_bsc(float(obj["eps"]))
+            values = [float(obj[f]) for f in fields]
         except KeyError as exc:
             raise ValidationError(f"channel preset {preset!r}: missing field {exc}") from exc
-        raise ValidationError(f"unknown channel preset {preset!r}")
+        except _CONVERSION_ERRORS as exc:
+            raise ValidationError(f"channel preset {preset!r}: {exc}") from exc
+        return factory(*values)
     try:
         outputs = tuple(obj["outputs"])
         f0 = tuple(float(p) for p in obj["f0"])
         f1 = tuple(float(p) for p in obj["f1"])
     except KeyError as exc:
         raise ValidationError(f"channel config: missing field {exc}") from exc
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"channel config: {exc}") from exc
     return ChannelSpec(outputs=outputs, f0=f0, f1=f1)

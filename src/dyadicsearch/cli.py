@@ -13,7 +13,8 @@ console summary:
 Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
-error, 3 enumeration-budget refusal.
+error, 3 budget refusal (an enumeration too large, or a Monte-Carlo estimate
+that has lost all precision).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -34,7 +35,6 @@ from .channel import (
     info_constants,
     load_channel,
     make_bac,
-    make_bsc,
 )
 from .decoder import exact_distortion
 from .errors import BudgetExceededError, ValidationError
@@ -74,16 +74,7 @@ class RunManifest:
     findings: dict = field(default_factory=dict)
 
     def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "outputs": self.outputs,
-            "findings": self.findings,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _fmt(x) -> str:
@@ -97,7 +88,7 @@ def _fmt(x) -> str:
 def _write_csv(
     path: Path,
     schema: str,
-    channel: ChannelSpec | None,
+    channel: ChannelSpec,
     manifest_name: str,
     header: list[str],
     rows: list[list],
@@ -105,35 +96,11 @@ def _write_csv(
     with path.open("w", newline="", encoding="utf-8") as f:
         f.write(f"# schema: dyadicsearch/{schema}-{SCHEMA_VERSION}\n")
         f.write(f"# manifest: {manifest_name}\n")
-        if channel is not None:
-            f.write(f"# channel: {channel.describe()}\n")
+        f.write(f"# channel: {channel.describe()}\n")
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(x) for x in row])
-
-
-def _parse_channel(text: str) -> ChannelSpec:
-    """Preset string ("bac:0.9,0.8" / "bsc:0.1") or a JSON config file path."""
-    if ":" in text and not Path(text).exists():
-        name, _, args = text.partition(":")
-        parts = [p for p in args.split(",") if p]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValidationError(f"channel preset {text!r}: {exc}") from exc
-        if name == "bac":
-            if len(values) != 2:
-                raise ValidationError("bac preset needs two probabilities: bac:p00,p11")
-            return make_bac(*values)
-        if name == "bsc":
-            if len(values) != 1:
-                raise ValidationError("bsc preset needs one probability: bsc:eps")
-            return make_bsc(values[0])
-        raise ValidationError(f"unknown channel preset {name!r}")
-    if Path(text).exists():
-        return load_channel(text)
-    raise ValidationError(f"channel {text!r} is neither a preset nor an existing file")
 
 
 def _parse_prior(text: str):
@@ -150,19 +117,42 @@ def _parse_prior(text: str):
     raise ValidationError(f"prior {text!r} is neither 'uniform', 'power:<e>' nor a file")
 
 
-def _outdir(args) -> Path:
+def _emit(
+    args,
+    name: str,
+    channel: ChannelSpec,
+    header: list[str],
+    rows: list[list],
+    start: float,
+    config: dict,
+    seed: int | None,
+    findings: dict,
+) -> Path:
+    """Write ``<name>.csv`` and ``manifest-<name>.json`` under --out.
+
+    ``config`` holds the command's settings besides --channel; the wall time
+    runs from ``start`` to the manifest write. Returns the CSV path.
+    """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _channel_config(args) -> dict:
-    return {"channel": args.channel}
+    csv_path = out / f"{name}.csv"
+    manifest_name = f"manifest-{name}.json"
+    _write_csv(csv_path, name, channel, manifest_name, header, rows)
+    RunManifest(
+        command=args.argv_echo,
+        config={"channel": args.channel, **config},
+        seed=seed,
+        version=__version__,
+        outputs=[csv_path.name],
+        findings=findings,
+        wall_time_s=time.perf_counter() - start,
+    ).write(out / manifest_name)
+    return csv_path
 
 
 def cmd_info(args) -> int:
     start = time.perf_counter()
-    ch = _parse_channel(args.channel)
+    ch = load_channel(args.channel)
     if not ch.informative:
         raise ValidationError("degenerate channel: f0 == f1 carries no information")
     cinfo = chernoff_information(ch)
@@ -191,25 +181,13 @@ def cmd_info(args) -> int:
             f"these definitions (C={consts.C:.4f}, B={consts.B:.4f}); "
             "2.08 = ln 8 is the maximum |log-ratio| of this channel, not its mixture mean."
         )
-    out = _outdir(args)
-    manifest = RunManifest(
-        command=args.argv_echo,
-        config=_channel_config(args),
-        seed=None,
-        version=__version__,
-        findings=findings,
-    )
-    csv_path = out / "info.csv"
-    _write_csv(csv_path, "info", ch, "manifest-info.json", ["constant", "value"], rows)
-    manifest.outputs = [csv_path.name]
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out / "manifest-info.json")
+    _emit(args, "info", ch, ["constant", "value"], rows, start, {}, None, findings)
     return 0
 
 
 def cmd_fig2(args) -> int:
     start = time.perf_counter()
-    ch = _parse_channel(args.channel)
+    ch = load_channel(args.channel)
     consts = info_constants(ch)
     patterns = enumerate_patterns(args.n, args.depth)
     uniform = uniform_prior()
@@ -267,19 +245,8 @@ def cmd_fig2(args) -> int:
         findings["exact_argmin_matches_reference"] = exact_argmin == _REFERENCE_OPTIMUM_N10_D3
         findings["reference_optimum"] = _REFERENCE_OPTIMUM_N10_D3
 
-    out = _outdir(args)
-    csv_path = out / "fig2.csv"
-    _write_csv(csv_path, "fig2", ch, "manifest-fig2.json", header, table)
-    manifest = RunManifest(
-        command=args.argv_echo,
-        config={**_channel_config(args), "n": args.n, "depth": args.depth, "trials": args.trials},
-        seed=args.seed,
-        version=__version__,
-        outputs=[csv_path.name],
-        findings=findings,
-    )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out / "manifest-fig2.json")
+    config = {"n": args.n, "depth": args.depth, "trials": args.trials}
+    csv_path = _emit(args, "fig2", ch, header, table, start, config, args.seed, findings)
 
     print(f"{len(rows)} patterns for n={args.n}, depth={args.depth}")
     for key in ("argmin_exact", "argmin_mc", "argmin_u", "argmin_l"):
@@ -293,7 +260,7 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     start = time.perf_counter()
-    ch = _parse_channel(args.channel)
+    ch = load_channel(args.channel)
     consts = info_constants(ch)
     if args.mode == "mc" and args.seed is None:
         raise ValidationError("--seed is required in mc mode")
@@ -324,31 +291,16 @@ def cmd_fig3(args) -> int:
         ]
         for r in result.rows
     ]
-    out = _outdir(args)
-    csv_path = out / "fig3.csv"
-    _write_csv(csv_path, "fig3", ch, "manifest-fig3.json", header, table)
     last = result.rows[-1]
-    manifest = RunManifest(
-        command=args.argv_echo,
-        config={
-            **_channel_config(args),
-            "n_max": args.n_max,
-            "step": args.step,
-            "mode": args.mode,
-        },
-        seed=args.seed,
-        version=__version__,
-        outputs=[csv_path.name],
-        findings={
-            "final_n": last.n,
-            "final_log_d_over_sqrt_n": last.log_d_over_sqrt_n,
-            "final_log_u_over_sqrt_n": last.log_u_over_sqrt_n,
-            "neg_a1": -consts.A1,
-            "neg_a2": -consts.A2,
-        },
-    )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out / "manifest-fig3.json")
+    config = {"n_max": args.n_max, "step": args.step, "mode": args.mode}
+    findings = {
+        "final_n": last.n,
+        "final_log_d_over_sqrt_n": last.log_d_over_sqrt_n,
+        "final_log_u_over_sqrt_n": last.log_u_over_sqrt_n,
+        "neg_a1": -consts.A1,
+        "neg_a2": -consts.A2,
+    }
+    csv_path = _emit(args, "fig3", ch, header, table, start, config, args.seed, findings)
     print(
         f"swept {len(result.rows)} budgets up to n={last.n}: "
         f"ln(D_n)/sqrt(n)={last.log_d_over_sqrt_n:.4f}, "
@@ -376,7 +328,7 @@ def _resolve_rule(rule: str, n: int, ch: ChannelSpec) -> TransmissionPattern:
 
 def cmd_policy(args) -> int:
     start = time.perf_counter()
-    ch = _parse_channel(args.channel)
+    ch = load_channel(args.channel)
     consts = info_constants(ch)
     pat = _resolve_rule(args.rule, args.n, ch)
     u = upper_bound(pat, consts.C)
@@ -393,34 +345,18 @@ def cmd_policy(args) -> int:
     for v in eff.violations:
         print(f"    {v}")
     print(f"  t1_bound={cor.t1_bound} q_bound={cor.q_bound} (r={consts.r})")
-    out = _outdir(args)
-    csv_path = out / "policy.csv"
-    _write_csv(
-        csv_path,
-        "policy",
-        ch,
-        "manifest-policy.json",
-        ["rule", "n", "pattern", "q", "U", "L", "exact_d",
-         "no_gap", "spacing", "t1_bound", "q_bound"],
-        [[args.rule, args.n, str(pat), pat.q, u, l, exact_d,
-          eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound]],
-    )
-    manifest = RunManifest(
-        command=args.argv_echo,
-        config={**_channel_config(args), "n": args.n, "rule": args.rule},
-        seed=None,
-        version=__version__,
-        outputs=[csv_path.name],
-        findings={"pattern": str(pat)},
-    )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out / "manifest-policy.json")
+    header = ["rule", "n", "pattern", "q", "U", "L", "exact_d",
+              "no_gap", "spacing", "t1_bound", "q_bound"]
+    row = [args.rule, args.n, str(pat), pat.q, u, l, exact_d,
+           eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound]
+    config = {"n": args.n, "rule": args.rule}
+    _emit(args, "policy", ch, header, [row], start, config, None, {"pattern": str(pat)})
     return 0
 
 
 def cmd_nonuniform(args) -> int:
     start = time.perf_counter()
-    ch = _parse_channel(args.channel)
+    ch = load_channel(args.channel)
     prior = _parse_prior(args.prior)
     pat = parse_pattern(args.pattern)
     report = nonuniform_experiment(ch, prior, pat, trials=args.trials, seed=args.seed, jobs=args.jobs)
@@ -432,24 +368,9 @@ def cmd_nonuniform(args) -> int:
         report.uniform_mse, report.uniform_se, report.original_mse, report.original_se,
         report.lipschitz_sq, report.margin_mean, report.margin_se, report.inequality_ok,
     ]
-    out = _outdir(args)
-    csv_path = out / "nonuniform.csv"
-    _write_csv(csv_path, "nonuniform", ch, "manifest-nonuniform.json", header, [row])
-    manifest = RunManifest(
-        command=args.argv_echo,
-        config={
-            **_channel_config(args),
-            "prior": args.prior,
-            "pattern": args.pattern,
-            "trials": args.trials,
-        },
-        seed=args.seed,
-        version=__version__,
-        outputs=[csv_path.name],
-        findings={"inequality_ok": report.inequality_ok},
-    )
-    manifest.wall_time_s = time.perf_counter() - start
-    manifest.write(out / "manifest-nonuniform.json")
+    config = {"prior": args.prior, "pattern": args.pattern, "trials": args.trials}
+    findings = {"inequality_ok": report.inequality_ok}
+    csv_path = _emit(args, "nonuniform", ch, header, [row], start, config, args.seed, findings)
     verdict = "holds" if report.inequality_ok else "VIOLATED"
     print(
         f"uniform-domain mse {report.uniform_mse:.6g} +- {report.uniform_se:.2g}, "

@@ -10,6 +10,15 @@ The minimum mean squared error estimate and its conditional error follow in
 closed form; bits beyond the tracked depth sit at their prior 1/2 and their
 contribution is summed analytically.
 
+Two forms of the same decoder live here. The array kernel (``_sigmoid``,
+``_stable_pq``, ``_uniform_estimate``) works on log-odds: the log-odds of bit
+k is the sum of the log-likelihood ratios ln(f1(y)/f0(y)) of its outputs, so
+a whole block of trials decodes with a few vectorised operations. The
+simulator and the exact oracle use it. The scalar forms
+(``posterior_update``, ``mmse_estimate``, ``conditional_distortion``,
+``PosteriorState``) update one posterior at a time by Bayes' rule; they are
+the independent oracles the kernel is tested against.
+
 The exact oracle exploits exchangeability: t i.i.d. outputs enter the
 posterior only through their histogram, so E[p(1-p)] after t uses is an exact
 finite sum over the C(t+m-1, m-1) histograms of an m-symbol alphabet (t+1
@@ -92,6 +101,26 @@ def conditional_distortion(state: PosteriorState) -> float:
     )
 
 
+def _sigmoid(s: np.ndarray) -> np.ndarray:
+    """Posterior P(bit = 1) from log-odds s, without overflow at large |s|."""
+    with np.errstate(over="ignore"):
+        return np.where(s >= 0.0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
+
+
+def _stable_pq(s: np.ndarray) -> np.ndarray:
+    # p (1 - p) for p = sigmoid(s), computed as e^{-|s|} / (1 + e^{-|s|})^2.
+    e = np.exp(-np.abs(s))
+    return e / (1.0 + e) ** 2
+
+
+def _uniform_estimate(u_size: int, sums: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    """MMSE decode 1/2 + sum_k (p_k - 1/2) 2^(-k) from per-bit log-odds sums."""
+    est = np.full(u_size, 0.5)
+    for k, s in sums:
+        est += (_sigmoid(s) - 0.5) * 2.0**-k
+    return est
+
+
 def _histograms(t: int, m: int) -> np.ndarray:
     """All m-part compositions of t as an integer array, one histogram per row."""
     if m == 2:
@@ -139,10 +168,7 @@ def exact_bit_variance(t_k: int, ch: ChannelSpec) -> float:
     lp0 = log_mult + H @ _safe_log(ch.f0)
     lp1 = log_mult + H @ _safe_log(ch.f1)
     weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)
-    # p (1 - p) = e^d / (1 + e^d)^2 with d = lp1 - lp0, stable via exp(-|d|).
-    e = np.exp(-np.abs(lp1 - lp0))
-    var = e / (1.0 + e) ** 2
-    return float(np.sum(weight * var))
+    return float(np.sum(weight * _stable_pq(lp1 - lp0)))
 
 
 def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:

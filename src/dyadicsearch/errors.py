@@ -2,7 +2,8 @@
 
 Two families matter to callers: validation failures (bad channels, priors,
 patterns, config files) and budget refusals (enumerations that would exceed
-the configured size limits). The CLI maps them to exit codes 2 and 3.
+the configured size limits, Monte-Carlo estimates that have lost all
+precision). The CLI maps them to exit codes 2 and 3.
 """
 
 
@@ -19,4 +20,5 @@ class InfiniteLogRatioError(ValidationError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exact enumeration would exceed the configured size budget."""
+    """A budget the code cannot resolve: an exact enumeration over its size
+    budget, or a Monte-Carlo estimate with no precision left."""

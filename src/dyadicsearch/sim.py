@@ -13,7 +13,13 @@ updates, and scores the decoder. Two estimators are available:
 Reproducibility contract: trials are grouped into fixed blocks of 4096; block
 b draws from a Philox stream keyed by (seed, b), and results are reduced in
 block order. The randomness consumed by trial i is therefore a pure function
-of (seed, i) and results are bit-identical for any worker count.
+of (seed, trials, i), of (seed, i) alone when i lies in a full block, and
+results are bit-identical for any worker count.
+
+One collector, ``_collect_blocks``, runs a per-block function over all blocks
+(serially or on a thread pool) and concatenates the results in block order.
+``trial_values`` and ``nonuniform_experiment`` both go through it; the
+per-trial decode uses the array kernel of ``decoder``.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channel import ChannelSpec, InfoConstants, info_constants
-from .decoder import exact_distortion
-from .errors import ValidationError
+from .decoder import _stable_pq, _uniform_estimate, exact_distortion
+from .errors import BudgetExceededError, ValidationError
 from .policy import TransmissionPattern, aurelian, lower_bound, upper_bound
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
@@ -88,17 +95,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sigmoid(s: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.where(s >= 0.0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
-
-
-def _stable_pq(s: np.ndarray) -> np.ndarray:
-    # p (1 - p) for p = sigmoid(s), computed as e^{-|s|} / (1 + e^{-|s|})^2.
-    e = np.exp(-np.abs(s))
-    return e / (1.0 + e) ** 2
-
-
 def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Targets and per-bit log-likelihood-ratio sums for one trial block.
 
@@ -142,45 +138,43 @@ def _rb_block(cfg: SimConfig, block: int) -> np.ndarray:
     return vals
 
 
-def _uniform_estimate(u_size: int, sums: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    est = np.full(u_size, 0.5)
-    for k, s in sums:
-        est += (_sigmoid(s) - 0.5) * 2.0**-k
-    return est
-
-
-def _plain_block(cfg: SimConfig, block: int) -> np.ndarray:
+def _squared_errors(cfg: SimConfig, block: int) -> np.ndarray:
+    """Squared errors of the MMSE decode for one block: row 0 in the uniform
+    domain, (F_n - F(X))^2; row 1 in the original domain, (X_hat - X)^2."""
     u, sums = _draw_block(cfg, block)
     u_hat = _uniform_estimate(u.size, sums)
     x = from_uniform(cfg.prior, u)
     x_hat = from_uniform(cfg.prior, u_hat)
-    return (x_hat - x) ** 2
+    return np.stack([(u_hat - u) ** 2, (x_hat - x) ** 2])
 
 
-@functools.lru_cache(maxsize=8)
-def _block_values(cfg: SimConfig, block: int) -> np.ndarray:
-    if cfg.estimator == "rao_blackwell":
-        return _rb_block(cfg, block)
-    return _plain_block(cfg, block)
-
-
-def run_trial(cfg: SimConfig, trial_index: int) -> float:
-    """Statistic of one trial: squared error (plain) or conditional distortion
-    (rao_blackwell). Deterministic given (cfg.seed, trial_index)."""
-    if not (0 <= trial_index < cfg.trials):
-        raise ValidationError(f"trial index {trial_index} outside [0, {cfg.trials})")
-    block, offset = divmod(trial_index, BLOCK_TRIALS)
-    return float(_block_values(cfg, block)[offset])
-
-
-def _collect_blocks(cfg: SimConfig, jobs: int) -> np.ndarray:
+def _collect_blocks(
+    cfg: SimConfig, jobs: int, block_fn: Callable[[SimConfig, int], np.ndarray]
+) -> np.ndarray:
+    """``block_fn`` over every trial block, concatenated in block order along
+    the last axis; with ``jobs`` > 1 the blocks run on a thread pool."""
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
     if jobs <= 1 or n_blocks == 1:
-        parts = [_block_values(cfg, b) for b in range(n_blocks)]
+        parts = [block_fn(cfg, b) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda b: _block_values(cfg, b), range(n_blocks)))
-    return np.concatenate(parts)
+            parts = list(pool.map(functools.partial(block_fn, cfg), range(n_blocks)))
+    return np.concatenate(parts, axis=-1)
+
+
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    n = values.size
+    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
+
+
+def trial_values(cfg: SimConfig, jobs: int = 1) -> np.ndarray:
+    """Statistic of every trial, in trial order: squared error (plain) or
+    conditional distortion (rao_blackwell). The array is the same whatever
+    ``jobs``."""
+    if cfg.estimator == "rao_blackwell":
+        return _collect_blocks(cfg, jobs, _rb_block)
+    return _collect_blocks(cfg, jobs, _squared_errors)[1]
 
 
 def estimate_distortion(cfg: SimConfig, jobs: int = 1) -> DistortionEstimate:
@@ -190,9 +184,7 @@ def estimate_distortion(cfg: SimConfig, jobs: int = 1) -> DistortionEstimate:
     reduction order are fixed by the config, so the estimate is independent
     of ``jobs``.
     """
-    values = _collect_blocks(cfg, jobs)
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
+    mean, se = _mean_se(trial_values(cfg, jobs))
     return DistortionEstimate(mean=mean, std_error=se, trials=cfg.trials, estimator=cfg.estimator)
 
 
@@ -253,6 +245,11 @@ def aurelian_sweep(
             )
             est = estimate_distortion(cfg, jobs=jobs)
             d, se = est.mean, est.std_error
+            if d <= 0.0:
+                raise BudgetExceededError(
+                    f"Monte-Carlo distortion at n={n} is {d!r} <= 0: the estimate has lost "
+                    "all precision at this budget; use the exact oracle (--mode exact)"
+                )
         u = upper_bound(pat, consts.C)
         l = lower_bound(pat, consts.B)
         rows.append(
@@ -311,31 +308,10 @@ def nonuniform_experiment(
         seed=seed,
         estimator="plain",
     )
-    n_blocks = -(-trials // BLOCK_TRIALS)
-
-    def both(block: int) -> tuple[np.ndarray, np.ndarray]:
-        u, sums = _draw_block(cfg, block)
-        u_hat = _uniform_estimate(u.size, sums)
-        x = from_uniform(prior, u)
-        x_hat = from_uniform(prior, u_hat)
-        return (u_hat - u) ** 2, (x_hat - x) ** 2
-
-    if jobs <= 1 or n_blocks == 1:
-        parts = [both(b) for b in range(n_blocks)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(both, range(n_blocks)))
-    e_u = np.concatenate([p[0] for p in parts])
-    e_x = np.concatenate([p[1] for p in parts])
-
-    def mean_se(a: np.ndarray) -> tuple[float, float]:
-        se = float(np.std(a, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return float(np.mean(a)), se
-
-    u_mse, u_se = mean_se(e_u)
-    x_mse, x_se = mean_se(e_x)
-    margin = prior.lipschitz_sq * e_x - e_u
-    m_mean, m_se = mean_se(margin)
+    e_u, e_x = _collect_blocks(cfg, jobs, _squared_errors)
+    u_mse, u_se = _mean_se(e_u)
+    x_mse, x_se = _mean_se(e_x)
+    m_mean, m_se = _mean_se(prior.lipschitz_sq * e_x - e_u)
     return NonuniformReport(
         uniform_mse=u_mse,
         uniform_se=u_se,

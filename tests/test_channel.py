@@ -17,8 +17,11 @@ from dyadicsearch import (
     load_channel,
     make_bac,
     make_bsc,
-    sample_output,
+    pattern,
+    uniform_prior,
 )
+from dyadicsearch.sim import BLOCK_TRIALS, SimConfig, _draw_block
+from dyadicsearch.source import bits_array
 
 from conftest import random_channel
 
@@ -201,32 +204,44 @@ class TestInfoConstants:
             assert all(math.isfinite(v) for v in (k.C, k.B, k.A1, k.A2))
 
 
+def simulated_outputs(ch: ChannelSpec, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input bit and output symbol index of each trial of the simulator's
+    vectorised sampler, one use of bit 1 per trial. One use makes the bit's
+    log-odds sum equal to the log-likelihood ratio of its output, which
+    names the symbol when the ratios are distinct."""
+    cfg = SimConfig(channel=ch, pattern=pattern([1]), prior=uniform_prior(), trials=trials, seed=seed)
+    with np.errstate(divide="ignore"):
+        llr = np.log(np.array(ch.f1)) - np.log(np.array(ch.f0))
+    assert len(set(llr)) == len(llr)
+    bits, symbols = [], []
+    for block in range(-(-trials // BLOCK_TRIALS)):
+        u, [(k, s)] = _draw_block(cfg, block)
+        bits.append(bits_array(u, k))
+        symbols.append(np.argmax(s[:, None] == llr[None, :], axis=1))
+    return np.concatenate(bits), np.concatenate(symbols)
+
+
 class TestSampleOutput:
+    """Output frequencies of the simulator's sampler (``sim._draw_block``)."""
+
     def test_noiseless_channel_is_deterministic(self):
         ch = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.0, 1.0))
-        gen = np.random.default_rng(0)
-        assert all(sample_output(ch, 0, gen) == 0 for _ in range(50))
+        bits, symbols = simulated_outputs(ch, trials=5000, seed=0)
+        assert np.array_equal(symbols, bits)
 
     def test_empirical_frequency(self):
-        ch = make_bac(0.9, 0.8)
-        gen = np.random.default_rng(12345)
-        n = 1_000_000
-        ones = sum(sample_output(ch, 1, gen) for _ in range(n))
-        # 5-sigma binomial band around 0.8.
-        assert abs(ones / n - 0.8) < 0.002
+        three = ChannelSpec(outputs=("a", "b", "c"), f0=(0.5, 0.3, 0.2), f1=(0.2, 0.3, 0.5))
+        for ch in (make_bac(0.9, 0.8), three):
+            bits, symbols = simulated_outputs(ch, trials=200_000, seed=12345)
+            for bit, f in ((0, np.array(ch.f0)), (1, np.array(ch.f1))):
+                sent = symbols[bits == bit]
+                freq = np.bincount(sent, minlength=f.size) / sent.size
+                sigma = np.sqrt(f * (1.0 - f) / sent.size)
+                assert np.all(np.abs(freq - f) < 5.0 * sigma)
 
     def test_same_seed_same_sequence(self):
         ch = make_bac(0.9, 0.8)
-
-        def draw(seed: int) -> list:
-            g = np.random.Generator(np.random.Philox(key=seed))
-            return [sample_output(ch, 1, g) for _ in range(20)]
-
-        assert draw(9) == draw(9)
-
-    def test_bad_bit_rejected(self):
-        with pytest.raises(ValidationError):
-            sample_output(make_bsc(0.1), 2, np.random.default_rng(0))
+        assert np.array_equal(simulated_outputs(ch, 5000, 9)[1], simulated_outputs(ch, 5000, 9)[1])
 
 
 class TestLoadChannel:
@@ -237,6 +252,13 @@ class TestLoadChannel:
     def test_explicit_mapping(self):
         ch = load_channel({"outputs": [0, 1, 2], "f0": [0.5, 0.3, 0.2], "f1": [0.2, 0.3, 0.5]})
         assert ch.f0 == (0.5, 0.3, 0.2)
+
+    def test_preset_string(self):
+        assert load_channel("bac:0.9,0.8") == make_bac(0.9, 0.8)
+        assert load_channel("bsc:0.1") == make_bsc(0.1)
+        for bad in ("bac:0.9", "bsc:0.1,0.2", "bac:abc,0.8", "zzz:0.1", "bsc:"):
+            with pytest.raises(ValidationError):
+                load_channel(bad)
 
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "ch.json"

@@ -49,6 +49,26 @@ class TestInfo:
     def test_unknown_preset(self, tmp_path, capsys):
         assert main(["info", "--channel", "zchan:0.1", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"preset": "bac", "p00": "abc", "p11": 0.8}',
+            '{"preset": "bac", "p00": null, "p11": 0.8}',
+            '{"outputs": [0, 1], "f0": ["x", 0.5], "f1": [0.5, 0.5]}',
+            '{"outputs": 5, "f0": [0.5, 0.5], "f1": [0.2, 0.8]}',
+            '{"outputs": [[0], [1]], "f0": [0.5, 0.5], "f1": [0.2, 0.8]}',
+            '{"outputs": [0, 1, 2], "f0": [NaN, 0.5, 0.5], "f1": [0.3, 0.2, 0.5]}',
+        ],
+        ids=["preset-not-a-number", "preset-null", "mass-not-a-number", "outputs-not-a-list",
+             "outputs-unhashable", "mass-nan"],
+    )
+    def test_bad_channel_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "channel.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["info", "--channel", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestFig2:
     def test_sixty_six_rows_and_argmins(self, tmp_path):
@@ -108,6 +128,15 @@ class TestFig3:
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",
                    "--mode", "mc", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_mc_mode_refuses_nonpositive_estimate(self, tmp_path, capsys):
+        # At n = 2000 the Rao-Blackwell sum cancels below zero on this channel.
+        rc = main(["fig3", "--channel", "bac:0.9,0.8", "--mode", "mc", "--n-max", "2000",
+                   "--step", "2000", "--trials", "8192", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "n=2000" in err and "--mode exact" in err
+        assert not (tmp_path / "fig3.csv").exists()
 
     def test_mc_mode_runs(self, tmp_path):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "40", "--step", "20",

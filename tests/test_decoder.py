@@ -10,6 +10,7 @@ from dyadicsearch import (
     BudgetExceededError,
     ChannelSpec,
     PosteriorState,
+    SimConfig,
     ValidationError,
     b_functional,
     chernoff_information,
@@ -22,8 +23,12 @@ from dyadicsearch import (
     mmse_estimate,
     pattern,
     posterior_update,
+    trial_values,
+    uniform_prior,
     upper_bound,
 )
+from dyadicsearch.decoder import _sigmoid, _uniform_estimate
+from dyadicsearch.sim import _draw_block
 
 from conftest import random_channel
 
@@ -201,3 +206,46 @@ class TestExactDistortion:
         base = exact_distortion(t, ch)
         for k in (1, 2, 3, 4):
             assert exact_distortion(t.bumped(k), ch) <= base
+
+
+class TestArrayKernelAgainstScalarOracle:
+    """The simulator's log-odds kernel against the scalar Bayes recursion."""
+
+    @pytest.mark.parametrize("alphabet", [2, 3, 4])
+    def test_summed_llr_posterior_matches_iterated_updates(self, alphabet, rng):
+        for _ in range(100):
+            ch = random_channel(rng, alphabet=alphabet)
+            llr = np.log(np.array(ch.f1)) - np.log(np.array(ch.f0))
+            # At most 8 outputs keeps |log-odds| < 32, where the scalar
+            # posterior has not yet rounded to the fixed points 0 or 1.
+            seq = rng.integers(0, alphabet, size=rng.integers(0, 9))
+            p = 0.5
+            for y in seq:
+                p = posterior_update(p, ch.outputs[y], ch)
+            kernel = _sigmoid(np.array([llr[seq].sum()]))[0]
+            assert abs(kernel - p) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "ch, counts",
+        [(make_bac(0.9, 0.8), [6, 3, 1]), (make_bsc(0.2), [5, 0, 2, 1]), (make_bac(0.7, 0.95), [4, 3, 2, 2, 1])],
+        ids=["bac-6-3-1", "bsc-with-skipped-bit", "bac-depth-5"],
+    )
+    def test_simulated_trials_match_scalar_decoder(self, ch, counts):
+        # Binary outputs: the log-odds sum of bit k fixes how many of its t_k
+        # outputs were 1, which is all the scalar recursion needs.
+        cfg = SimConfig(channel=ch, pattern=pattern(counts), prior=uniform_prior(), trials=300, seed=21)
+        rb = trial_values(cfg)
+        u, sums = _draw_block(cfg, 0)
+        u_hat = _uniform_estimate(u.size, sums)
+        llr0, llr1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
+        by_bit = dict(sums)
+        for i in range(u.size):
+            p = [0.5] * len(counts)
+            for k, s in by_bit.items():
+                t_k = counts[k - 1]
+                ones = round((s[i] - t_k * llr0) / (llr1 - llr0))
+                for y in [1] * ones + [0] * (t_k - ones):
+                    p[k - 1] = posterior_update(p[k - 1], y, ch)
+            state = PosteriorState(tuple(p))
+            assert rb[i] == pytest.approx(conditional_distortion(state), rel=1e-12)
+            assert u_hat[i] == pytest.approx(mmse_estimate(state), rel=1e-12)

@@ -18,7 +18,7 @@ from dyadicsearch import (
     nonuniform_experiment,
     pattern,
     power_prior,
-    run_trial,
+    trial_values,
     uniform_prior,
 )
 
@@ -30,14 +30,21 @@ def rb_config(channel, pat, trials, seed, **kw):
 
 
 class TestRunTrial:
+    """Per-trial statistics, as ``trial_values`` returns them in trial order."""
+
     def test_empty_pattern_rb_is_prior_variance_every_trial(self):
         cfg = rb_config(make_bsc(0.1), pattern([]), trials=50, seed=3)
-        assert all(run_trial(cfg, i) == 1.0 / 12.0 for i in range(50))
+        assert np.all(trial_values(cfg) == 1.0 / 12.0)
 
     def test_deterministic_given_seed_and_index(self):
-        cfg = rb_config(make_bac(0.9, 0.8), pattern([6, 3, 1]), trials=100, seed=11)
-        again = rb_config(make_bac(0.9, 0.8), pattern([6, 3, 1]), trials=100, seed=11)
-        assert [run_trial(cfg, i) for i in range(100)] == [run_trial(again, i) for i in range(100)]
+        # A trial in a full block depends on (seed, i) only: a longer run
+        # repeats those trials as its prefix, whatever the worker count.
+        cfg = rb_config(make_bac(0.9, 0.8), pattern([6, 3, 1]), trials=8192, seed=11)
+        longer = rb_config(make_bac(0.9, 0.8), pattern([6, 3, 1]), trials=9000, seed=11)
+        values = trial_values(cfg)
+        assert values.shape == (8192,)
+        assert np.array_equal(values, trial_values(cfg, jobs=2))
+        assert np.array_equal(values, trial_values(longer, jobs=3)[:8192])
 
     def test_near_noiseless_deep_pattern_small_error(self):
         # 17 essentially clean bits: the squared error sits at the 2^-17 tail.
@@ -49,13 +56,8 @@ class TestRunTrial:
             seed=5,
             estimator="plain",
         )
-        errors = np.array([run_trial(cfg, i) for i in range(1000)])
+        errors = trial_values(cfg)
         assert np.mean(errors < 1e-5) >= 0.99
-
-    def test_index_range_checked(self):
-        cfg = rb_config(make_bsc(0.1), pattern([1]), trials=10, seed=0)
-        with pytest.raises(ValidationError):
-            run_trial(cfg, 10)
 
     def test_rb_rejected_for_nonuniform_prior(self):
         with pytest.raises(ValidationError):
@@ -103,8 +105,9 @@ class TestEstimateDistortion:
     def test_estimate_is_mean_of_trials(self):
         cfg = rb_config(make_bsc(0.2), pattern([3, 1]), trials=500, seed=13)
         est = estimate_distortion(cfg)
-        values = [run_trial(cfg, i) for i in range(500)]
+        values = trial_values(cfg)
         assert est.mean == pytest.approx(float(np.mean(values)), rel=1e-15)
+        assert est.std_error == pytest.approx(float(np.std(values, ddof=1)) / math.sqrt(500), rel=1e-15)
 
     def test_quantizer_depth_limits_transmission(self):
         # With l = 1 only the first bit is sent; deeper uses are ignored.
