@@ -13,8 +13,9 @@ console summary:
 Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
-error, 3 budget refusal (an enumeration too large, or a Monte-Carlo estimate
-that has lost all precision).
+error (an --out that cannot be written included), 3 budget refusal (an
+enumeration too large, or a Monte-Carlo estimate that has lost all
+precision).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .channel import (
     load_channel,
     make_bac,
 )
-from .decoder import exact_distortion
+from .decoder import exact_bit_variance, exact_distortion
 from .errors import BudgetExceededError, ValidationError
 from .policy import (
     TransmissionPattern,
@@ -134,20 +135,29 @@ def _emit(
     runs from ``start`` to the manifest write. Returns the CSV path.
     """
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{name}.csv"
     manifest_name = f"manifest-{name}.json"
-    _write_csv(csv_path, name, channel, manifest_name, header, rows)
-    RunManifest(
-        command=args.argv_echo,
-        config={"channel": args.channel, **config},
-        seed=seed,
-        version=__version__,
-        outputs=[csv_path.name],
-        findings=findings,
-        wall_time_s=time.perf_counter() - start,
-    ).write(out / manifest_name)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(csv_path, name, channel, manifest_name, header, rows)
+        RunManifest(
+            command=args.argv_echo,
+            config={"channel": args.channel, **config},
+            seed=seed,
+            version=__version__,
+            outputs=[csv_path.name],
+            findings=findings,
+            wall_time_s=time.perf_counter() - start,
+        ).write(out / manifest_name)
+    except OSError as exc:
+        raise ValidationError(f"cannot write output under --out {str(out)!r}: {exc}") from exc
     return csv_path
+
+
+def _oracle_cache_since(before) -> dict:
+    """Hits and misses of the exact oracle's cache since ``before``."""
+    after = exact_bit_variance.cache_info()
+    return {"hits": after.hits - before.hits, "misses": after.misses - before.misses}
 
 
 def cmd_info(args) -> int:
@@ -260,6 +270,7 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     start = time.perf_counter()
+    cache_before = exact_bit_variance.cache_info()
     ch = load_channel(args.channel)
     consts = info_constants(ch)
     if args.mode == "mc" and args.seed is None:
@@ -300,6 +311,8 @@ def cmd_fig3(args) -> int:
         "neg_a1": -consts.A1,
         "neg_a2": -consts.A2,
     }
+    if args.mode == "exact":
+        findings["oracle_cache"] = _oracle_cache_since(cache_before)
     csv_path = _emit(args, "fig3", ch, header, table, start, config, args.seed, findings)
     print(
         f"swept {len(result.rows)} budgets up to n={last.n}: "
@@ -328,6 +341,7 @@ def _resolve_rule(rule: str, n: int, ch: ChannelSpec) -> TransmissionPattern:
 
 def cmd_policy(args) -> int:
     start = time.perf_counter()
+    cache_before = exact_bit_variance.cache_info()
     ch = load_channel(args.channel)
     consts = info_constants(ch)
     pat = _resolve_rule(args.rule, args.n, ch)
@@ -350,7 +364,8 @@ def cmd_policy(args) -> int:
     row = [args.rule, args.n, str(pat), pat.q, u, l, exact_d,
            eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound]
     config = {"n": args.n, "rule": args.rule}
-    _emit(args, "policy", ch, header, [row], start, config, None, {"pattern": str(pat)})
+    findings = {"pattern": str(pat), "oracle_cache": _oracle_cache_since(cache_before)}
+    _emit(args, "policy", ch, header, [row], start, config, None, findings)
     return 0
 
 

@@ -23,6 +23,13 @@ The exact oracle exploits exchangeability: t i.i.d. outputs enter the
 posterior only through their histogram, so E[p(1-p)] after t uses is an exact
 finite sum over the C(t+m-1, m-1) histograms of an m-symbol alphabet (t+1
 terms for binary channels). This is what makes exact large-n sweeps cheap.
+The histograms are one integer array, built by stars and bars
+(``policy.compositions``) for m >= 3, and the multinomial coefficients come
+from one module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
+call shares and that grows on demand. A bit therefore costs numpy work over
+its C(t+m-1, m-1) rows, and a whole pattern O(max t_k) ``lgamma`` calls. The
+table holds ln i! only, the same in every process; results are cached per
+(t_k, channel) by ``exact_bit_variance``.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern
+from .policy import TransmissionPattern, compositions
 
 HISTOGRAM_BUDGET = 1_000_000
 
@@ -62,7 +69,11 @@ def posterior_update(p: float, y, ch: ChannelSpec) -> float:
     """One Bayes step for a single bit given output symbol y.
 
     0 and 1 are fixed points. Near-certain posteriors are updated in log-odds
-    form to avoid underflow in p (1 - p).
+    form to avoid underflow in p (1 - p). Once the log-odds pass about 37 in
+    magnitude, p rounds to exactly 0 or 1 and stays there, so iterated
+    updates are only faithful for short output sequences; the summed
+    log-odds of the array kernel (``_sigmoid``) is the exact path for long
+    ones.
     """
     if not (0.0 <= p <= 1.0):
         raise ValidationError(f"posterior {p!r} outside [0, 1]")
@@ -126,17 +137,23 @@ def _histograms(t: int, m: int) -> np.ndarray:
     if m == 2:
         j = np.arange(t + 1, dtype=np.int64)
         return np.stack([t - j, j], axis=1)
-    rows: list[tuple[int, ...]] = []
+    return np.concatenate(list(compositions(t, m)))
 
-    def rec(prefix: list[int], left: int, parts: int) -> None:
-        if parts == 1:
-            rows.append((*prefix, left))
-            return
-        for first in range(left + 1):
-            rec(prefix + [first], left - first, parts - 1)
 
-    rec([], t, m)
-    return np.asarray(rows, dtype=np.int64)
+# ln i! = math.lgamma(i + 1.0) for i = 0, 1, ..., len - 1, shared by every
+# call and grown on demand.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(t: int) -> np.ndarray:
+    """The shared ln i! table, grown (at least doubling) to hold i = 0..t."""
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size <= t:
+        grown = range(table.size, max(t + 1, 2 * table.size))
+        table = np.concatenate([table, [math.lgamma(i + 1.0) for i in grown]])
+        _LOG_FACTORIALS = table
+    return table
 
 
 def _safe_log(masses: tuple[float, ...]) -> np.ndarray:
@@ -163,8 +180,11 @@ def exact_bit_variance(t_k: int, ch: ChannelSpec) -> float:
             f"histogram enumeration too large: {count} exceeds {HISTOGRAM_BUDGET}"
         )
     H = _histograms(t_k, m)
-    lg = np.array([math.lgamma(i + 1.0) for i in range(t_k + 1)])
-    log_mult = lg[t_k] - lg[H].sum(axis=1)
+    lg = _log_factorials(t_k)
+    # A binary row sum is one addition of non-negative terms, the same value
+    # in any summation order, so it skips numpy's per-row reduction.
+    row_lg = lg[H[:, 0]] + lg[H[:, 1]] if m == 2 else lg[H].sum(axis=1)
+    log_mult = lg[t_k] - row_lg
     lp0 = log_mult + H @ _safe_log(ch.f0)
     lp1 = log_mult + H @ _safe_log(ch.f1)
     weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)

@@ -41,6 +41,7 @@ from .channel import LN4, InfoConstants
 from .errors import BudgetExceededError, ValidationError
 
 PATTERN_BUDGET = 10_000_000
+COMPOSITION_ROWS = 65536
 
 _CHECK_SLACK = 1e-9
 
@@ -126,17 +127,27 @@ def pattern_count(n: int, max_depth: int) -> int:
     return math.comb(n + max_depth - 1, max_depth - 1)
 
 
-def _compositions(n: int, depth: int) -> Iterator[tuple[int, ...]]:
-    # Stars and bars; ascending bar positions give lexicographic order.
+def compositions(n: int, depth: int) -> Iterator[np.ndarray]:
+    """All compositions of n into ``depth`` parts, in lexicographic order.
+
+    Stars and bars: each ascending choice of depth - 1 bar positions among
+    n + depth - 1 slots is one composition, its parts the gaps between bars,
+    and ascending bar positions give lexicographic order. Yields int64
+    arrays of at most ``COMPOSITION_ROWS`` compositions, one per row.
+    """
+    if depth == 1:
+        yield np.array([[n]], dtype=np.int64)
+        return
     total = n + depth - 1
-    for bars in itertools.combinations(range(total), depth - 1):
-        t = []
-        prev = -1
-        for b in bars:
-            t.append(b - prev - 1)
-            prev = b
-        t.append(total - prev - 1)
-        yield tuple(t)
+    bars = itertools.combinations(range(total), depth - 1)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(bars, COMPOSITION_ROWS)), dtype=np.int64
+        )
+        if not flat.size:
+            return
+        edges = np.pad(flat.reshape(-1, depth - 1), ((0, 0), (1, 1)), constant_values=(-1, total))
+        yield np.diff(edges, axis=1) - 1
 
 
 def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:
@@ -148,7 +159,7 @@ def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:
         raise BudgetExceededError(
             f"enumeration too large: {count} patterns exceeds the {PATTERN_BUDGET} budget"
         )
-    return [TransmissionPattern(t) for t in _compositions(n, max_depth)]
+    return [TransmissionPattern(tuple(t)) for b in compositions(n, max_depth) for t in b.tolist()]
 
 
 def _water_fill(counts: Sequence[int], units: int, C: float, max_depth: int | None) -> list[int]:
@@ -211,20 +222,14 @@ def _exhaustive_argmin(n: int, C: float, max_depth: int) -> TransmissionPattern:
     weights = 4.0 ** -np.arange(1, max_depth + 1)
     best_val = math.inf
     best: tuple[int, ...] | None = None
-    chunk = 65536
-    gen = _compositions(n, max_depth)
-    while True:
-        block = list(itertools.islice(gen, chunk))
-        if not block:
-            break
-        T = np.asarray(block, dtype=np.float64)
+    for block in compositions(n, max_depth):
         # Fixed-depth evaluation: zero entries contribute their prior weight,
         # which together with the constant 4^-d/3 tail equals the trimmed form.
-        vals = np.exp(-T * C) @ weights
+        vals = np.exp(-block.astype(np.float64) * C) @ weights
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
-            best = block[i]
+            best = tuple(block[i].tolist())
     assert best is not None
     return TransmissionPattern(best)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from dyadicsearch.cli import main
+from dyadicsearch.decoder import exact_bit_variance
 
 
 def read_csv(path: Path):
@@ -69,6 +70,21 @@ class TestInfo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n", encoding="utf-8")
+        assert main(["info", "--channel", "bsc:0.1", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+
+    def test_out_below_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n", encoding="utf-8")
+        below = target / "sub"
+        assert main(["info", "--channel", "bsc:0.1", "--out", str(below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(below) in err
+
 
 class TestFig2:
     def test_sixty_six_rows_and_argmins(self, tmp_path):
@@ -124,6 +140,21 @@ class TestFig3:
         for r in rows:
             assert float(r[header.index("log_d_over_sqrt_n")]) >= neg_a1
 
+    def test_manifest_reports_per_run_oracle_cache(self, tmp_path):
+        exact_bit_variance.cache_clear()
+        argv = ["fig3", "--channel", "bac:0.9,0.8", "--n-max", "400", "--step", "10"]
+        stats = []
+        for run in ("first", "second"):
+            assert main([*argv, "--out", str(tmp_path / run)]) == 0
+            manifest = json.loads((tmp_path / run / "manifest-fig3.json").read_text())
+            stats.append(manifest["findings"]["oracle_cache"])
+        _, header, rows = read_csv(tmp_path / "first" / "fig3.csv")
+        lookups = sum(int(r[header.index("q")]) for r in rows)
+        assert stats[0]["misses"] > 0
+        assert stats[0]["hits"] + stats[0]["misses"] == lookups
+        assert stats[1] == {"hits": lookups, "misses": 0}
+        assert (tmp_path / "first" / "fig3.csv").read_bytes() == (tmp_path / "second" / "fig3.csv").read_bytes()
+
     def test_mc_mode_requires_seed(self, tmp_path, capsys):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",
                    "--mode", "mc", "--out", str(tmp_path)])
@@ -163,6 +194,17 @@ class TestPolicy:
         _, h1, r1 = read_csv(tmp_path / "greedy" / "policy.csv")
         _, h2, r2 = read_csv(tmp_path / "exhaustive_6" / "policy.csv")
         assert r1[0][h1.index("pattern")] == r2[0][h2.index("pattern")]
+
+    def test_manifest_reports_per_run_oracle_cache(self, tmp_path):
+        exact_bit_variance.cache_clear()
+        argv = ["policy", "--channel", "bsc:0.05", "--n", "10", "--rule", "aurelian"]
+        stats = []
+        for run in ("first", "second"):
+            assert main([*argv, "--out", str(tmp_path / run)]) == 0
+            manifest = json.loads((tmp_path / run / "manifest-policy.json").read_text())
+            stats.append(manifest["findings"]["oracle_cache"])
+        # Pattern 4,3,2,1: four distinct counts, all looked up once per run.
+        assert stats == [{"hits": 0, "misses": 4}, {"hits": 4, "misses": 0}]
 
     def test_budget_refusal_exit_code(self, tmp_path):
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "200",

@@ -27,7 +27,8 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch.decoder import _sigmoid, _uniform_estimate
+from dyadicsearch import decoder, efficient_search, info_constants
+from dyadicsearch.decoder import _histograms, _safe_log, _sigmoid, _stable_pq, _uniform_estimate
 from dyadicsearch.sim import _draw_block
 
 from conftest import random_channel
@@ -46,6 +47,46 @@ def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
         post = p1 / (p0 + p1)
         total += 0.5 * (p0 + p1) * post * (1.0 - post)
     return total
+
+
+def recursive_histograms(t: int, m: int) -> np.ndarray:
+    """The earlier histogram enumerator: binary rows (t - j, j), else recursion."""
+    if m == 2:
+        j = np.arange(t + 1, dtype=np.int64)
+        return np.stack([t - j, j], axis=1)
+    rows: list[tuple[int, ...]] = []
+
+    def rec(prefix: list[int], left: int, parts: int) -> None:
+        if parts == 1:
+            rows.append((*prefix, left))
+            return
+        for first in range(left + 1):
+            rec(prefix + [first], left - first, parts - 1)
+
+    rec([], t, m)
+    return np.asarray(rows, dtype=np.int64)
+
+
+def per_call_bit_variance(t: int, ch: ChannelSpec) -> float:
+    """The earlier oracle kernel: recursive histograms, a fresh ln i! list per call."""
+    if t == 0:
+        return 0.25
+    H = recursive_histograms(t, len(ch.outputs))
+    lg = np.array([math.lgamma(i + 1.0) for i in range(t + 1)])
+    log_mult = lg[t] - lg[H].sum(axis=1)
+    lp0 = log_mult + H @ _safe_log(ch.f0)
+    lp1 = log_mult + H @ _safe_log(ch.f1)
+    weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)
+    return float(np.sum(weight * _stable_pq(lp1 - lp0)))
+
+
+@pytest.fixture
+def cold_table(monkeypatch):
+    """An empty-cache oracle whose shared ln i! table holds only ln 0!."""
+    monkeypatch.setattr(decoder, "_LOG_FACTORIALS", np.zeros(1))
+    exact_bit_variance.cache_clear()
+    yield
+    exact_bit_variance.cache_clear()
 
 
 class TestPosteriorUpdate:
@@ -162,10 +203,69 @@ class TestExactBitVariance:
         with pytest.raises(BudgetExceededError):
             exact_bit_variance(2000, ch)
 
+    def test_budget_refusal_grows_no_table(self, cold_table):
+        ch = random_channel(np.random.default_rng(1), alphabet=3)
+        with pytest.raises(BudgetExceededError):
+            exact_bit_variance(2000, ch)
+        assert decoder._LOG_FACTORIALS.size == 1
+
     def test_decreasing_in_uses(self):
         ch = make_bac(0.9, 0.8)
         values = [exact_bit_variance(t, ch) for t in range(12)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestSharedTableKernel:
+    """The shared ln i! table and stars-and-bars rows against the earlier kernel, bitwise."""
+
+    _rng = np.random.default_rng(20261018)
+
+    @pytest.mark.parametrize(
+        "ch, extra",
+        [
+            (make_bsc(0.05), [500, 2000, 2823]),
+            (make_bac(0.9, 0.8), [500, 2000, 2823]),
+            (random_channel(_rng, alphabet=3), []),
+            (random_channel(_rng, alphabet=4), []),
+        ],
+        ids=["bsc-0.05", "bac-0.9-0.8", "random-3", "random-4"],
+    )
+    def test_bitwise_equal_to_per_call_kernel(self, ch, extra, cold_table):
+        for t in [*range(61), *extra]:
+            assert exact_bit_variance(t, ch) == per_call_bit_variance(t, ch), t
+
+    @pytest.mark.parametrize("ch", [make_bac(0.9, 0.8), make_bsc(0.05)], ids=["bac", "bsc"])
+    def test_call_order_independent(self, ch, monkeypatch, cold_table):
+        ascending = [exact_bit_variance(t, ch) for t in [*range(41), 3000]]
+        monkeypatch.setattr(decoder, "_LOG_FACTORIALS", np.zeros(1))
+        exact_bit_variance.cache_clear()
+        big_first = exact_bit_variance(3000, ch)
+        assert [exact_bit_variance(t, ch) for t in range(41)] + [big_first] == ascending
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_histograms_match_recursive_enumerator(self, m):
+        for t in range(26):
+            H = _histograms(t, m)
+            assert H.dtype == np.int64
+            assert H.shape == (math.comb(t + m - 1, m - 1), m)
+            assert np.array_equal(H, recursive_histograms(t, m))
+
+    def test_lgamma_calls_bounded_by_deepest_bit(self, monkeypatch, cold_table):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def lgamma(self, x):
+                calls.append(x)
+                return math.lgamma(x)
+
+        ch = make_bac(0.9, 0.8)
+        t = efficient_search(10**5, info_constants(ch).C)
+        monkeypatch.setattr(decoder, "math", CountingMath())
+        exact_distortion(t, ch)
+        assert 0 < len(calls) <= 2 * max(t.t) + 2
 
 
 class TestExactDistortion:

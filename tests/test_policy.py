@@ -1,6 +1,7 @@
 """Patterns, bounds, search and the staircase policy."""
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -25,9 +26,19 @@ from dyadicsearch import (
     upper_bound,
 )
 
+from dyadicsearch.policy import COMPOSITION_ROWS, compositions
+
 from conftest import random_moderate_channel
 
 LN4 = math.log(4.0)
+
+
+def tuple_compositions(n: int, depth: int):
+    """Stars and bars one tuple at a time: the earlier composition generator."""
+    total = n + depth - 1
+    for bars in itertools.combinations(range(total), depth - 1):
+        edges = (-1, *bars, total)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 BAC_C = chernoff_information(make_bac(0.9, 0.8)).nats
 
@@ -171,6 +182,22 @@ class TestEnumerate:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             enumerate_patterns(100, 6)
+
+    def test_composition_blocks_match_tuple_generator(self):
+        for n, depth in [*itertools.product(range(13), range(1, 6)), (80, 4)]:
+            blocks = list(compositions(n, depth))
+            assert all(b.dtype == np.int64 and len(b) <= COMPOSITION_ROWS for b in blocks)
+            rows = [tuple(r) for b in blocks for r in b.tolist()]
+            assert rows == list(tuple_compositions(n, depth)), (n, depth)
+        assert [len(b) for b in compositions(80, 4)] == [COMPOSITION_ROWS, math.comb(83, 3) - COMPOSITION_ROWS]
+
+    # At C = 1e-20 every U rounds to the same value: the first composition wins.
+    @pytest.mark.parametrize("C", [1e-20, 0.05, 0.3, 0.7, LN4 / 3])
+    def test_exhaustive_takes_first_minimum_over_blocks(self, C):
+        rows = np.array(list(tuple_compositions(80, 4)), dtype=np.float64)
+        vals = np.exp(-rows * C) @ (4.0 ** -np.arange(1, 5))
+        first = tuple(int(x) for x in rows[int(np.argmin(vals))])
+        assert efficient_search(80, C, mode="exhaustive", max_depth=4) == pattern(first)
 
 
 class TestEfficientSearch:
