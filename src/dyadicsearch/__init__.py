@@ -42,6 +42,7 @@ from .policy import (
     EfficiencyReport,
     TransmissionPattern,
     aurelian,
+    aurelian_steps,
     check_efficient_properties,
     depth_bounds,
     efficient_search,
@@ -69,8 +70,6 @@ from .source import (
     from_uniform,
     load_prior,
     power_prior,
-    quantize,
-    to_uniform,
     uniform_prior,
 )
 
@@ -100,6 +99,7 @@ __all__ = [
     "EfficiencyReport",
     "TransmissionPattern",
     "aurelian",
+    "aurelian_steps",
     "check_efficient_properties",
     "depth_bounds",
     "efficient_search",
@@ -123,7 +123,5 @@ __all__ = [
     "from_uniform",
     "load_prior",
     "power_prior",
-    "quantize",
-    "to_uniform",
     "uniform_prior",
 ]

@@ -14,8 +14,8 @@ Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
 error (an --out that cannot be written included), 3 budget refusal (an
-enumeration too large, or a Monte-Carlo estimate that has lost all
-precision).
+enumeration too large, a Monte-Carlo estimate that has lost all precision,
+or a ``fig3`` row whose D or U underflows the double range).
 """
 
 from __future__ import annotations
@@ -364,7 +364,12 @@ def cmd_policy(args) -> int:
     row = [args.rule, args.n, str(pat), pat.q, u, l, exact_d,
            eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound]
     config = {"n": args.n, "rule": args.rule}
-    findings = {"pattern": str(pat), "oracle_cache": _oracle_cache_since(cache_before)}
+    findings = {
+        "pattern": str(pat),
+        "oracle_cache": _oracle_cache_since(cache_before),
+        # Values below the double range print as 0.0; ln D needs a log-domain oracle.
+        "underflow": [name for name, v in (("U", u), ("L", l), ("exact_d", exact_d)) if v == 0.0],
+    }
     _emit(args, "policy", ch, header, [row], start, config, None, findings)
     return 0
 

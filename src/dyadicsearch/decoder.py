@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -191,6 +192,16 @@ def exact_bit_variance(t_k: int, ch: ChannelSpec) -> float:
     return float(np.sum(weight * _stable_pq(lp1 - lp0)))
 
 
+def _distortion_term(k: int, t_k: int, ch: ChannelSpec) -> float:
+    """4^-(k+1) E[Var(X_{k+1} | history)]: the term of 0-based bit k in D."""
+    return 4.0 ** -(k + 1) * exact_bit_variance(t_k, ch)
+
+
+def _distortion_sum(terms: Sequence[float]) -> float:
+    """D from the terms of bits 1..q: their fsum plus the prior-variance tail."""
+    return math.fsum(terms) + 0.25 * (4.0 ** -len(terms) / 3.0)
+
+
 def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:
     """Exact end-to-end distortion D(t) = sum_k 4^(-k) E[Var(X_k | history)].
 
@@ -198,7 +209,4 @@ def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:
     transmitted index contribute their prior variance, summed in closed form.
     Positive-term summation keeps relative precision at any scale.
     """
-    head = math.fsum(
-        4.0 ** -(k + 1) * exact_bit_variance(tk, ch) for k, tk in enumerate(t.t)
-    )
-    return head + 0.25 * (4.0**-t.q / 3.0)
+    return _distortion_sum([_distortion_term(k, tk, ch) for k, tk in enumerate(t.t)])

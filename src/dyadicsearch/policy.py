@@ -25,7 +25,11 @@ independent route.
 The staircase ("Aurelian") policy allocates t_k = (q - k + 1) r with
 r = floor(ln4 / C) and q the largest depth whose staircase fits the budget,
 then places the remainder with the same threshold fill. Its upper bound
-decays like exp(-A2 sqrt(n)) with A2 = sqrt(2 r) C.
+decays like exp(-A2 sqrt(n)) with A2 = sqrt(2 r) C. At a fixed q the
+remainder fill is nested: the fill of R + 1 uses is the fill of R plus the
+next key in (key, k) order. ``aurelian_steps`` uses this to walk a budget
+grid: one fill and one sort per run of budgets sharing q, then one unit per
+extra use, reporting the bits each step changes.
 """
 
 from __future__ import annotations
@@ -100,6 +104,18 @@ def parse_pattern(text: str) -> TransmissionPattern:
         raise ValidationError(f"cannot parse pattern {text!r}: {exc}") from exc
 
 
+def _bound_term(k: int, t_k: int, rate: float) -> float:
+    """4^-(k+1) e^(-t_k rate): the term of 0-based bit k in U (rate C) and,
+    before the factor 1/4, in L (rate B)."""
+    return 4.0 ** -(k + 1) * math.exp(-t_k * rate)
+
+
+def _upper_sum(terms: Sequence[float]) -> float:
+    """U from the terms of bits 1..q: their fsum plus the closed-form tail.
+    L is a quarter of the same sum over its own terms."""
+    return math.fsum(terms) + 4.0 ** -len(terms) / 3.0
+
+
 def upper_bound(t: TransmissionPattern, C: float) -> float:
     """U(t): Chernoff upper bound on the distortion, tail in closed form.
 
@@ -109,18 +125,14 @@ def upper_bound(t: TransmissionPattern, C: float) -> float:
     """
     if C < 0.0:
         raise ValidationError("C must be >= 0")
-    q = t.q
-    head = math.fsum(4.0 ** -(k + 1) * math.exp(-t.t[k] * C) for k in range(q))
-    return head + 4.0**-q / 3.0
+    return _upper_sum([_bound_term(k, c, C) for k, c in enumerate(t.t)])
 
 
 def lower_bound(t: TransmissionPattern, B: float) -> float:
     """L(t): lower bound driven by the mean absolute log-likelihood ratio."""
     if B < 0.0:
         raise ValidationError("B must be >= 0")
-    q = t.q
-    head = math.fsum(4.0 ** -(k + 1) * math.exp(-t.t[k] * B) for k in range(q))
-    return 0.25 * (head + 4.0**-q / 3.0)
+    return 0.25 * _upper_sum([_bound_term(k, c, B) for k, c in enumerate(t.t)])
 
 
 def pattern_count(n: int, max_depth: int) -> int:
@@ -263,6 +275,26 @@ def efficient_search(
     raise ValidationError(f"unknown search mode {mode!r}")
 
 
+def _check_staircase(n: int, k: InfoConstants) -> None:
+    if k.r < 1:
+        raise ValidationError(
+            f"repetition unit r={k.r} (C > ln 4): the staircase policy is undefined"
+        )
+    if n < k.r:
+        raise ValidationError(f"budget below one repetition unit: n={n} < r={k.r}")
+
+
+def _staircase_depth(n: int, r: int) -> int:
+    """Largest q whose full staircase r q (q+1) / 2 fits in n (q >= 1)."""
+    q = int(math.floor(math.sqrt(2.0 * n / r + 0.25) - 0.5))
+    # Guard the float sqrt against off-by-one at exact staircase budgets.
+    while r * (q + 1) * (q + 2) // 2 <= n:
+        q += 1
+    while q > 1 and r * q * (q + 1) // 2 > n:
+        q -= 1
+    return q
+
+
 def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     """Staircase policy: base allocation t_j = (q - j + 1) r, remainder by threshold fill.
 
@@ -270,24 +302,61 @@ def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     i.e. q = floor(sqrt(2n/r + 1/4) - 1/2); the leftover uses go to the
     largest decreases of U on top of the staircase, placed by the same
     O(q log q) threshold fill as ``efficient_search``, which keeps the
-    pattern non-increasing.
+    pattern non-increasing. ``aurelian_steps`` walks a budget grid.
     """
-    if k.r < 1:
-        raise ValidationError(
-            f"repetition unit r={k.r} (C > ln 4): the staircase policy is undefined"
-        )
-    if n < k.r:
-        raise ValidationError(f"budget below one repetition unit: n={n} < r={k.r}")
-    r = k.r
-    q = int(math.floor(math.sqrt(2.0 * n / r + 0.25) - 0.5))
-    # Guard the float sqrt against off-by-one at exact staircase budgets.
-    while r * (q + 1) * (q + 2) // 2 <= n:
-        q += 1
-    while q > 1 and r * q * (q + 1) // 2 > n:
-        q -= 1
-    base = [(q - j) * r for j in range(q)]
-    remainder = n - r * q * (q + 1) // 2
+    _check_staircase(n, k)
+    q = _staircase_depth(n, k.r)
+    base = [(q - j) * k.r for j in range(q)]
+    remainder = n - k.r * q * (q + 1) // 2
     return TransmissionPattern(tuple(_water_fill(base, remainder, k.C, None)))
+
+
+def aurelian_steps(
+    n_values: Sequence[int], k: InfoConstants
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """``aurelian(n)`` for each budget of a strictly increasing grid, stepped.
+
+    Yields, per budget, the counts of ``aurelian(n)`` (trailing zeros
+    trimmed, so their length is the pattern's q) and the 0-based indices
+    whose count changed since the previous budget (every index at the
+    first).
+
+    At a fixed staircase depth q the remainder fill is nested: the fill of
+    R + 1 uses is the fill of R plus the next key in (key, k) order, with
+    the keys (k+1) ln4/C + c of the threshold fill and its ties to the
+    smaller index. So for a run of budgets that share q, one fill of the
+    run's largest remainder gives every unit the run places, and those
+    units sorted on (key, k) give each budget's pattern as a prefix. The
+    fill may open bit q+1. A budget that changes q starts a new run.
+    """
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise ValidationError("n_values must be strictly increasing")
+    if n_values:
+        _check_staircase(n_values[0], k)
+    r, a = k.r, LN4 / k.C
+    counts: tuple[int, ...] = ()
+    for q, run in itertools.groupby(n_values, key=lambda n: _staircase_depth(n, r)):
+        run = list(run)
+        floor_n = r * q * (q + 1) // 2
+        base = [(q - m) * r for m in range(q)] + [0]
+        last = _water_fill(base[:q], run[-1] - floor_n, k.C, None)
+        # The fill's keys: f + e, with f = (m+1) a + base count, e uses on top.
+        units = sorted(
+            ((m + 1) * a + base[m] + e, m) for m, c in enumerate(last) for e in range(c - base[m])
+        )
+        prev, cur = counts, base[:q]
+        for i, n in enumerate(run):
+            step = units[run[i - 1] - floor_n if i else 0 : n - floor_n]
+            for _, m in step:
+                if m == len(cur):
+                    cur.append(0)
+                cur[m] += 1
+            counts = tuple(cur)
+            if i:
+                changed = sorted({m for _, m in step})
+            else:
+                changed = [m for m, c in enumerate(counts) if m >= len(prev) or prev[m] != c]
+            yield counts, changed
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,15 @@ One collector, ``_collect_blocks``, runs a per-block function over all blocks
 (serially or on a thread pool) and concatenates the results in block order.
 ``trial_values`` and ``nonuniform_experiment`` both go through it; the
 per-trial decode uses the array kernel of ``decoder``.
+
+The staircase sweep ``aurelian_sweep`` takes its patterns stepped from
+``policy.aurelian_steps``, which yields each budget's pattern with the bits
+that changed since the previous budget. It keeps the per-bit terms of D, U
+and L and recomputes only the changed ones, so a step of one use costs a
+term or two, not a rebuilt pattern and q oracle lookups. Each row is
+re-summed with ``math.fsum``, which is correctly rounded and so independent
+of the order of the terms, plus the closed-form tail: the rows equal, float
+for float, those computed one budget at a time.
 """
 
 from __future__ import annotations
@@ -33,9 +42,9 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelSpec, InfoConstants, info_constants
-from .decoder import _stable_pq, _uniform_estimate, exact_distortion
+from .decoder import _distortion_sum, _distortion_term, _stable_pq, _uniform_estimate
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, aurelian, lower_bound, upper_bound
+from .policy import TransmissionPattern, _bound_term, _upper_sum, aurelian_steps
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
 BLOCK_TRIALS = 4096
@@ -224,21 +233,40 @@ def aurelian_sweep(
     Rows carry D_n, the bounds U and L, ln(D_n)/sqrt(n), ln(U_n)/sqrt(n) and
     D_n / D_0 with D_0 = 1/12; the channel constants ride along for the
     -A1 / -A2 reference lines.
+
+    The patterns come stepped from ``aurelian_steps``. The per-bit terms of
+    D, U and L are kept in three lists, and only the bits a budget step
+    changed are recomputed, from the same per-term expressions that
+    ``exact_distortion``, ``upper_bound`` and ``lower_bound`` use. Each row
+    is re-summed with ``math.fsum``, which is correctly rounded whatever the
+    order, plus the same closed-form tail, so every value equals the one
+    those functions give for ``aurelian(n)``. A row whose exact D or whose
+    U has underflowed to 0.0 is refused with ``BudgetExceededError``.
     """
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValidationError("n_values must be strictly increasing")
     consts = info_constants(channel)
     if not exact and prior is not None and prior.kind != "uniform":
         raise ValidationError("the sweep is defined for the uniform target")
     rows = []
-    for n in n_values:
-        pat = aurelian(n, consts)
+    d_terms: list[float] = []
+    u_terms: list[float] = []
+    l_terms: list[float] = []
+    for n, (t, changed) in zip(n_values, aurelian_steps(n_values, consts)):
+        q = len(t)
+        if q != len(u_terms):  # every index from the old q on is in ``changed``
+            for terms in (d_terms, u_terms, l_terms):
+                del terms[q:]
+                terms.extend([0.0] * (q - len(terms)))
+        for k in changed:
+            u_terms[k] = _bound_term(k, t[k], consts.C)
+            l_terms[k] = _bound_term(k, t[k], consts.B)
+            if exact:
+                d_terms[k] = _distortion_term(k, t[k], channel)
         if exact:
-            d, se = exact_distortion(pat, channel), 0.0
+            d, se = _distortion_sum(d_terms), 0.0
         else:
             cfg = SimConfig(
                 channel=channel,
-                pattern=pat,
+                pattern=TransmissionPattern(t),
                 prior=prior if prior is not None else uniform_prior(),
                 trials=trials,
                 seed=seed,
@@ -250,17 +278,21 @@ def aurelian_sweep(
                     f"Monte-Carlo distortion at n={n} is {d!r} <= 0: the estimate has lost "
                     "all precision at this budget; use the exact oracle (--mode exact)"
                 )
-        u = upper_bound(pat, consts.C)
-        l = lower_bound(pat, consts.B)
+        u = _upper_sum(u_terms)
+        if d == 0.0 or u == 0.0:
+            raise BudgetExceededError(
+                f"distortion at n={n} underflows the double range (D={d!r}, U={u!r}): "
+                "ln D needs a log-domain exact oracle, which this version does not have"
+            )
         rows.append(
             SweepRow(
                 n=n,
-                q=pat.q,
-                t1=pat.t[0],
+                q=q,
+                t1=t[0],
                 distortion=d,
                 std_error=se,
                 upper=u,
-                lower=l,
+                lower=0.25 * _upper_sum(l_terms),
                 log_d_over_sqrt_n=math.log(d) / math.sqrt(n),
                 log_u_over_sqrt_n=math.log(u) / math.sqrt(n),
                 d_over_d0=d / PRIOR_DISTORTION,

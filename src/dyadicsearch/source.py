@@ -12,7 +12,6 @@ non-uniform family is the power prior F(x) = x^e on [0, 1].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,16 +35,13 @@ def _effective_value(value: float) -> float:
 
 @dataclass(frozen=True)
 class Message:
-    """A target value in [0, 1] with lazy access to its binary expansion."""
+    """A target value in [0, 1]; ``bit_of`` reads its binary expansion."""
 
     value: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.value <= 1.0):
             raise ValidationError(f"message value {self.value!r} outside [0, 1]")
-
-    def bits(self, depth: int) -> tuple[int, ...]:
-        return tuple(bit_of(self, k) for k in range(1, depth + 1))
 
 
 def bit_of(m: Message, k: int) -> int:
@@ -70,14 +66,6 @@ def bits_array(values: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(values.shape, dtype=np.int8)
     scaled = np.floor(values * float(2**k))
     return (scaled.astype(np.int64) & 1).astype(np.int8)
-
-
-def quantize(m: Message, l: int) -> float:
-    """Keep the first l bits: returns sum_{k<=l} x_k 2^(-k) <= value."""
-    if l < 1:
-        raise ValidationError("quantizer depth must be >= 1")
-    bits = m.bits(min(l, BIT_DEPTH_CAP))
-    return math.fsum(b * 2.0 ** -(k + 1) for k, b in enumerate(bits))
 
 
 @dataclass(frozen=True)
@@ -146,16 +134,6 @@ def power_prior(exponent: float, lipschitz_sq: float | None = None) -> PriorSpec
         support=(0.0, 1.0),
         lipschitz_sq=e * e if lipschitz_sq is None else float(lipschitz_sq),
     )
-
-
-def to_uniform(prior: PriorSpec, x):
-    """F(x): maps a prior sample into the uniform domain."""
-    a, b = prior.support
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < a) or np.any(arr > b):
-        raise ValidationError("value outside the prior support")
-    out = prior.cdf(arr)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def from_uniform(prior: PriorSpec, u):

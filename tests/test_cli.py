@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from dyadicsearch import info_constants, make_bac
 from dyadicsearch.cli import main
 from dyadicsearch.decoder import exact_bit_variance
+from dyadicsearch.policy import aurelian_steps
 
 
 def read_csv(path: Path):
@@ -148,8 +150,9 @@ class TestFig3:
             assert main([*argv, "--out", str(tmp_path / run)]) == 0
             manifest = json.loads((tmp_path / run / "manifest-fig3.json").read_text())
             stats.append(manifest["findings"]["oracle_cache"])
-        _, header, rows = read_csv(tmp_path / "first" / "fig3.csv")
-        lookups = sum(int(r[header.index("q")]) for r in rows)
+        # The sweep looks up only the bits each budget step changes.
+        k = info_constants(make_bac(0.9, 0.8))
+        lookups = sum(len(changed) for _, changed in aurelian_steps(range(10, 401, 10), k))
         assert stats[0]["misses"] > 0
         assert stats[0]["hits"] + stats[0]["misses"] == lookups
         assert stats[1] == {"hits": lookups, "misses": 0}
@@ -167,6 +170,17 @@ class TestFig3:
         assert rc == 3
         err = capsys.readouterr().err
         assert "n=2000" in err and "--mode exact" in err
+        assert not (tmp_path / "fig3.csv").exists()
+
+    def test_exact_mode_refuses_underflowed_row(self, tmp_path, capsys):
+        # D and U at n = 1e6 lie below the smallest double (ln D is about
+        # -875); ln D there needs a log-domain oracle, so the row is refused.
+        rc = main(["fig3", "--channel", "bac:0.9,0.8", "--mode", "exact", "--n-max", "1000000",
+                   "--step", "500000", "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "n=1000000" in err and "log-domain" in err
         assert not (tmp_path / "fig3.csv").exists()
 
     def test_mc_mode_runs(self, tmp_path):
@@ -205,6 +219,19 @@ class TestPolicy:
             stats.append(manifest["findings"]["oracle_cache"])
         # Pattern 4,3,2,1: four distinct counts, all looked up once per run.
         assert stats == [{"hits": 0, "misses": 4}, {"hits": 4, "misses": 0}]
+
+    def test_manifest_records_underflowed_values(self, tmp_path):
+        runs = {
+            "greedy-1e6": (["--channel", "bac:0.9,0.8", "--n", "999983", "--rule", "greedy"],
+                           ["U", "L", "exact_d"]),
+            "unit-staircase": (["--channel", "bsc:0.05", "--n", "10", "--rule", "aurelian"], []),
+        }
+        for name, (argv, expected) in runs.items():
+            assert main(["policy", *argv, "--out", str(tmp_path / name)]) == 0
+            manifest = json.loads((tmp_path / name / "manifest-policy.json").read_text())
+            assert manifest["findings"]["underflow"] == expected, name
+            _, header, rows = read_csv(tmp_path / name / "policy.csv")
+            assert [rows[0][header.index(c)] for c in expected] == ["0.0"] * len(expected)
 
     def test_budget_refusal_exit_code(self, tmp_path):
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "200",

@@ -9,8 +9,10 @@ import pytest
 
 from dyadicsearch import (
     BudgetExceededError,
+    InfoConstants,
     ValidationError,
     aurelian,
+    aurelian_steps,
     b_functional,
     check_efficient_properties,
     chernoff_information,
@@ -86,6 +88,17 @@ def staircase_oracle(n, k):
         q += 1
     base = [(q - j) * k.r for j in range(q)]
     return heap_fill(base, n - k.r * q * (q + 1) // 2, k.C, None)
+
+
+def assert_steps_match_aurelian(grid, k):
+    """``aurelian_steps`` against ``aurelian(n)`` at every budget of the grid;
+    the changed indices are exactly those whose count differs."""
+    grid = list(grid)
+    prev = ()
+    for n, (t, changed) in zip(grid, aurelian_steps(grid, k), strict=True):
+        assert t == aurelian(n, k).t, n
+        assert changed == [m for m, c in enumerate(t) if m >= len(prev) or prev[m] != c], n
+        prev = t
 
 
 def pairwise_spacing_violations(t, r_real):
@@ -319,6 +332,37 @@ class TestAurelian:
         k = info_constants(ch)
         for n in range(k.r, 5001):
             assert aurelian(n, k).t == staircase_oracle(n, k), n
+
+    @pytest.mark.parametrize(
+        "ch",
+        [make_bac(0.9, 0.8), make_bsc(0.05), make_bsc(0.1), make_bsc(0.15), make_bsc(0.25)],
+        ids=["bac-0.9-0.8", "bsc-0.05", "bsc-0.1", "bsc-0.15", "bsc-0.25"],
+    )
+    def test_steps_match_aurelian_every_budget(self, ch):
+        k = info_constants(ch)
+        assert_steps_match_aurelian(range(k.r, 5001), k)
+        for step in (7, 10, 333):
+            assert_steps_match_aurelian(range(k.r, 5001, step), k)
+
+    def test_steps_at_exact_ties(self):
+        # C = ln4 / j makes the fill keys (k+1) j + c integers, so they tie
+        # exactly and the smaller index must go first, as in the fill.
+        for j in (1, 2, 3, 4, 8):
+            k = InfoConstants(C=LN4 / j, B=1.0, r=j, r_real=float(j), A1=0.0, A2=0.0)
+            assert_steps_match_aurelian(range(j, 2001), k)
+            assert_steps_match_aurelian(range(j, 2001, 7), k)
+
+    def test_steps_on_random_channels_and_grids(self, rng):
+        for _ in range(100):
+            k = info_constants(random_moderate_channel(rng))
+            grid = k.r + np.cumsum(rng.integers(0, 40, size=60) * rng.integers(0, 2, size=60) + 1)
+            assert_steps_match_aurelian(grid.tolist(), k)
+
+    def test_steps_refuse_bad_grids(self):
+        k = info_constants(make_bsc(0.25))
+        for grid in ([20, 20], [30, 20], [k.r - 1, 20]):
+            with pytest.raises(ValidationError):
+                list(aurelian_steps(grid, k))
 
     def test_too_small_budget_rejected(self):
         k = info_constants(make_bsc(0.25))

@@ -1,18 +1,24 @@
 """Monte-Carlo estimators against the exact oracle, plus reproducibility."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicsearch import (
     SimConfig,
+    SweepRow,
     ValidationError,
     aurelian,
     aurelian_sweep,
     estimate_distortion,
     exact_distortion,
     info_constants,
+    load_channel,
+    lower_bound,
     make_bac,
     make_bsc,
     nonuniform_experiment,
@@ -20,13 +26,50 @@ from dyadicsearch import (
     power_prior,
     trial_values,
     uniform_prior,
+    upper_bound,
 )
+from dyadicsearch.sim import PRIOR_DISTORTION
+
+from conftest import random_moderate_channel
+
+CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
 
 def rb_config(channel, pat, trials, seed, **kw):
     return SimConfig(
         channel=channel, pattern=pat, prior=uniform_prior(), trials=trials, seed=seed, **kw
     )
+
+
+def per_budget_sweep(channel, n_values, exact=True, trials=100_000, seed=0, jobs=1):
+    """The sweep one budget at a time: ``aurelian(n)``, the oracle and both
+    bounds rebuilt from scratch at every row (the earlier implementation, and
+    the oracle the stepped sweep is held to, float for float)."""
+    consts = info_constants(channel)
+    rows = []
+    for n in n_values:
+        pat = aurelian(n, consts)
+        if exact:
+            d, se = exact_distortion(pat, channel), 0.0
+        else:
+            est = estimate_distortion(rb_config(channel, pat, trials, seed), jobs=jobs)
+            d, se = est.mean, est.std_error
+        u = upper_bound(pat, consts.C)
+        rows.append(
+            SweepRow(
+                n=n,
+                q=pat.q,
+                t1=pat.t[0],
+                distortion=d,
+                std_error=se,
+                upper=u,
+                lower=lower_bound(pat, consts.B),
+                log_d_over_sqrt_n=math.log(d) / math.sqrt(n),
+                log_u_over_sqrt_n=math.log(u) / math.sqrt(n),
+                d_over_d0=d / PRIOR_DISTORTION,
+            )
+        )
+    return tuple(rows)
 
 
 class TestRunTrial:
@@ -198,6 +241,64 @@ class TestAurelianSweep:
     def test_increasing_grid_required(self):
         with pytest.raises(ValidationError):
             aurelian_sweep(make_bsc(0.1), [10, 10])
+
+
+class TestSteppedSweepAgainstPerBudget:
+    """The stepped sweep gives the per-budget rows exactly (``==`` on every float)."""
+
+    def test_binary_every_budget_to_5000(self):
+        ch = make_bac(0.9, 0.8)
+        grid = list(range(info_constants(ch).r, 5001))
+        assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25])
+    def test_bsc_every_budget_to_3000(self, eps):
+        ch = make_bsc(eps)
+        grid = list(range(info_constants(ch).r, 3001))
+        assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+
+    def test_three_symbol_channel_step_250(self):
+        ch = load_channel(str(CHANNEL3))
+        grid = list(range(250, 2001, 250))
+        assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+
+    @pytest.mark.parametrize(
+        "ch, grid",
+        [
+            (make_bac(0.9, 0.8), range(7, 5001, 7)),
+            (make_bac(0.9, 0.8), range(10, 5001, 10)),
+            (make_bsc(0.1), range(10, 3001, 10)),
+            (make_bsc(0.25), range(14, 3001, 7)),
+            (make_bac(0.9, 0.8), [3, 4, 5, 6, 50, 51, 400, 401, 402, 2000, 20000]),
+        ],
+        ids=["bac-step-7", "bac-step-10", "bsc-0.1-step-10", "bsc-0.25-step-7", "bac-mixed"],
+    )
+    def test_sparse_grids(self, ch, grid):
+        grid = list(grid)
+        assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_monte_carlo_rows_at_a_fixed_seed(self, jobs):
+        ch = make_bsc(0.15)
+        grid = list(range(10, 201, 10))
+        got = aurelian_sweep(ch, grid, exact=False, trials=9000, seed=5, jobs=jobs)
+        assert got.rows == per_budget_sweep(ch, grid, exact=False, trials=9000, seed=5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        channel_seed=st.integers(0, 2**32 - 1),
+        alphabet=st.sampled_from([2, 2, 3]),
+        start=st.integers(0, 60),
+        steps=st.lists(st.integers(1, 250), min_size=1, max_size=30),
+    )
+    def test_random_channels_and_grids(self, channel_seed, alphabet, start, steps):
+        ch = random_moderate_channel(np.random.default_rng(channel_seed), alphabet=alphabet)
+        r = info_constants(ch).r
+        grid = [r + start]
+        # A ternary bit sums C(t+2, 2) histograms, so ternary grids stay short.
+        for step in steps[: 8 if alphabet == 3 else None]:
+            grid.append(grid[-1] + step)
+        assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
 
 
 class TestNonuniform:

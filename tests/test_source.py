@@ -1,4 +1,4 @@
-"""Bit extraction, quantization and the CDF transform."""
+"""Bit extraction, truncation to the first l bits and the CDF transform."""
 
 import math
 
@@ -13,11 +13,22 @@ from dyadicsearch import (
     from_uniform,
     load_prior,
     power_prior,
-    quantize,
-    to_uniform,
     uniform_prior,
 )
 from dyadicsearch.source import BIT_DEPTH_CAP, bits_array
+
+
+def to_uniform(prior, x):
+    """F(x): a prior sample mapped into the uniform domain; the oracle that
+    ``from_uniform`` (F^{-1}) round-trips against."""
+    out = prior.cdf(np.asarray(x, dtype=float))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def truncate(values, l):
+    """The first l bits of each value, from ``bits_array``: sum_k x_k 2^-k."""
+    values = np.asarray(values, dtype=float)
+    return sum(bits_array(values, k) * 2.0**-k for k in range(1, l + 1))
 
 
 class TestBits:
@@ -54,25 +65,30 @@ class TestBits:
 
 
 class TestQuantize:
+    """Keeping the first l bits, as the simulator's depth cap does, through
+    ``bits_array`` and checked against ``bit_of``."""
+
     def test_examples(self):
-        assert quantize(Message(0.6875), 3) == 0.625
-        assert quantize(Message(0.5), 1) == 0.5
+        assert truncate([0.6875], 3)[0] == 0.625
+        assert truncate([0.5], 1)[0] == 0.5
 
     def test_deep_quantization_recovers_value(self, rng):
-        for value in rng.random(50):
-            assert quantize(Message(float(value)), 52) == pytest.approx(float(value), abs=1e-15)
+        values = rng.random(50)
+        assert np.max(np.abs(truncate(values, BIT_DEPTH_CAP) - values)) <= 1e-15
 
     def test_bracketing(self, rng):
-        for value in rng.random(100):
-            for l in (1, 3, 9):
-                q = quantize(Message(float(value)), l)
-                assert q <= value < q + 2.0**-l
+        values = rng.random(100)
+        for l in (1, 3, 9):
+            q = truncate(values, l)
+            assert np.all(q <= values) and np.all(values < q + 2.0**-l)
 
     def test_equals_bit_reconstruction_exactly(self, rng):
-        for value in rng.random(50):
+        values = rng.random(50)
+        l = 7
+        got = truncate(values, l)
+        for value, q in zip(values, got):
             m = Message(float(value))
-            l = 7
-            assert quantize(m, l) == math.fsum(bit_of(m, k) * 2.0**-k for k in range(1, l + 1))
+            assert q == math.fsum(bit_of(m, k) * 2.0**-k for k in range(1, l + 1))
 
 
 class TestPriors:
@@ -95,7 +111,7 @@ class TestPriors:
 
     def test_out_of_support(self):
         with pytest.raises(ValidationError):
-            to_uniform(uniform_prior(), 1.5)
+            from_uniform(uniform_prior(), 1.5)
         with pytest.raises(ValidationError):
             from_uniform(uniform_prior(), -0.1)
 
