@@ -71,10 +71,6 @@ class ChannelSpec:
         """False for pure-noise channels (f0 == f1), which carry no information."""
         return self.f0 != self.f1
 
-    @property
-    def full_support(self) -> bool:
-        return all(p > 0.0 for p in self.f0) and all(p > 0.0 for p in self.f1)
-
     def symbol_index(self, y) -> int:
         try:
             return self.outputs.index(y)

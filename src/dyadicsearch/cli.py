@@ -204,14 +204,7 @@ def cmd_fig2(args) -> int:
 
     rows = []
     for pat in patterns:
-        cfg = SimConfig(
-            channel=ch,
-            pattern=pat,
-            prior=uniform,
-            trials=args.trials,
-            seed=args.seed,
-            quantizer_depth=args.depth,
-        )
+        cfg = SimConfig(channel=ch, pattern=pat, prior=uniform, trials=args.trials, seed=args.seed)
         est = estimate_distortion(cfg, jobs=args.jobs)
         rows.append(
             {

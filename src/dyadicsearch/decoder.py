@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import BudgetExceededError, ValidationError
 from .policy import TransmissionPattern, compositions
 
 HISTOGRAM_BUDGET = 1_000_000
+PATTERN_HISTOGRAM_BUDGET = 250_000_000
 
 _LOG_ZERO = -1e30  # stand-in for log 0; exp underflows to exactly 0.0
 _LOG_ODDS_SWITCH = 1e-12
@@ -192,6 +193,22 @@ def exact_bit_variance(t_k: int, ch: ChannelSpec) -> float:
     return float(np.sum(weight * _stable_pq(lp1 - lp0)))
 
 
+def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
+    """Refuse counts whose distinct t_k enumerate more than
+    ``PATTERN_HISTOGRAM_BUDGET`` histograms together: each bit stays under
+    ``HISTOGRAM_BUDGET``, but for a binary channel the rows of a pattern sum
+    to about its budget n. (A plain loop: the sweep calls this every row.)"""
+    m1 = len(ch.outputs) - 1
+    total = 0
+    for t in set(counts):
+        total += math.comb(t + m1, m1)
+    if total > PATTERN_HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"exact distortion too large: {total} histograms exceed the "
+            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
+        )
+
+
 def _distortion_term(k: int, t_k: int, ch: ChannelSpec) -> float:
     """4^-(k+1) E[Var(X_{k+1} | history)]: the term of 0-based bit k in D."""
     return 4.0 ** -(k + 1) * exact_bit_variance(t_k, ch)
@@ -207,6 +224,8 @@ def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:
 
     Per-bit terms come from ``exact_bit_variance``; bits beyond the last
     transmitted index contribute their prior variance, summed in closed form.
-    Positive-term summation keeps relative precision at any scale.
+    Positive-term summation keeps relative precision at any scale. A pattern
+    over the histogram budget is refused with ``BudgetExceededError``.
     """
+    _check_histogram_total(t.t, ch)
     return _distortion_sum([_distortion_term(k, tk, ch) for k, tk in enumerate(t.t)])

@@ -74,18 +74,6 @@ class TransmissionPattern:
         """Last transmitted bit index (0 for the empty pattern)."""
         return len(self.t)
 
-    def count(self, k: int) -> int:
-        """Repetitions of bit k (1-based); 0 beyond the stored depth."""
-        if k < 1:
-            raise ValidationError("bit index must be >= 1")
-        return self.t[k - 1] if k <= len(self.t) else 0
-
-    def bumped(self, k: int) -> "TransmissionPattern":
-        """Copy with one extra use of bit k (1-based)."""
-        t = list(self.t) + [0] * max(0, k - len(self.t))
-        t[k - 1] += 1
-        return TransmissionPattern(tuple(t))
-
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.t)
 
@@ -174,7 +162,7 @@ def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:
     return [TransmissionPattern(tuple(t)) for b in compositions(n, max_depth) for t in b.tolist()]
 
 
-def _water_fill(counts: Sequence[int], units: int, C: float, max_depth: int | None) -> list[int]:
+def _water_fill(counts: Sequence[int], units: int, C: float) -> list[int]:
     # Gives `units` more uses to the smallest keys (k+1) a + c, a = ln4 / C,
     # of 0-based index k at count c: the negative log of U's decrease from
     # one more use, in units of C, so each use raises an index's key by 1.
@@ -184,7 +172,6 @@ def _water_fill(counts: Sequence[int], units: int, C: float, max_depth: int | No
     out = list(counts)
     if units <= 0:
         return out
-    limit = math.inf if max_depth is None else max(max_depth, len(out))
     # Level lam with sum_k max(0, lam - first_k) = units: walk the first keys
     # upwards until the level shared by the m walked ones stays below the next.
     firsts = sorted(((k + 1) * a + c, k) for k, c in enumerate(out))
@@ -193,12 +180,10 @@ def _water_fill(counts: Sequence[int], units: int, C: float, max_depth: int | No
     i, total = 0, 0.0
     while True:
         nxt = firsts[i]
-        if len(out) < limit and (len(out) + 1) * a < nxt[0]:
+        if (len(out) + 1) * a < nxt[0]:
             nxt = ((len(out) + 1) * a, len(out))
         if walked and units + total <= len(walked) * nxt[0]:
             break
-        if nxt[1] < 0:
-            raise ValidationError("no bit index to allocate to (max_depth < 1)")
         if nxt[1] == len(out):
             out.append(0)
         else:
@@ -258,16 +243,18 @@ def efficient_search(
     threshold fill (water level, floor, one sort; ties toward the smaller
     index) in O(q log q) for depth q; separable convexity makes this the
     exact integer minimum, the same pattern as allocating one use at a time.
-    ``max_depth`` caps the depth. ``exhaustive`` scans every composition of
-    n into ``max_depth`` parts and is the independent cross-check route
-    (refused above the pattern budget).
+    Its depth is whatever the fill reaches, so it takes no ``max_depth``.
+    ``exhaustive`` scans every composition of n into ``max_depth`` parts and
+    is the independent cross-check route (refused above the pattern budget).
     """
     if n < 0:
         raise ValidationError("budget n must be >= 0")
     if C <= 0.0:
         raise ValidationError("efficient search needs C > 0")
     if mode == "greedy":
-        return TransmissionPattern(tuple(_water_fill([], n, C, max_depth)))
+        if max_depth is not None:
+            raise ValidationError("greedy mode takes no max_depth (exhaustive mode does)")
+        return TransmissionPattern(tuple(_water_fill([], n, C)))
     if mode == "exhaustive":
         if max_depth is None or max_depth < 1:
             raise ValidationError("exhaustive mode needs max_depth >= 1")
@@ -302,13 +289,10 @@ def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     i.e. q = floor(sqrt(2n/r + 1/4) - 1/2); the leftover uses go to the
     largest decreases of U on top of the staircase, placed by the same
     O(q log q) threshold fill as ``efficient_search``, which keeps the
-    pattern non-increasing. ``aurelian_steps`` walks a budget grid.
+    pattern non-increasing. This is the one-budget grid of
+    ``aurelian_steps``, the only construction of the staircase.
     """
-    _check_staircase(n, k)
-    q = _staircase_depth(n, k.r)
-    base = [(q - j) * k.r for j in range(q)]
-    remainder = n - k.r * q * (q + 1) // 2
-    return TransmissionPattern(tuple(_water_fill(base, remainder, k.C, None)))
+    return TransmissionPattern(next(aurelian_steps([n], k))[0])
 
 
 def aurelian_steps(
@@ -339,7 +323,7 @@ def aurelian_steps(
         run = list(run)
         floor_n = r * q * (q + 1) // 2
         base = [(q - m) * r for m in range(q)] + [0]
-        last = _water_fill(base[:q], run[-1] - floor_n, k.C, None)
+        last = _water_fill(base[:q], run[-1] - floor_n, k.C)
         # The fill's keys: f + e, with f = (m+1) a + base count, e uses on top.
         units = sorted(
             ((m + 1) * a + base[m] + e, m) for m, c in enumerate(last) for e in range(c - base[m])

@@ -2,13 +2,15 @@
 
 A trial draws a target, sends the bits of its uniform-domain image through
 the channel according to the transmission pattern, runs the per-bit posterior
-updates, and scores the decoder. Two estimators are available:
+updates, and scores the decoder. The prior picks the per-trial statistic:
 
-* ``plain``: the squared error (X_hat - X)^2 of the MMSE decode mapped back
-  through the prior's inverse CDF;
-* ``rao_blackwell`` (default, uniform prior only): the closed-form conditional
-  distortion given the channel outputs. Same mean, strictly smaller variance,
-  since the target's unobserved tail bits are integrated out analytically.
+* uniform prior: the Rao-Blackwell value, the closed-form conditional
+  distortion given the channel outputs. It has the mean of the squared error
+  and a strictly smaller variance, since the target's unobserved tail bits
+  are integrated out analytically;
+* any other prior: the squared error (X_hat - X)^2 of the MMSE decode mapped
+  back through the prior's inverse CDF, in the original domain, where no
+  closed form exists.
 
 Reproducibility contract: trials are grouped into fixed blocks of 4096; block
 b draws from a Philox stream keyed by (seed, b), and results are reduced in
@@ -42,7 +44,13 @@ from typing import Callable
 import numpy as np
 
 from .channel import ChannelSpec, InfoConstants, info_constants
-from .decoder import _distortion_sum, _distortion_term, _stable_pq, _uniform_estimate
+from .decoder import (
+    _check_histogram_total,
+    _distortion_sum,
+    _distortion_term,
+    _stable_pq,
+    _uniform_estimate,
+)
 from .errors import BudgetExceededError, ValidationError
 from .policy import TransmissionPattern, _bound_term, _upper_sum, aurelian_steps
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
@@ -61,28 +69,12 @@ class SimConfig:
     prior: PriorSpec
     trials: int
     seed: int
-    estimator: str = "rao_blackwell"
-    quantizer_depth: int | None = None  # None: unbounded (bit extraction cap)
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
         if not (0 <= self.seed < 2**64):
             raise ValidationError("seed must fit in 64 bits")
-        if self.estimator not in ("rao_blackwell", "plain"):
-            raise ValidationError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == "rao_blackwell" and self.prior.kind != "uniform":
-            raise ValidationError(
-                "rao_blackwell estimator needs the uniform prior: the closed-form "
-                "conditional distortion lives in the uniform domain"
-            )
-        if self.quantizer_depth is not None and self.quantizer_depth < 1:
-            raise ValidationError("quantizer_depth must be >= 1")
-
-    @property
-    def depth_cap(self) -> int:
-        l = self.quantizer_depth
-        return BIT_DEPTH_CAP if l is None else min(l, BIT_DEPTH_CAP)
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,6 @@ class DistortionEstimate:
     mean: float
     std_error: float
     trials: int
-    estimator: str
 
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
@@ -109,8 +100,8 @@ def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int,
 
     Draw order is fixed (targets first, then bits in ascending index), so the
     layout depends only on the config. Returns (u, [(k, llr_sum)]) for every
-    transmitted bit index k within the quantizer depth; bits beyond the depth
-    cap are unknown at prior for both encoder and decoder.
+    transmitted bit index k up to the bit extraction cap; deeper bits are
+    unknown at prior for both encoder and decoder.
     """
     lo = block * BLOCK_TRIALS
     hi = min(cfg.trials, lo + BLOCK_TRIALS)
@@ -127,7 +118,7 @@ def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int,
     sums: list[tuple[int, np.ndarray]] = []
     for k0, t_k in enumerate(cfg.pattern.t):
         k = k0 + 1
-        if t_k == 0 or k > cfg.depth_cap:
+        if t_k == 0 or k > BIT_DEPTH_CAP:
             continue
         raw = rng.random((u.size, t_k))
         bit = bits_array(u, k).astype(bool)
@@ -157,13 +148,19 @@ def _squared_errors(cfg: SimConfig, block: int) -> np.ndarray:
     return np.stack([(u_hat - u) ** 2, (x_hat - x) ** 2])
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+
+
 def _collect_blocks(
     cfg: SimConfig, jobs: int, block_fn: Callable[[SimConfig, int], np.ndarray]
 ) -> np.ndarray:
     """``block_fn`` over every trial block, concatenated in block order along
     the last axis; with ``jobs`` > 1 the blocks run on a thread pool."""
+    _check_jobs(jobs)
     n_blocks = -(-cfg.trials // BLOCK_TRIALS)
-    if jobs <= 1 or n_blocks == 1:
+    if jobs == 1 or n_blocks == 1:
         parts = [block_fn(cfg, b) for b in range(n_blocks)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -178,10 +175,10 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def trial_values(cfg: SimConfig, jobs: int = 1) -> np.ndarray:
-    """Statistic of every trial, in trial order: squared error (plain) or
-    conditional distortion (rao_blackwell). The array is the same whatever
-    ``jobs``."""
-    if cfg.estimator == "rao_blackwell":
+    """Statistic of every trial, in trial order: the conditional distortion
+    under the uniform prior, the original-domain squared error under any
+    other. The array is the same whatever ``jobs``."""
+    if cfg.prior.kind == "uniform":
         return _collect_blocks(cfg, jobs, _rb_block)
     return _collect_blocks(cfg, jobs, _squared_errors)[1]
 
@@ -194,7 +191,7 @@ def estimate_distortion(cfg: SimConfig, jobs: int = 1) -> DistortionEstimate:
     of ``jobs``.
     """
     mean, se = _mean_se(trial_values(cfg, jobs))
-    return DistortionEstimate(mean=mean, std_error=se, trials=cfg.trials, estimator=cfg.estimator)
+    return DistortionEstimate(mean=mean, std_error=se, trials=cfg.trials)
 
 
 @dataclass(frozen=True)
@@ -223,13 +220,13 @@ def aurelian_sweep(
     exact: bool = True,
     trials: int = 100_000,
     seed: int = 0,
-    prior: PriorSpec | None = None,
     jobs: int = 1,
 ) -> SweepResult:
     """Distortion of the staircase policy along a budget grid.
 
     ``exact`` uses the histogram oracle (preferred); otherwise the
-    Rao-Blackwellized Monte-Carlo estimate with the given trials and seed.
+    Rao-Blackwellized Monte-Carlo estimate for the uniform target with the
+    given trials and seed.
     Rows carry D_n, the bounds U and L, ln(D_n)/sqrt(n), ln(U_n)/sqrt(n) and
     D_n / D_0 with D_0 = 1/12; the channel constants ride along for the
     -A1 / -A2 reference lines.
@@ -241,11 +238,11 @@ def aurelian_sweep(
     is re-summed with ``math.fsum``, which is correctly rounded whatever the
     order, plus the same closed-form tail, so every value equals the one
     those functions give for ``aurelian(n)``. A row whose exact D or whose
-    U has underflowed to 0.0 is refused with ``BudgetExceededError``.
+    U has underflowed to 0.0, or whose changed bits exceed the oracle's
+    histogram budget, is refused with ``BudgetExceededError``.
     """
+    _check_jobs(jobs)
     consts = info_constants(channel)
-    if not exact and prior is not None and prior.kind != "uniform":
-        raise ValidationError("the sweep is defined for the uniform target")
     rows = []
     d_terms: list[float] = []
     u_terms: list[float] = []
@@ -256,6 +253,8 @@ def aurelian_sweep(
             for terms in (d_terms, u_terms, l_terms):
                 del terms[q:]
                 terms.extend([0.0] * (q - len(terms)))
+        if exact:
+            _check_histogram_total([t[k] for k in changed], channel)
         for k in changed:
             u_terms[k] = _bound_term(k, t[k], consts.C)
             l_terms[k] = _bound_term(k, t[k], consts.B)
@@ -267,7 +266,7 @@ def aurelian_sweep(
             cfg = SimConfig(
                 channel=channel,
                 pattern=TransmissionPattern(t),
-                prior=prior if prior is not None else uniform_prior(),
+                prior=uniform_prior(),
                 trials=trials,
                 seed=seed,
             )
@@ -332,14 +331,7 @@ def nonuniform_experiment(
     per-trial margin. (With X_hat = F^{-1}(F_n) and F Lipschitz the inequality
     holds trial by trial, so the check is one-sided.)
     """
-    cfg = SimConfig(
-        channel=channel,
-        pattern=pattern,
-        prior=prior,
-        trials=trials,
-        seed=seed,
-        estimator="plain",
-    )
+    cfg = SimConfig(channel=channel, pattern=pattern, prior=prior, trials=trials, seed=seed)
     e_u, e_x = _collect_blocks(cfg, jobs, _squared_errors)
     u_mse, u_se = _mean_se(e_u)
     x_mse, x_se = _mean_se(e_x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyadicsearch import ChannelSpec, chernoff_information
+from dyadicsearch import ChannelSpec, TransmissionPattern, chernoff_information
 
 
 def random_channel(rng: np.random.Generator, alphabet: int = 2, min_mass: float = 0.02) -> ChannelSpec:
@@ -23,6 +23,13 @@ def random_moderate_channel(rng: np.random.Generator, alphabet: int = 2) -> Chan
         ch = random_channel(rng, alphabet=alphabet)
         if 0.02 <= chernoff_information(ch).nats <= 1.3:
             return ch
+
+
+def bumped(t: TransmissionPattern, k: int) -> TransmissionPattern:
+    """Copy of t with one extra use of bit k (1-based)."""
+    counts = list(t.t) + [0] * max(0, k - len(t.t))
+    counts[k - 1] += 1
+    return TransmissionPattern(tuple(counts))
 
 
 @pytest.fixture

@@ -28,6 +28,11 @@ from conftest import random_channel
 LN4 = math.log(4.0)
 
 
+def full_support(ch: ChannelSpec) -> bool:
+    """Every output has positive mass under both inputs."""
+    return all(p > 0.0 for p in ch.f0) and all(p > 0.0 for p in ch.f1)
+
+
 def grid_chernoff(ch: ChannelSpec, points: int = 1_000_001) -> float:
     """Independent oracle: dense 1-D grid minimization of the Chernoff objective."""
     s = np.linspace(0.0, 1.0, points)
@@ -79,7 +84,7 @@ class TestChannelSpec:
     def test_noiseless_spec_constructible(self):
         # make_bac refuses boundaries, but an explicit ChannelSpec may carry them.
         ch = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.0, 1.0))
-        assert ch.informative and not ch.full_support
+        assert ch.informative and not full_support(ch)
 
 
 class TestChernoff:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,16 @@ class TestFig3:
         assert "n=1000000" in err and "log-domain" in err
         assert not (tmp_path / "fig3.csv").exists()
 
+    def test_exact_mode_refuses_pattern_over_histogram_budget(self, tmp_path, capsys):
+        # Every bit of aurelian(1e11) is under the per-bit budget, but their
+        # histograms sum to about 1e11 rows: refused up front, not enumerated.
+        start = time.perf_counter()
+        rc = main(["fig3", "--channel", "bsc:0.1", "--mode", "exact", "--n-max", "100000000000",
+                   "--step", "100000000000", "--out", str(tmp_path)])
+        assert rc == 3
+        assert time.perf_counter() - start < 20.0
+        assert "histograms exceed" in capsys.readouterr().err
+
     def test_mc_mode_runs(self, tmp_path):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "40", "--step", "20",
                    "--mode", "mc", "--trials", "2000", "--seed", "5", "--out", str(tmp_path)])
@@ -237,6 +248,19 @@ class TestPolicy:
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "200",
                    "--rule", "exhaustive:6", "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys):
+        # aurelian(1e10) needs about 1e10 histogram rows for exact D: the
+        # bounds are printed and exact_d is left empty.
+        start = time.perf_counter()
+        rc = main(["policy", "--channel", "bsc:0.1", "--n", "10000000000", "--rule", "aurelian",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert time.perf_counter() - start < 20.0
+        out = capsys.readouterr().out
+        assert "U=" in out and "exact_d=" not in out
+        manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
+        assert manifest["findings"]["oracle_cache"] == {"hits": 0, "misses": 0}
 
     def test_unknown_rule(self, tmp_path):
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "5", "--rule", "magic",
@@ -299,6 +323,23 @@ class TestNonuniform:
                    "--pattern", "3,x", "--trials", "100", "--seed", "0",
                    "--out", str(tmp_path)])
         assert rc == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--n", "3", "--depth", "2", "--trials", "50", "--seed", "1"],
+        ["fig3", "--n-max", "20", "--step", "10"],
+        ["fig3", "--n-max", "20", "--step", "10", "--mode", "mc", "--trials", "50", "--seed", "1"],
+        ["nonuniform", "--prior", "power:2", "--pattern", "2,1", "--trials", "50", "--seed", "1"],
+    ],
+    ids=["fig2", "fig3-exact", "fig3-mc", "nonuniform"],
+)
+def test_jobs_below_one_exits_2(tmp_path, capsys, argv, jobs):
+    rc = main(argv + ["--channel", "bac:0.9,0.8", "--jobs", jobs, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -31,7 +31,7 @@ from dyadicsearch import decoder, efficient_search, info_constants
 from dyadicsearch.decoder import _histograms, _safe_log, _sigmoid, _stable_pq, _uniform_estimate
 from dyadicsearch.sim import _draw_block
 
-from conftest import random_channel
+from conftest import bumped, random_channel
 
 
 def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
@@ -209,6 +209,24 @@ class TestExactBitVariance:
             exact_bit_variance(2000, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
+    def test_pattern_total_refused_before_any_bit(self, cold_table):
+        # 600 distinct counts near 5e5: each bit is under the per-bit budget,
+        # together they pass the pattern's, and nothing is enumerated.
+        ch = make_bac(0.9, 0.8)
+        t = pattern(list(range(500_600, 500_000, -1)))
+        assert max(t.t) + 1 <= decoder.HISTOGRAM_BUDGET
+        with pytest.raises(BudgetExceededError):
+            exact_distortion(t, ch)
+        assert decoder._LOG_FACTORIALS.size == 1
+
+    def test_pattern_total_admits_greedy_at_1e8(self):
+        # The greedy pattern at n = 1e8 needs about 1.0001e8 rows and stays
+        # exact; the check alone is run here, not the enumeration.
+        ch = make_bac(0.9, 0.8)
+        t = efficient_search(10**8, info_constants(ch).C).t
+        assert sum(tk + 1 for tk in set(t)) > 10**8
+        decoder._check_histogram_total(t, ch)
+
     def test_decreasing_in_uses(self):
         ch = make_bac(0.9, 0.8)
         values = [exact_bit_variance(t, ch) for t in range(12)]
@@ -305,7 +323,7 @@ class TestExactDistortion:
         t = pattern([4, 2, 1])
         base = exact_distortion(t, ch)
         for k in (1, 2, 3, 4):
-            assert exact_distortion(t.bumped(k), ch) <= base
+            assert exact_distortion(bumped(t, k), ch) <= base
 
 
 class TestArrayKernelAgainstScalarOracle:

@@ -30,7 +30,7 @@ from dyadicsearch import (
 
 from dyadicsearch.policy import COMPOSITION_ROWS, compositions
 
-from conftest import random_moderate_channel
+from conftest import bumped, random_moderate_channel
 
 LN4 = math.log(4.0)
 
@@ -57,7 +57,7 @@ def series_lower(t, B, terms=200):
     return 0.25 * series_upper(t, B, terms)
 
 
-def heap_fill(counts, units, C, max_depth):
+def heap_fill(counts, units, C):
     """One-use-at-a-time oracle: pop the index with the largest U-decrease.
 
     Key (k+1) ln4 + c C is the negative log of the U-decrease from giving
@@ -67,15 +67,13 @@ def heap_fill(counts, units, C, max_depth):
     """
     counts = list(counts)
     heap = [((k + 1) * LN4 + c * C, k) for k, c in enumerate(counts)]
-    if max_depth is None or len(counts) < max_depth:
-        heap.append(((len(counts) + 1) * LN4, len(counts)))
+    heap.append(((len(counts) + 1) * LN4, len(counts)))
     heapq.heapify(heap)
     for _ in range(units):
         key, k = heapq.heappop(heap)
         if k == len(counts):
             counts.append(0)
-            if max_depth is None or len(counts) < max_depth:
-                heapq.heappush(heap, ((len(counts) + 1) * LN4, len(counts)))
+            heapq.heappush(heap, ((len(counts) + 1) * LN4, len(counts)))
         counts[k] += 1
         heapq.heappush(heap, (key + C, k))
     return pattern(counts).t
@@ -87,7 +85,7 @@ def staircase_oracle(n, k):
     while k.r * (q + 1) * (q + 2) // 2 <= n:
         q += 1
     base = [(q - j) * k.r for j in range(q)]
-    return heap_fill(base, n - k.r * q * (q + 1) // 2, k.C, None)
+    return heap_fill(base, n - k.r * q * (q + 1) // 2, k.C)
 
 
 def assert_steps_match_aurelian(grid, k):
@@ -153,7 +151,7 @@ class TestUpperBound:
     def test_monotone_in_each_count(self):
         t = pattern([4, 2])
         for k in (1, 2, 3):
-            assert upper_bound(t.bumped(k), BAC_C) < upper_bound(t, BAC_C)
+            assert upper_bound(bumped(t, k), BAC_C) < upper_bound(t, BAC_C)
 
 
 class TestLowerBound:
@@ -247,9 +245,8 @@ class TestEfficientSearch:
         for case in range(400):
             C = float(gen.uniform(0.01, 1.3))
             n = int(gen.integers(0, 200_001 if case % 20 == 0 else 3_000))
-            depth = None if case % 3 == 0 else int(gen.integers(1, 9))
-            got = efficient_search(n, C, mode="greedy", max_depth=depth)
-            assert got.t == heap_fill([], n, C, depth), (C, n, depth)
+            got = efficient_search(n, C, mode="greedy")
+            assert got.t == heap_fill([], n, C), (C, n)
 
     def test_exact_ties_go_to_the_smaller_index(self):
         # With C = ln4 / j the keys (k+1) j + c are integers, so U ties
@@ -257,14 +254,12 @@ class TestEfficientSearch:
         # fix the pattern.
         for j in (1, 2, 3, 4, 8):
             for n in range(120):
-                for depth in (None, 3):
-                    indices = range(n if depth is None else min(n, depth))
-                    keys = sorted(((k + 1) * j + c, k) for k in indices for c in range(n))
-                    expected = [0] * n
-                    for _, k in keys[:n]:
-                        expected[k] += 1
-                    got = efficient_search(n, LN4 / j, max_depth=depth)
-                    assert got.t == pattern(expected).t, (j, n, depth)
+                keys = sorted(((k + 1) * j + c, k) for k in range(n) for c in range(n))
+                expected = [0] * n
+                for _, k in keys[:n]:
+                    expected[k] += 1
+                got = efficient_search(n, LN4 / j)
+                assert got.t == pattern(expected).t, (j, n)
 
     def test_single_move_optimal_at_one_million(self):
         # Moving one use from bit i to bit j lowers U exactly when
@@ -280,6 +275,10 @@ class TestEfficientSearch:
     def test_exhaustive_requires_depth(self):
         with pytest.raises(ValidationError):
             efficient_search(5, 0.3, mode="exhaustive")
+
+    def test_greedy_refuses_depth(self):
+        with pytest.raises(ValidationError):
+            efficient_search(5, 0.3, mode="greedy", max_depth=3)
 
     def test_budget_refusal_propagates(self):
         with pytest.raises(BudgetExceededError):

@@ -35,10 +35,8 @@ from conftest import random_moderate_channel
 CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
 
-def rb_config(channel, pat, trials, seed, **kw):
-    return SimConfig(
-        channel=channel, pattern=pat, prior=uniform_prior(), trials=trials, seed=seed, **kw
-    )
+def rb_config(channel, pat, trials, seed):
+    return SimConfig(channel=channel, pattern=pat, prior=uniform_prior(), trials=trials, seed=seed)
 
 
 def per_budget_sweep(channel, n_values, exact=True, trials=100_000, seed=0, jobs=1):
@@ -90,28 +88,37 @@ class TestRunTrial:
         assert np.array_equal(values, trial_values(longer, jobs=3)[:8192])
 
     def test_near_noiseless_deep_pattern_small_error(self):
-        # 17 essentially clean bits: the squared error sits at the 2^-17 tail.
-        cfg = SimConfig(
-            channel=make_bac(0.999, 0.999),
-            pattern=pattern([20] * 17),
-            prior=uniform_prior(),
-            trials=1000,
-            seed=5,
-            estimator="plain",
+        # 17 essentially clean bits: the squared error sits at the 2^-17 tail,
+        # whose uniform spread around the midpoint has variance 4^-17 / 12.
+        report = nonuniform_experiment(
+            make_bac(0.999, 0.999), uniform_prior(), pattern([20] * 17), trials=1000, seed=5
         )
-        errors = trial_values(cfg)
-        assert np.mean(errors < 1e-5) >= 0.99
+        assert report.original_mse == report.uniform_mse
+        assert abs(report.original_mse - 4.0**-17 / 12.0) <= 4.0 * report.original_se
 
-    def test_rb_rejected_for_nonuniform_prior(self):
+    def test_nonuniform_prior_gives_original_domain_error(self):
+        # Away from the uniform prior the statistic is the squared error in
+        # the original domain, the one the CDF-transform experiment reports.
+        ch, pat = make_bac(0.9, 0.8), pattern([6, 3, 1])
+        cfg = SimConfig(channel=ch, pattern=pat, prior=power_prior(2), trials=9000, seed=4)
+        est = estimate_distortion(cfg, jobs=2)
+        report = nonuniform_experiment(ch, power_prior(2), pat, trials=9000, seed=4)
+        assert (est.mean, est.std_error) == (report.original_mse, report.original_se)
+        assert est.mean != report.uniform_mse
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        ch, pat = make_bsc(0.1), pattern([2, 1])
+        cfg = rb_config(ch, pat, trials=10, seed=0)
         with pytest.raises(ValidationError):
-            SimConfig(
-                channel=make_bsc(0.1),
-                pattern=pattern([1]),
-                prior=power_prior(2),
-                trials=10,
-                seed=0,
-                estimator="rao_blackwell",
-            )
+            estimate_distortion(cfg, jobs=jobs)
+        with pytest.raises(ValidationError):
+            trial_values(cfg, jobs=jobs)
+        with pytest.raises(ValidationError):
+            nonuniform_experiment(ch, power_prior(2), pat, trials=10, seed=0, jobs=jobs)
+        for exact in (True, False):
+            with pytest.raises(ValidationError):
+                aurelian_sweep(ch, [4, 5], exact=exact, trials=10, jobs=jobs)
 
 
 class TestEstimateDistortion:
@@ -128,16 +135,16 @@ class TestEstimateDistortion:
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_rb_beats_plain_variance(self):
+        # The plain squared error under the uniform prior is the original-
+        # domain error of the CDF-transform experiment with F the identity.
         ch = make_bac(0.9, 0.8)
         pat = pattern([6, 3, 1])
         rb = estimate_distortion(rb_config(ch, pat, trials=10_000, seed=9))
-        plain = estimate_distortion(
-            rb_config(ch, pat, trials=10_000, seed=9, estimator="plain")
-        )
-        assert rb.std_error < plain.std_error
+        plain = nonuniform_experiment(ch, uniform_prior(), pat, trials=10_000, seed=9)
+        assert rb.std_error < plain.original_se
         # Same mean up to combined Monte-Carlo noise.
-        combined = math.hypot(rb.std_error, plain.std_error)
-        assert abs(rb.mean - plain.mean) <= 3.0 * combined
+        combined = math.hypot(rb.std_error, plain.original_se)
+        assert abs(rb.mean - plain.original_mse) <= 3.0 * combined
 
     def test_worker_count_invariance(self):
         cfg = rb_config(make_bac(0.9, 0.8), pattern([6, 3, 1]), trials=20_000, seed=77)
@@ -151,17 +158,6 @@ class TestEstimateDistortion:
         values = trial_values(cfg)
         assert est.mean == pytest.approx(float(np.mean(values)), rel=1e-15)
         assert est.std_error == pytest.approx(float(np.std(values, ddof=1)) / math.sqrt(500), rel=1e-15)
-
-    def test_quantizer_depth_limits_transmission(self):
-        # With l = 1 only the first bit is sent; deeper uses are ignored.
-        ch = make_bsc(0.05)
-        shallow = estimate_distortion(
-            rb_config(ch, pattern([8, 8, 8]), trials=4000, seed=2, quantizer_depth=1)
-        )
-        only_first = estimate_distortion(
-            rb_config(ch, pattern([8]), trials=4000, seed=2)
-        )
-        assert shallow.mean == only_first.mean
 
 
 class TestFigureGridAgreement:
