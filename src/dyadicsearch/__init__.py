@@ -25,9 +25,12 @@ from .channel import (
 )
 from .decoder import (
     PosteriorState,
+    assemble_distortion,
+    assemble_log_distortion,
     conditional_distortion,
     exact_bit_variance,
     exact_distortion,
+    log_bit_variances,
     mmse_estimate,
     posterior_update,
 )
@@ -47,6 +50,8 @@ from .policy import (
     depth_bounds,
     efficient_search,
     enumerate_patterns,
+    log_lower_bound,
+    log_upper_bound,
     lower_bound,
     parse_pattern,
     pattern,
@@ -86,9 +91,12 @@ __all__ = [
     "make_bac",
     "make_bsc",
     "PosteriorState",
+    "assemble_distortion",
+    "assemble_log_distortion",
     "conditional_distortion",
     "exact_bit_variance",
     "exact_distortion",
+    "log_bit_variances",
     "mmse_estimate",
     "posterior_update",
     "BudgetExceededError",
@@ -104,6 +112,8 @@ __all__ = [
     "depth_bounds",
     "efficient_search",
     "enumerate_patterns",
+    "log_lower_bound",
+    "log_upper_bound",
     "lower_bound",
     "parse_pattern",
     "pattern",

@@ -14,8 +14,11 @@ Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
 error (an --out that cannot be written included), 3 budget refusal (an
-enumeration too large, a Monte-Carlo estimate that has lost all precision,
-or a ``fig3`` row whose D or U underflows the double range).
+enumeration too large, or a Monte-Carlo estimate that has lost all
+precision). A ``fig3 --mode exact`` row whose D or U underflows the double
+range prints 0.0 there, and its ln(D)/sqrt(n) and ln(U)/sqrt(n) columns come
+from the log-domain sums; ``policy`` prints ln D beside D and records ln D,
+ln U and ln L in its manifest.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from .channel import (
     load_channel,
     make_bac,
 )
-from .decoder import exact_bit_variance, exact_distortion
+from .decoder import (
+    assemble_distortion,
+    assemble_log_distortion,
+    exact_bit_variance,
+    exact_distortion,
+    log_bit_variances,
+)
 from .errors import BudgetExceededError, ValidationError
 from .policy import (
     TransmissionPattern,
@@ -46,6 +55,8 @@ from .policy import (
     depth_bounds,
     efficient_search,
     enumerate_patterns,
+    log_lower_bound,
+    log_upper_bound,
     lower_bound,
     parse_pattern,
     upper_bound,
@@ -341,13 +352,19 @@ def cmd_policy(args) -> int:
     u = upper_bound(pat, consts.C)
     l = lower_bound(pat, consts.B)
     try:
-        exact_d: float | str = exact_distortion(pat, ch)
+        log_v = log_bit_variances(pat.t, ch)
     except BudgetExceededError:
-        exact_d = ""  # per-bit enumeration above budget; bounds still stand
+        log_v = None  # per-bit enumeration above budget; bounds still stand
+    exact_d: float | str = "" if log_v is None else assemble_distortion(log_v)
     eff = check_efficient_properties(pat, consts.r_real)
     cor = depth_bounds(pat, consts.r)
     print(f"rule {args.rule}, n={args.n}: pattern ({pat}) depth q={pat.q}")
-    print(f"  U={u}  L={l}" + (f"  exact_d={exact_d}" if exact_d != "" else ""))
+    logs = {"ln_U": log_upper_bound(pat, consts.C), "ln_L": log_lower_bound(pat, consts.B)}
+    exact_text = ""
+    if log_v is not None:
+        logs["ln_exact_d"] = assemble_log_distortion(log_v)
+        exact_text = f"  exact_d={exact_d}  ln_exact_d={logs['ln_exact_d']}"
+    print(f"  U={u}  L={l}{exact_text}")
     print(f"  no_gap={eff.no_gap} spacing={eff.spacing} (r_real={consts.r_real:.5f})")
     for v in eff.violations:
         print(f"    {v}")
@@ -360,8 +377,9 @@ def cmd_policy(args) -> int:
     findings = {
         "pattern": str(pat),
         "oracle_cache": _oracle_cache_since(cache_before),
-        # Values below the double range print as 0.0; ln D needs a log-domain oracle.
+        # Values below the double range print as 0.0; the ln_* entries keep them.
         "underflow": [name for name, v in (("U", u), ("L", l), ("exact_d", exact_d)) if v == 0.0],
+        **logs,
     }
     _emit(args, "policy", ch, header, [row], start, config, None, findings)
     return 0

@@ -48,6 +48,8 @@ PATTERN_BUDGET = 10_000_000
 COMPOSITION_ROWS = 65536
 
 _CHECK_SLACK = 1e-9
+_LN3 = math.log(3.0)
+_LN_QUARTER = math.log(0.25)
 
 
 @dataclass(frozen=True)
@@ -104,6 +106,19 @@ def _upper_sum(terms: Sequence[float]) -> float:
     return math.fsum(terms) + 4.0 ** -len(terms) / 3.0
 
 
+def _logsumexp(xs: Sequence[float]) -> float:
+    """ln sum_i e^(x_i), shifted by the largest x_i so no term overflows."""
+    top = max(xs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in xs))
+
+
+def _log_bound(counts: Sequence[int], rate: float) -> float:
+    """ln of ``_upper_sum`` over the terms of ``counts`` at ``rate``, summed
+    in log space, so it stays finite where the sum underflows."""
+    q = len(counts)
+    return _logsumexp([-(k + 1) * LN4 - c * rate for k, c in enumerate(counts)] + [-q * LN4 - _LN3])
+
+
 def upper_bound(t: TransmissionPattern, C: float) -> float:
     """U(t): Chernoff upper bound on the distortion, tail in closed form.
 
@@ -121,6 +136,20 @@ def lower_bound(t: TransmissionPattern, B: float) -> float:
     if B < 0.0:
         raise ValidationError("B must be >= 0")
     return 0.25 * _upper_sum([_bound_term(k, c, B) for k, c in enumerate(t.t)])
+
+
+def log_upper_bound(t: TransmissionPattern, C: float) -> float:
+    """ln U(t), summed in log space: finite where U underflows."""
+    if C < 0.0:
+        raise ValidationError("C must be >= 0")
+    return _log_bound(t.t, C)
+
+
+def log_lower_bound(t: TransmissionPattern, B: float) -> float:
+    """ln L(t), summed in log space: finite where L underflows."""
+    if B < 0.0:
+        raise ValidationError("B must be >= 0")
+    return _LN_QUARTER + _log_bound(t.t, B)
 
 
 def pattern_count(n: int, max_depth: int) -> int:

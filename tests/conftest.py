@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,6 +34,17 @@ def bumped(t: TransmissionPattern, k: int) -> TransmissionPattern:
     counts = list(t.t) + [0] * max(0, k - len(t.t))
     counts[k - 1] += 1
     return TransmissionPattern(tuple(counts))
+
+
+@functools.lru_cache(maxsize=None)
+def bench_reference(ch: ChannelSpec):
+    """The benchmark's independent pure-Python log-space reference
+    (``bench/reference.py``) for ``ch``, shared so its ln V values are reused."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Reference(list(ch.f0), list(ch.f1))
 
 
 @pytest.fixture

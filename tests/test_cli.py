@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from dyadicsearch import info_constants, make_bac
+from dyadicsearch import aurelian, info_constants, make_bac
 from dyadicsearch.cli import main
 from dyadicsearch.decoder import exact_bit_variance
 from dyadicsearch.policy import aurelian_steps
+
+from conftest import bench_reference
 
 
 def read_csv(path: Path):
@@ -173,16 +175,24 @@ class TestFig3:
         assert "n=2000" in err and "--mode exact" in err
         assert not (tmp_path / "fig3.csv").exists()
 
-    def test_exact_mode_refuses_underflowed_row(self, tmp_path, capsys):
+    def test_exact_mode_refuses_underflowed_row(self, tmp_path):
         # D and U at n = 1e6 lie below the smallest double (ln D is about
-        # -875); ln D there needs a log-domain oracle, so the row is refused.
+        # -875): the row prints 0.0 there, and its log columns come from the
+        # log-domain sums, against the benchmark's independent reference.
         rc = main(["fig3", "--channel", "bac:0.9,0.8", "--mode", "exact", "--n-max", "1000000",
                    "--step", "500000", "--out", str(tmp_path)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-        assert "n=1000000" in err and "log-domain" in err
-        assert not (tmp_path / "fig3.csv").exists()
+        assert rc == 0
+        _, header, rows = read_csv(tmp_path / "fig3.csv")
+        ch = make_bac(0.9, 0.8)
+        k, ref = info_constants(ch), bench_reference(ch)
+        assert [r[header.index("n")] for r in rows] == ["500000", "1000000"]
+        assert [float(rows[1][header.index(c)]) for c in ("d", "u")] == [0.0, 0.0]
+        for row in rows:
+            n = int(row[header.index("n")])
+            t = list(aurelian(n, k).t)
+            for col, log_ref in (("log_d_over_sqrt_n", ref.log_distortion(t)),
+                                 ("log_u_over_sqrt_n", ref.log_upper(t))):
+                assert float(row[header.index(col)]) == pytest.approx(log_ref / math.sqrt(n), rel=1e-12)
 
     def test_exact_mode_refuses_pattern_over_histogram_budget(self, tmp_path, capsys):
         # Every bit of aurelian(1e11) is under the per-bit budget, but their
@@ -231,6 +241,20 @@ class TestPolicy:
         # Pattern 4,3,2,1: four distinct counts, all looked up once per run.
         assert stats == [{"hits": 0, "misses": 4}, {"hits": 4, "misses": 0}]
 
+    def test_log_values_match_reference(self, tmp_path, capsys):
+        # At n = 999983 D, U and L are below the double range; ln D is
+        # printed and ln D, ln U and ln L are recorded.
+        assert main(["policy", "--channel", "bac:0.9,0.8", "--n", "999983", "--rule", "greedy",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        findings = json.loads((tmp_path / "manifest-policy.json").read_text())["findings"]
+        t = [int(x) for x in findings["pattern"].split(",")]
+        ref = bench_reference(make_bac(0.9, 0.8))
+        assert f"exact_d=0.0  ln_exact_d={findings['ln_exact_d']!r}" in out
+        assert findings["ln_exact_d"] == pytest.approx(ref.log_distortion(t), rel=1e-12)
+        assert findings["ln_U"] == pytest.approx(ref.log_upper(t), rel=1e-12)
+        assert findings["ln_L"] == pytest.approx(ref.log_lower(t), rel=1e-12)
+
     def test_manifest_records_underflowed_values(self, tmp_path):
         runs = {
             "greedy-1e6": (["--channel", "bac:0.9,0.8", "--n", "999983", "--rule", "greedy"],
@@ -261,6 +285,7 @@ class TestPolicy:
         assert "U=" in out and "exact_d=" not in out
         manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
         assert manifest["findings"]["oracle_cache"] == {"hits": 0, "misses": 0}
+        assert "ln_exact_d" not in manifest["findings"] and "ln_U" in manifest["findings"]
 
     def test_unknown_rule(self, tmp_path):
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "5", "--rule", "magic",

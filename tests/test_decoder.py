@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dyadicsearch import (
     conditional_distortion,
     exact_bit_variance,
     exact_distortion,
+    log_bit_variances,
     lower_bound,
     make_bac,
     make_bsc,
@@ -28,10 +30,11 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, efficient_search, info_constants
-from dyadicsearch.decoder import _histograms, _safe_log, _sigmoid, _stable_pq, _uniform_estimate
+from dyadicsearch.decoder import _safe_log, _sigmoid, _stable_pq, _uniform_estimate
+from dyadicsearch.policy import compositions
 from dyadicsearch.sim import _draw_block
 
-from conftest import bumped, random_channel
+from conftest import bench_reference, bumped, random_channel
 
 
 def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
@@ -50,10 +53,7 @@ def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
 
 
 def recursive_histograms(t: int, m: int) -> np.ndarray:
-    """The earlier histogram enumerator: binary rows (t - j, j), else recursion."""
-    if m == 2:
-        j = np.arange(t + 1, dtype=np.int64)
-        return np.stack([t - j, j], axis=1)
+    """All m-part compositions of t by recursion, in lexicographic order."""
     rows: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], left: int, parts: int) -> None:
@@ -67,17 +67,30 @@ def recursive_histograms(t: int, m: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def per_call_bit_variance(t: int, ch: ChannelSpec) -> float:
-    """The earlier oracle kernel: recursive histograms, a fresh ln i! list per call."""
+def linear_bit_variance(t: int, ch: ChannelSpec, lg: np.ndarray) -> float:
+    """The linear-domain kernel the log-domain one replaced: over every
+    histogram (rows (t - j, j) for two symbols, else the recursive
+    enumeration), the weight (P(h|0) + P(h|1))/2 from the exp of both
+    log-likelihoods times p(1 - p). ``lg`` holds ln i!."""
     if t == 0:
         return 0.25
-    H = recursive_histograms(t, len(ch.outputs))
-    lg = np.array([math.lgamma(i + 1.0) for i in range(t + 1)])
+    if len(ch.outputs) == 2:
+        j = np.arange(t + 1)
+        H = np.stack([t - j, j], axis=1)
+    else:
+        H = recursive_histograms(t, len(ch.outputs))
     log_mult = lg[t] - lg[H].sum(axis=1)
     lp0 = log_mult + H @ _safe_log(ch.f0)
     lp1 = log_mult + H @ _safe_log(ch.f1)
     weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)
     return float(np.sum(weight * _stable_pq(lp1 - lp0)))
+
+
+def close_to_linear(value: float, linear: float) -> bool:
+    """Within 1e-13 relative of the linear kernel; below the normal range,
+    where the linear value has lost relative precision, within 1e-13 of the
+    smallest normal double."""
+    return abs(value - linear) <= 1e-13 * max(linear, sys.float_info.min)
 
 
 @pytest.fixture
@@ -234,23 +247,31 @@ class TestExactBitVariance:
 
 
 class TestSharedTableKernel:
-    """The shared ln i! table and stars-and-bars rows against the earlier kernel, bitwise."""
+    """The log-domain kernel over the shared ln i! table and stars-and-bars
+    rows against the linear-domain kernel it replaced."""
 
     _rng = np.random.default_rng(20261018)
 
     @pytest.mark.parametrize(
-        "ch, extra",
+        "ch, t_max",
         [
-            (make_bsc(0.05), [500, 2000, 2823]),
-            (make_bac(0.9, 0.8), [500, 2000, 2823]),
-            (random_channel(_rng, alphabet=3), []),
-            (random_channel(_rng, alphabet=4), []),
+            (make_bsc(0.05), 5000),
+            (make_bac(0.9, 0.8), 5000),
+            (random_channel(_rng, alphabet=3), 60),
+            (random_channel(_rng, alphabet=4), 60),
+            (make_bsc(0.25), 5000),
         ],
-        ids=["bsc-0.05", "bac-0.9-0.8", "random-3", "random-4"],
+        ids=["bsc-0.05", "bac-0.9-0.8", "random-3", "random-4", "bsc-0.25"],
     )
-    def test_bitwise_equal_to_per_call_kernel(self, ch, extra, cold_table):
-        for t in [*range(61), *extra]:
-            assert exact_bit_variance(t, ch) == per_call_bit_variance(t, ch), t
+    def test_bitwise_equal_to_per_call_kernel(self, ch, t_max, cold_table):
+        # Relative 1e-13, no longer bitwise: ln V near -700 alone carries a
+        # rounding of 5.7e-14 relative in V. One batched call gives every t.
+        lg = np.array([math.lgamma(i + 1.0) for i in range(t_max + 1)])
+        log_v = log_bit_variances(range(t_max + 1), ch)
+        for t in range(t_max + 1):
+            linear = linear_bit_variance(t, ch, lg)
+            assert close_to_linear(exact_bit_variance(t, ch), linear), t
+            assert exact_bit_variance(t, ch) == math.exp(log_v[t]), t
 
     @pytest.mark.parametrize("ch", [make_bac(0.9, 0.8), make_bsc(0.05)], ids=["bac", "bsc"])
     def test_call_order_independent(self, ch, monkeypatch, cold_table):
@@ -263,7 +284,7 @@ class TestSharedTableKernel:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_histograms_match_recursive_enumerator(self, m):
         for t in range(26):
-            H = _histograms(t, m)
+            H = np.concatenate(list(compositions(t, m)))
             assert H.dtype == np.int64
             assert H.shape == (math.comb(t + m - 1, m - 1), m)
             assert np.array_equal(H, recursive_histograms(t, m))
@@ -284,6 +305,88 @@ class TestSharedTableKernel:
         monkeypatch.setattr(decoder, "math", CountingMath())
         exact_distortion(t, ch)
         assert 0 < len(calls) <= 2 * max(t.t) + 2
+
+
+Z_CHANNEL = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.3, 0.7))
+
+
+class TestLogKernel:
+    """The windowed log-domain oracle: reference values, the certificate's
+    fallback, zero masses, batching and the cache."""
+
+    @pytest.mark.parametrize("t", [10**4, 10**5])
+    @pytest.mark.parametrize("ch", [make_bac(0.9, 0.8), make_bsc(0.05)], ids=["bac", "bsc"])
+    def test_matches_bench_reference_at_large_t(self, ch, t):
+        (log_v,) = log_bit_variances([t], ch)
+        assert log_v == pytest.approx(bench_reference(ch).log_bit_variance(t), rel=1e-12)
+
+    def test_uncertified_window_falls_back_to_full_rows(self, monkeypatch):
+        ch = make_bac(0.9, 0.8)
+        counts = [300, 1000, 2000]
+        exact_bit_variance.cache_clear()
+        windowed = [math.exp(v) for v in log_bit_variances(counts, ch)]
+        real_windows, real_pass = decoder._binary_windows, decoder._binary_log_variances
+        rows = []
+
+        def narrow(ts, ch):
+            lo, hi = real_windows(ts, ch)
+            mid = (lo + hi) // 2
+            return mid - 2, mid + 2
+
+        def counted(ts, lo, hi, lg, ch):
+            rows.append((hi - lo + 1).tolist())
+            return real_pass(ts, lo, hi, lg, ch)
+
+        monkeypatch.setattr(decoder, "_binary_windows", narrow)
+        monkeypatch.setattr(decoder, "_binary_log_variances", counted)
+        exact_bit_variance.cache_clear()
+        fallback = [math.exp(v) for v in log_bit_variances(counts, ch)]
+        exact_bit_variance.cache_clear()
+        assert rows == [[5, 5, 5], [t + 1 for t in counts]]
+        assert fallback == pytest.approx(windowed, rel=1e-13)
+
+    def test_zero_mass_channel_sums_full_rows(self):
+        ts = np.array([1, 5, 400, 3000], dtype=np.int64)
+        lo, hi = decoder._binary_windows(ts, Z_CHANNEL)
+        assert lo.tolist() == [0] * 4 and hi.tolist() == ts.tolist()
+        # Any output 1 reveals the bit; t zeros leave V = 0.3^t / (2 (1 + 0.3^t)).
+        for t, log_v in zip(ts.tolist(), log_bit_variances(ts.tolist(), Z_CHANNEL)):
+            closed = math.log(0.5) + t * math.log(0.3) - math.log1p(0.3**t)
+            assert log_v == pytest.approx(closed, rel=1e-13, abs=1e-13), t
+
+    @pytest.mark.parametrize(
+        "ch",
+        [make_bac(0.9, 0.8), make_bsc(0.05), random_channel(np.random.default_rng(7), 3), Z_CHANNEL],
+        ids=["bac", "bsc", "random-3", "z-channel"],
+    )
+    def test_batch_composition_independent(self, ch):
+        # The binary batch spans several chunks of rows; a bit's value is the
+        # same alone, with others, and in any order, bit for bit.
+        if len(ch.outputs) == 2:
+            counts = [0, 1, 7, 60, 333, 2048, 9000, 40000, *range(1000, 1100)]
+        else:
+            counts = [0, 1, 5, 40, 90, *range(20, 30)]
+        exact_bit_variance.cache_clear()
+        together = log_bit_variances(counts, ch)
+        alone = []
+        for t in counts:
+            exact_bit_variance.cache_clear()
+            alone.append(log_bit_variances([t], ch)[0])
+        exact_bit_variance.cache_clear()
+        backwards = log_bit_variances(counts[::-1], ch)[::-1]
+        exact_bit_variance.cache_clear()
+        assert together == alone == backwards
+
+    def test_cache_counts_every_lookup(self):
+        ch = make_bsc(0.1)
+        exact_bit_variance.cache_clear()
+        log_bit_variances([3, 3, 5], ch)
+        exact_bit_variance(5, ch)
+        info = exact_bit_variance.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        exact_bit_variance.cache_clear()
+        info = exact_bit_variance.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 class TestExactDistortion:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadicsearch import (
+    PriorSpec,
     SimConfig,
     SweepRow,
     ValidationError,
@@ -158,6 +159,24 @@ class TestEstimateDistortion:
         values = trial_values(cfg)
         assert est.mean == pytest.approx(float(np.mean(values)), rel=1e-15)
         assert est.std_error == pytest.approx(float(np.std(values, ddof=1)) / math.sqrt(500), rel=1e-15)
+
+
+    def test_wide_support_prior_mean_above_a_third(self):
+        # F(x) = x / 4 on [0, 4] and no transmissions: the original-domain
+        # squared error has mean 16/12, above the uniform domain's 1/3, and is
+        # bounded by the squared support width 16 instead.
+        prior = PriorSpec(
+            kind="transformed",
+            cdf=lambda x: np.asarray(x, dtype=float) / 4.0,
+            inverse_cdf=lambda u: 4.0 * np.asarray(u, dtype=float),
+            support=(0.0, 4.0),
+            lipschitz_sq=1.0 / 16.0,
+        )
+        ch, empty = make_bac(0.9, 0.8), pattern([])
+        cfg = SimConfig(channel=ch, pattern=empty, prior=prior, trials=5000, seed=3)
+        est = estimate_distortion(cfg)
+        assert est.mean == nonuniform_experiment(ch, prior, empty, trials=5000, seed=3).original_mse
+        assert est.mean == pytest.approx(16.0 / 12.0, abs=3.0 * est.std_error)
 
 
 class TestFigureGridAgreement:
