@@ -147,8 +147,11 @@ def conditional_distortion(state: PosteriorState) -> float:
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    """Posterior P(bit = 1) from log-odds s, without overflow at large |s|."""
-    with np.errstate(over="ignore"):
+    """Posterior P(bit = 1) from log-odds s, without overflow at large |s|.
+
+    A zero-mass output makes s = +-inf; the branch ``np.where`` drops is
+    then inf/inf, so its invalid-value warning is silenced too."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.where(s >= 0.0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
 
 

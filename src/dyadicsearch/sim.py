@@ -2,7 +2,11 @@
 
 A trial draws a target, sends the bits of its uniform-domain image through
 the channel according to the transmission pattern, runs the per-bit posterior
-updates, and scores the decoder. The prior picks the per-trial statistic:
+updates, and scores the decoder. The channel is memoryless, so the decoder
+sees a bit's t_k outputs only through their output histogram; the sampler
+draws that histogram directly, as a chain of m - 1 conditional binomials per
+bit, and never the t_k outputs one by one. The prior picks the per-trial
+statistic:
 
 * uniform prior: the Rao-Blackwell value, the closed-form conditional
   distortion given the channel outputs. It has the mean of the squared error
@@ -13,10 +17,12 @@ updates, and scores the decoder. The prior picks the per-trial statistic:
   closed form exists.
 
 Reproducibility contract: trials are grouped into fixed blocks of 4096; block
-b draws from a Philox stream keyed by (seed, b), and results are reduced in
-block order. The randomness consumed by trial i is therefore a pure function
-of (seed, trials, i), of (seed, i) alone when i lies in a full block, and
-results are bit-identical for any worker count.
+b draws from a Philox stream keyed by (seed, b) in a fixed order (the
+block's targets, then for each transmitted bit in ascending index one
+binomial draw per trial for each of the symbols 0..m-2 in ascending order),
+and results are reduced in block order. The randomness consumed by trial i
+is therefore a pure function of (seed, trials, i), of (seed, i) alone when
+i lies in a full block, and results are bit-identical for any worker count.
 
 One collector, ``_collect_blocks``, runs a per-block function over all blocks
 (serially or on a thread pool) and concatenates the results in block order.
@@ -103,38 +109,65 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.lru_cache(maxsize=16)
+def _histogram_chain(ch: ChannelSpec) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The conditional masses and log-likelihood ratios of ``_draw_block``.
+
+    Row b of the (2, m - 1) array holds f_b(i) / sum_{j >= i} f_b(j) for
+    i = 0..m-2: the chance that a use left after symbols 0..i-1 lands on
+    symbol i. A row whose remaining mass is 0 holds 1 there; no use is left
+    to place. The ratios are ln f1(i)/f0(i), +-inf at a zero mass.
+    """
+    f = np.array([ch.f0, ch.f1])
+    tail = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(tail > 0.0, f / tail, 1.0)[:, :-1]
+        llr = np.log(f[1]) - np.log(f[0])
+    cond.flags.writeable = False
+    return cond, tuple(llr.tolist())
+
+
 def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Targets and per-bit log-likelihood-ratio sums for one trial block.
 
-    Draw order is fixed (targets first, then bits in ascending index), so the
-    layout depends only on the config. Returns (u, [(k, llr_sum)]) for every
-    transmitted bit index k up to the bit extraction cap; deeper bits are
-    unknown at prior for both encoder and decoder.
+    The t_k outputs of a bit reach the decoder only through their histogram
+    (c_0, ..., c_{m-1}), its sufficient statistic, so the histogram is drawn
+    and not the outputs: c_i ~ Binomial(left, f_b(i) / sum_{j >= i} f_b(j))
+    for i = 0..m-2, where ``left`` starts at t_k and drops by each c_i, and
+    the last symbol takes what is left. That is m - 1 binomial draws per
+    trial and bit, whatever t_k, on one path for every alphabet. The bit's
+    log-odds sum is sum_i c_i ln f1(i)/f0(i) over the nonzero counts, so a
+    symbol of zero mass (ratio +-inf) never gives 0 * inf.
+
+    Draw order is fixed: the targets, then the bits in ascending index, each
+    bit's symbols 0..m-2 in ascending order; so the layout depends only on
+    the config. Returns (u, [(k, llr_sum)]) for every transmitted bit index
+    k up to the bit extraction cap; deeper bits are unknown at prior for
+    both encoder and decoder.
     """
     lo = block * BLOCK_TRIALS
     hi = min(cfg.trials, lo + BLOCK_TRIALS)
     rng = _block_rng(cfg.seed, block)
     u = rng.random(hi - lo)
-
-    ch = cfg.channel
-    cdf0 = np.cumsum(ch.f0)
-    cdf1 = np.cumsum(ch.f1)
-    with np.errstate(divide="ignore"):
-        llr = np.log(np.asarray(ch.f1)) - np.log(np.asarray(ch.f0))
-    m = len(ch.outputs)
+    cond, llr = _histogram_chain(cfg.channel)
+    last = len(llr) - 1
 
     sums: list[tuple[int, np.ndarray]] = []
     for k0, t_k in enumerate(cfg.pattern.t):
         k = k0 + 1
         if t_k == 0 or k > BIT_DEPTH_CAP:
             continue
-        raw = rng.random((u.size, t_k))
-        bit = bits_array(u, k).astype(bool)
-        i0 = np.searchsorted(cdf0, raw, side="right")
-        i1 = np.searchsorted(cdf1, raw, side="right")
-        idx = np.where(bit[:, None], i1, i0)
-        np.clip(idx, 0, m - 1, out=idx)
-        sums.append((k, llr[idx].sum(axis=1)))
+        p = cond[bits_array(u, k)]
+        left = t_k
+        s = np.zeros(u.size)
+        for i, ratio in enumerate(llr):
+            c = rng.binomial(left, p[:, i]) if i < last else left
+            left = left - c
+            if math.isfinite(ratio):
+                s += c * ratio
+            else:
+                s[c > 0] = ratio
+        sums.append((k, s))
     return u, sums
 
 

@@ -8,6 +8,11 @@ import pytest
 from dyadicsearch import ChannelSpec, TransmissionPattern, chernoff_information
 
 
+# The Z channel: input 0 always gives output 0, input 1 gives 1 with 0.7.
+# Output 1 has zero mass under input 0, so its log-likelihood ratio is +inf.
+Z_CHANNEL = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.3, 0.7))
+
+
 def random_channel(rng: np.random.Generator, alphabet: int = 2, min_mass: float = 0.02) -> ChannelSpec:
     """Random informative full-support channel with masses bounded away from 0."""
     while True:

@@ -23,7 +23,7 @@ from dyadicsearch import (
 from dyadicsearch.sim import BLOCK_TRIALS, SimConfig, _draw_block
 from dyadicsearch.source import bits_array
 
-from conftest import random_channel
+from conftest import Z_CHANNEL, random_channel
 
 LN4 = math.log(4.0)
 
@@ -209,21 +209,27 @@ class TestInfoConstants:
             assert all(math.isfinite(v) for v in (k.C, k.B, k.A1, k.A2))
 
 
-def simulated_outputs(ch: ChannelSpec, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input bit and output symbol index of each trial of the simulator's
-    vectorised sampler, one use of bit 1 per trial. One use makes the bit's
-    log-odds sum equal to the log-likelihood ratio of its output, which
-    names the symbol when the ratios are distinct."""
-    cfg = SimConfig(channel=ch, pattern=pattern([1]), prior=uniform_prior(), trials=trials, seed=seed)
-    with np.errstate(divide="ignore"):
-        llr = np.log(np.array(ch.f1)) - np.log(np.array(ch.f0))
-    assert len(set(llr)) == len(llr)
-    bits, symbols = [], []
+def simulated_sums(ch: ChannelSpec, t: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input bit and log-odds sum of bit 1 of each trial of the simulator's
+    vectorised sampler, t uses per trial."""
+    cfg = SimConfig(channel=ch, pattern=pattern([t]), prior=uniform_prior(), trials=trials, seed=seed)
+    bits, sums = [], []
     for block in range(-(-trials // BLOCK_TRIALS)):
         u, [(k, s)] = _draw_block(cfg, block)
         bits.append(bits_array(u, k))
-        symbols.append(np.argmax(s[:, None] == llr[None, :], axis=1))
-    return np.concatenate(bits), np.concatenate(symbols)
+        sums.append(s)
+    return np.concatenate(bits), np.concatenate(sums)
+
+
+def simulated_outputs(ch: ChannelSpec, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input bit and output symbol index of each trial, one use of bit 1 per
+    trial. One use makes the bit's log-odds sum equal to the log-likelihood
+    ratio of its output, which names the symbol when the ratios are distinct."""
+    with np.errstate(divide="ignore"):
+        llr = np.log(np.array(ch.f1)) - np.log(np.array(ch.f0))
+    assert len(set(llr)) == len(llr)
+    bits, sums = simulated_sums(ch, 1, trials, seed)
+    return bits, np.argmax(sums[:, None] == llr[None, :], axis=1)
 
 
 class TestSampleOutput:
@@ -247,6 +253,79 @@ class TestSampleOutput:
     def test_same_seed_same_sequence(self):
         ch = make_bac(0.9, 0.8)
         assert np.array_equal(simulated_outputs(ch, 5000, 9)[1], simulated_outputs(ch, 5000, 9)[1])
+
+
+def histograms(t: int, m: int):
+    """Every output histogram of t uses over m symbols."""
+    if m == 1:
+        yield (t,)
+        return
+    for c in range(t + 1):
+        for rest in histograms(t - c, m - 1):
+            yield (c,) + rest
+
+
+def log_odds_law(ch: ChannelSpec, bit: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of one bit's log-odds sum after t uses with input ``bit``.
+
+    Each histogram c has multinomial probability t!/prod c_i! prod f_b(i)^c_i
+    and log-odds sum_{c_i > 0} c_i ln f1(i)/f0(i); histograms with the same
+    sum are merged. On a binary channel with distinct ratios the sum names
+    the count, and the law is the Binomial(t, f_b(1)) pmf."""
+    f = (ch.f0, ch.f1)[bit]
+    ratios = [math.log(a) - math.log(b) if a > 0.0 and b > 0.0 else math.copysign(math.inf, a - b)
+              for a, b in zip(ch.f1, ch.f0)]
+    law: dict[float, float] = {}
+    for c in histograms(t, len(f)):
+        pmf = math.factorial(t) * math.prod(p**ci / math.factorial(ci) for p, ci in zip(f, c))
+        value = sum(ci * r for ci, r in zip(c, ratios) if ci > 0)
+        key = next((v for v in law if v == value or abs(v - value) <= 1e-9), value)
+        law[key] = law.get(key, 0.0) + pmf
+    values = sorted(law)
+    return np.array(values), np.array([law[v] for v in values])
+
+
+class TestSampleHistogram:
+    """Per-bit output histograms of ``sim._draw_block`` at t_k = 7 uses."""
+
+    USES = 7
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            make_bac(0.9, 0.8),
+            ChannelSpec(outputs=("a", "b", "c"), f0=(0.5, 0.3, 0.2), f1=(0.2, 0.3, 0.5)),
+            Z_CHANNEL,
+        ],
+        ids=["bac", "three-symbol", "z"],
+    )
+    def test_counts_follow_the_multinomial_law(self, ch):
+        bits, sums = simulated_sums(ch, self.USES, trials=200_000, seed=4242)
+        assert not np.isnan(sums).any()
+        for bit in (0, 1):
+            values, pmf = log_odds_law(ch, bit, self.USES)
+            if ch.outputs == (0, 1) and all(p > 0.0 for p in ch.f0 + ch.f1):
+                assert values.size == self.USES + 1  # each sum names one count
+            sent = sums[bits == bit]
+            # Every sum is one histogram's; infinities match only themselves.
+            match = np.isclose(sent[:, None], values[None, :], rtol=0.0, atol=1e-9)
+            assert np.all(match.sum(axis=1) == 1)
+            freq = match.sum(axis=0) / sent.size
+            sigma = np.sqrt(pmf * (1.0 - pmf) / sent.size)
+            assert np.all(np.abs(freq - pmf) <= 5.0 * sigma), (bit, freq, pmf)
+
+    def test_noiseless_and_z_counts_are_deterministic(self):
+        noiseless = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.0, 1.0))
+        bits, sums = simulated_sums(noiseless, self.USES, trials=10_000, seed=3)
+        assert np.array_equal(sums, np.where(bits == 1, math.inf, -math.inf))
+        # The Z channel's input 0 always gives 7 zeros: the sum is 7 ln(0.3/1).
+        bits, sums = simulated_sums(Z_CHANNEL, self.USES, trials=10_000, seed=3)
+        assert not np.isnan(sums).any()
+        np.testing.assert_allclose(sums[bits == 0], self.USES * math.log(0.3), rtol=1e-15)
+        # Input 1 gives +inf once a single 1 is seen, else the same 7 zeros.
+        sent = sums[bits == 1]
+        np.testing.assert_allclose(sent[np.isfinite(sent)], self.USES * math.log(0.3), rtol=1e-15)
+        assert np.all(sent[~np.isfinite(sent)] == math.inf)
 
 
 class TestLoadChannel:

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dyadicsearch import (
+    ChannelSpec,
     PriorSpec,
     SimConfig,
     SweepRow,
@@ -29,9 +30,9 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch.sim import PRIOR_DISTORTION
+from dyadicsearch.sim import BLOCK_TRIALS, PRIOR_DISTORTION
 
-from conftest import random_moderate_channel
+from conftest import Z_CHANNEL, random_moderate_channel
 
 CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
@@ -188,6 +189,66 @@ class TestFigureGridAgreement:
             est = estimate_distortion(rb_config(ch, pat, trials=20_000, seed=1234))
             exact = exact_distortion(pat, ch)
             assert abs(est.mean - exact) <= 3.0 * max(est.std_error, 1e-15), str(pat)
+
+
+def three_bits(n: int):
+    """A fixed 3-bit pattern of n uses, for channels with no staircase."""
+    return pattern([n - n // 3 - n // 6, n // 3, n // 6])
+
+
+class TestAgreementOverMcAccuracyRange:
+    """Monte-Carlo within 4 sigma of the exact oracle over the budgets the
+    mc-accuracy benchmark estimates (odd n up to 59). Larger budgets wait
+    for importance sampling at the Chernoff tilt: at n = 300 the per-trial
+    values are heavy-tailed and the estimate lands many standard errors
+    low, and at n = 2000 the Rao-Blackwell sum cancels to a negative mean."""
+
+    @pytest.mark.parametrize("n", [11, 31, 59])
+    @pytest.mark.parametrize(
+        "ch",
+        [make_bsc(0.25), make_bac(0.9, 0.8), load_channel(str(CHANNEL3)), Z_CHANNEL],
+        ids=["bsc-0.25", "bac", "three-symbol", "z"],
+    )
+    def test_within_four_sigma(self, ch, n):
+        # The Z channel's infinite log-ratio leaves it without channel
+        # constants, so without a staircase; every other r is at most 9.
+        pat = three_bits(n) if ch == Z_CHANNEL else aurelian(n, info_constants(ch))
+        exact = exact_distortion(pat, ch)
+        for seed in (1, 2, 3):
+            est = estimate_distortion(rb_config(ch, pat, trials=50_000, seed=seed))
+            assert abs(est.mean - exact) <= 4.0 * est.std_error, (seed, est, exact)
+
+
+edge_mass = st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def edge_channels(draw):
+    """Channels of 2 to 4 symbols whose masses may be 0 or within 1e-9 of 0 or 1."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    rows = []
+    for _ in range(2):
+        w = draw(st.lists(edge_mass, min_size=m, max_size=m).filter(lambda w: sum(w) > 0.0))
+        rows.append(tuple(x / math.fsum(w) for x in w))
+    assume(not any(a == 0.0 and b == 0.0 for a, b in zip(*rows)))
+    return ChannelSpec(outputs=tuple(range(m)), f0=rows[0], f1=rows[1])
+
+
+class TestSamplerProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        ch=edge_channels(),
+        counts=st.lists(st.integers(0, 20), max_size=6),
+        trials=st.integers(1, 3 * BLOCK_TRIALS),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_finite_and_job_invariant(self, ch, counts, trials, seed):
+        for prior in (uniform_prior(), power_prior(2)):
+            cfg = SimConfig(channel=ch, pattern=pattern(counts), prior=prior, trials=trials, seed=seed)
+            values = trial_values(cfg, jobs=1)
+            assert values.shape == (trials,)
+            assert np.all(np.isfinite(values))
+            assert values.tobytes() == trial_values(cfg, jobs=3).tobytes()
 
 
 class TestAurelianSweep:
