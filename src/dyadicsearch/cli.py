@@ -14,8 +14,9 @@ Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
 error (an --out that cannot be written included), 3 budget refusal (an
-enumeration too large, or a Monte-Carlo estimate that has lost all
-precision). A ``fig3 --mode exact`` row whose D or U underflows the double
+enumeration too large, a Monte-Carlo bit whose first-link window holds more
+than ``decoder.HISTOGRAM_BUDGET`` counts, or a Monte-Carlo estimate that has
+lost all precision). A ``fig3 --mode exact`` row whose D or U underflows the double
 range prints 0.0 there, and its ln(D)/sqrt(n) and ln(U)/sqrt(n) columns come
 from the log-domain sums; ``policy`` prints ln D beside D and records ln D,
 ln U and ln L in its manifest.

@@ -45,20 +45,28 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   value does not depend on the bits it shares a chunk with;
 * cost: a binary bit costs O(min(t, sqrt t)) rows, so the greedy pattern
   at n = 1e8 sums 7.1e6 rows in place of 1e8; an m-ary bit costs its
-  C(t+m-1, m-1) rows, built by stars and bars (``policy.compositions``).
+  C(t+m-1, m-1) rows, built by stars and bars (``policy.compositions``);
+* budgets: a bit may sum at most ``HISTOGRAM_BUDGET`` rows and a pattern's
+  distinct counts at most ``PATTERN_HISTOGRAM_BUDGET`` together. A windowed
+  binary bit counts its window's rows, so binary bits up to about 1.5e10
+  uses are exact; an uncertified window falls back to every row and is held
+  to the same budgets in full rows.
 
 The multinomial coefficients come from one module-level table of ln i!
-(``math.lgamma(i + 1.0)``) that every call shares and that grows on demand:
-a pattern costs O(max t_k) ``lgamma`` calls. The table holds ln i! only, the
-same in every process. ln V is cached per (t_k, channel) by the oracle
-behind ``exact_bit_variance`` (its exp) and ``log_bit_variances`` (the
-batched lookup); ``exact_distortion`` and the staircase sweep assemble D from
+(``math.lgamma(i + 1.0)``) that every call shares and that grows on demand
+up to i = ``HISTOGRAM_BUDGET``: a pattern costs O(max t_k) ``lgamma`` calls.
+Windowed rows beyond the table call ``math.lgamma`` for their own entries,
+the same values. The table holds ln i! only, the same in every process.
+ln V is cached per (t_k, channel) by the oracle behind
+``exact_bit_variance`` (its exp) and ``log_bit_variances`` (the batched
+lookup); ``exact_distortion`` and the staircase sweep assemble D from
 it with one helper, and ``assemble_log_distortion`` gives ln D, finite at any
 budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -175,14 +183,25 @@ _LOG_FACTORIALS = np.zeros(1)
 
 
 def _log_factorials(t: int) -> np.ndarray:
-    """The shared ln i! table, grown (at least doubling) to hold i = 0..t."""
+    """The shared ln i! table, grown (at least doubling, up to
+    ``HISTOGRAM_BUDGET`` + 1 entries) to hold i = 0..t, t <= HISTOGRAM_BUDGET."""
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if table.size <= t:
-        grown = range(table.size, max(t + 1, 2 * table.size))
+        grown = range(table.size, max(t + 1, min(2 * table.size, HISTOGRAM_BUDGET + 1)))
         table = np.concatenate([table, [math.lgamma(i + 1.0) for i in grown]])
         _LOG_FACTORIALS = table
     return table
+
+
+def _log_factorial_at(lg: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """ln i! for each entry of ``i``: from the table ``lg`` where it reaches,
+    by ``math.lgamma`` (the same values) beyond it, where only the windowed
+    rows of binary bits with t above ``HISTOGRAM_BUDGET`` go."""
+    beyond = i >= lg.size
+    out = lg[np.where(beyond, 0, i)]
+    out[beyond] = [math.lgamma(x + 1.0) for x in i[beyond].tolist()]
+    return out
 
 
 def _safe_log(masses: tuple[float, ...]) -> np.ndarray:
@@ -229,6 +248,16 @@ def _segment_log_sums(
     return top + np.log(0.5 * sums), terms, top, starts
 
 
+def _window_centre(ch: ChannelSpec) -> float | None:
+    """theta* of a binary channel with four positive masses and distinct
+    ratios, whose bits are summed over a window; None where every row is."""
+    if len(ch.outputs) == 2 and min(ch.f0 + ch.f1) > 0.0:
+        lam0, lam1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
+        if lam0 != lam1:
+            return min(max(lam0 / (lam0 - lam1), 0.0), 1.0)
+    return None
+
+
 def _binary_windows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """First and last row j of each binary bit's sum over histograms (t - j, j).
 
@@ -239,17 +268,22 @@ def _binary_windows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, np.nda
     log-likelihood ratio is 0: the row where L_h changes sign, around which
     the dominant terms lie (Bahadur and Rao; Dembo and Zeitouni, Large
     Deviations Techniques and Applications, 2nd ed., section 3.7).
-    Otherwise every row 0..t.
+    Otherwise every row 0..t. ``_window_rows`` counts the same rows.
     """
-    if min(ch.f0 + ch.f1) > 0.0:
-        lam0, lam1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
-        if lam0 != lam1:
-            theta = min(max(lam0 / (lam0 - lam1), 0.0), 1.0)
-            half = 4.0 * np.sqrt(ts) + 50.0
-            lo = np.maximum(np.ceil(ts * theta - half), 0.0).astype(np.int64)
-            hi = np.minimum((ts * theta + half).astype(np.int64), ts)
-            return lo, hi
-    return np.zeros_like(ts), ts
+    theta = _window_centre(ch)
+    if theta is None:
+        return np.zeros_like(ts), ts
+    half = 4.0 * np.sqrt(ts) + 50.0
+    lo = np.maximum(np.ceil(ts * theta - half), 0.0).astype(np.int64)
+    hi = np.minimum((ts * theta + half).astype(np.int64), ts)
+    return lo, hi
+
+
+def _window_rows(t: int, theta: float) -> int:
+    """Rows of one binary bit's window about theta* (``_binary_windows``),
+    in scalar arithmetic: the budget checks run it per distinct count."""
+    half = 4.0 * math.sqrt(t) + 50.0
+    return min(int(t * theta + half), t) - max(math.ceil(t * theta - half), 0) + 1
 
 
 def _binary_log_variances(
@@ -257,18 +291,24 @@ def _binary_log_variances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """ln V of each binary bit summed over rows lo..hi, and whether the cut
     is certified: each edge row other than 0 and t lies at least
-    ``WINDOW_CERTIFICATE`` nats below the bit's largest term."""
+    ``WINDOW_CERTIFICATE`` nats below the bit's largest term. ``lg`` is
+    the ln i! table; counts past its end go through ``_log_factorial_at``."""
     log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
     sizes = hi - lo + 1
     log_v = np.empty(ts.size)
     certified = np.empty(ts.size, dtype=bool)
+    # Every row index is at most its t, so the table alone serves when it
+    # reaches the largest t.
+    ln_fact = lg.__getitem__
+    if int(ts.max()) >= lg.size:
+        ln_fact = functools.partial(_log_factorial_at, lg)
     for part in _chunks(sizes.tolist()):
         n, first = sizes[part], lo[part]
         t_rows = np.repeat(ts[part], n)
         j = np.arange(t_rows.size) + np.repeat(first - (np.cumsum(n) - n), n)
         rest = t_rows - j
         # A binary row sum of ln h! is one addition of non-negative terms.
-        log_mult = lg[t_rows] - (lg[rest] + lg[j])
+        log_mult = np.repeat(ln_fact(ts[part]), n) - (ln_fact(rest) + ln_fact(j))
         H = np.empty((j.size, 2))
         H[:, 0], H[:, 1] = rest, j
         log_v[part], terms, top, starts = _segment_log_sums(H, log_mult, n, log_f)
@@ -282,13 +322,21 @@ def _binary_log_variances(
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """ln V(t) for distinct counts t >= 1, within the histogram budget."""
     m = len(ch.outputs)
-    lg = _log_factorials(int(ts.max()))
+    # Counts above the budget are windowed binary bits, read by lgamma.
+    lg = _log_factorials(int(ts[ts <= HISTOGRAM_BUDGET].max(initial=0)))
     if m == 2:
         lo, hi = _binary_windows(ts, ch)
         log_v, certified = _binary_log_variances(ts, lo, hi, lg, ch)
         redo = ~certified
         if redo.any():  # an uncertified window falls back to the full row sum
             full = ts[redo]
+            rows = full + 1
+            if rows.max() > HISTOGRAM_BUDGET or rows.sum() > PATTERN_HISTOGRAM_BUDGET:
+                raise BudgetExceededError(
+                    f"histogram enumeration too large: a window of {full.max()} uses is not "
+                    "certified, and summing every row exceeds the histogram budget"
+                )
+            lg = _log_factorials(int(full.max()))
             log_v[redo] = _binary_log_variances(full, np.zeros_like(full), full, lg, ch)[0]
         return log_v
     log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
@@ -304,10 +352,13 @@ def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
 def _log_bit_variances(counts: list[int], ch: ChannelSpec) -> dict[int, float]:
     """ln V(t) by distinct count, in one batched pass; t = 0 is ln(1/4)."""
     m1 = len(ch.outputs) - 1
+    theta = _window_centre(ch)
     for t in counts:
         if t < 0:
             raise ValidationError("repetition count must be >= 0")
         rows = math.comb(t + m1, m1)
+        if rows > HISTOGRAM_BUDGET and theta is not None:
+            rows = _window_rows(t, theta)
         if rows > HISTOGRAM_BUDGET:
             raise BudgetExceededError(
                 f"histogram enumeration too large: {rows} exceeds {HISTOGRAM_BUDGET}"
@@ -373,14 +424,21 @@ exact_bit_variance = _BitVarianceOracle()
 
 
 def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
-    """Refuse counts whose distinct t_k enumerate more than
-    ``PATTERN_HISTOGRAM_BUDGET`` histograms together: each bit stays under
-    ``HISTOGRAM_BUDGET``, but for a binary channel the rows of a pattern sum
-    to about its budget n. (A plain loop: the sweep calls this every row.)"""
+    """Refuse counts whose distinct t_k sum more than
+    ``PATTERN_HISTOGRAM_BUDGET`` histogram rows together: each bit stays
+    under ``HISTOGRAM_BUDGET``, but for a binary channel the full rows of a
+    pattern sum to about its budget n. A windowed binary bit counts its
+    window's rows (``_window_rows``), computed only where the full rows
+    exceed the budget. (Plain loops: the sweep calls this every row.)"""
     m1 = len(ch.outputs) - 1
+    distinct = set(counts)
     total = 0
-    for t in set(counts):
+    for t in distinct:
         total += math.comb(t + m1, m1)
+    if total > PATTERN_HISTOGRAM_BUDGET and (theta := _window_centre(ch)) is not None:
+        total = 0
+        for t in distinct:
+            total += _window_rows(t, theta)
     if total > PATTERN_HISTOGRAM_BUDGET:
         raise BudgetExceededError(
             f"exact distortion too large: {total} histograms exceed the "

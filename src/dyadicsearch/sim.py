@@ -5,8 +5,14 @@ the channel according to the transmission pattern, runs the per-bit posterior
 updates, and scores the decoder. The channel is memoryless, so the decoder
 sees a bit's t_k outputs only through their output histogram; the sampler
 draws that histogram directly, as a chain of m - 1 conditional binomials per
-bit, and never the t_k outputs one by one. The prior picks the per-trial
-statistic:
+bit, and never the t_k outputs one by one. The first link, the count of
+symbol 0, has the same t_k trials in every trial of the bit, so it is drawn
+by inverse CDF: one uniform per trial searched in a cached table of
+Binomial(t_k, f_b(0)) for both inputs b, built over the Hoeffding window
+|c - t_k f_b(0)| < 5 sqrt(t_k), which leaves out at most 2 e^-50 of mass.
+A bit whose window holds more than ``decoder.HISTOGRAM_BUDGET`` counts
+(t_k above about 1e10) is refused with ``BudgetExceededError``. The prior
+picks the per-trial statistic:
 
 * uniform prior: the Rao-Blackwell value, the closed-form conditional
   distortion given the channel outputs. It has the mean of the squared error
@@ -19,10 +25,11 @@ statistic:
 Reproducibility contract: trials are grouped into fixed blocks of 4096; block
 b draws from a Philox stream keyed by (seed, b) in a fixed order (the
 block's targets, then for each transmitted bit in ascending index one
-binomial draw per trial for each of the symbols 0..m-2 in ascending order),
-and results are reduced in block order. The randomness consumed by trial i
-is therefore a pure function of (seed, trials, i), of (seed, i) alone when
-i lies in a full block, and results are bit-identical for any worker count.
+uniform per trial for the count of symbol 0, then one binomial draw per
+trial for each of the symbols 1..m-2 in ascending order), and results are
+reduced in block order. The randomness consumed by trial i is therefore a
+pure function of (seed, trials, i), of (seed, i) alone when i lies in a
+full block, and results are bit-identical for any worker count.
 
 One collector, ``_collect_blocks``, runs a per-block function over all blocks
 (serially or on a thread pool) and concatenates the results in block order.
@@ -54,6 +61,7 @@ import numpy as np
 
 from .channel import ChannelSpec, InfoConstants, info_constants
 from .decoder import (
+    HISTOGRAM_BUDGET,
     _check_histogram_total,
     _distortion_sum,
     _distortion_term,
@@ -116,7 +124,9 @@ def _histogram_chain(ch: ChannelSpec) -> tuple[np.ndarray, tuple[float, ...]]:
     Row b of the (2, m - 1) array holds f_b(i) / sum_{j >= i} f_b(j) for
     i = 0..m-2: the chance that a use left after symbols 0..i-1 lands on
     symbol i. A row whose remaining mass is 0 holds 1 there; no use is left
-    to place. The ratios are ln f1(i)/f0(i), +-inf at a zero mass.
+    to place. Column 0 is the success chance of the first link, drawn from
+    ``_first_link_table``; the others feed ``rng.binomial``. The ratios are
+    ln f1(i)/f0(i), +-inf at a zero mass.
     """
     f = np.array([ch.f0, ch.f1])
     tail = np.cumsum(f[:, ::-1], axis=1)[:, ::-1]
@@ -127,6 +137,62 @@ def _histogram_chain(ch: ChannelSpec) -> tuple[np.ndarray, tuple[float, ...]]:
     return cond, tuple(llr.tolist())
 
 
+def _window_cdf(t: int, p: float) -> tuple[int, np.ndarray]:
+    """Smallest count and 53-bit CDF thresholds of Binomial(t, p) over its
+    Hoeffding window.
+
+    The window is the counts c in [0, t] with |c - t p| < 5 sqrt(t). By
+    Hoeffding's inequality (JASA 58, 1963) the counts outside it carry at
+    most 2 e^-50 < 4e-22 of the mass, far below the 2^-53 resolution of a
+    uniform double, so the window is the law as the sampler can see it. The
+    pmf is built from its mode outward by the ratio recurrence
+    pmf(c + 1) / pmf(c) = (t - c) / (c + 1) * p / (1 - p), normalised over
+    the window; threshold i is round(2^53 F(lo + i)) for each count but the
+    last, so an integer w uniform on [0, 2^53) lands on count lo + i with
+    probability F(lo + i) - F(lo + i - 1) to within 2^-53. A window of more
+    than ``HISTOGRAM_BUDGET`` counts is refused with ``BudgetExceededError``.
+    """
+    half = 5.0 * math.sqrt(t)
+    lo = max(math.floor(t * p - half) + 1, 0)
+    hi = min(math.ceil(t * p + half) - 1, t)
+    if hi - lo + 1 > HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"{t} uses: the Monte-Carlo draw's window holds {hi - lo + 1} counts, "
+            f"above the {HISTOGRAM_BUDGET} budget"
+        )
+    mode = min(max(math.floor((t + 1) * p), lo), hi)
+    q = 1.0 - p
+    # Each side is empty where its odds would divide by 0 (p = 0 or 1).
+    c = np.arange(mode, hi, dtype=np.float64)
+    up = np.cumprod((t - c) / (c + 1.0) * (p / q)) if c.size else c
+    c = np.arange(mode, lo, -1, dtype=np.float64)
+    down = np.cumprod(c / (t - c + 1.0) * (q / p)) if c.size else c
+    cdf = np.cumsum(np.concatenate([down[::-1], [1.0], up]))
+    return lo, np.rint(cdf[:-1] * (2.0**53 / cdf[-1])).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=BIT_DEPTH_CAP)
+def _first_link_table(ch: ChannelSpec, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF table of the count of symbol 0 after t uses, for both inputs.
+
+    Row b is ``_window_cdf(t, p_b)``, p_b the first conditional mass of
+    ``_histogram_chain``. The two rows are stored as one sorted int64 array,
+    row 1 shifted up by 2^53: the key w + b 2^53 of a uniform integer w on
+    [0, 2^53) is searched once (``side="right"``), and the index plus
+    ``base[b]`` is the count. Both inputs keep all 53 bits of w, which a key
+    of ``w + b`` on doubles would not. A pattern has at most
+    ``BIT_DEPTH_CAP`` drawn bits, so the cache holds one pattern's tables;
+    each has at most 2 ``HISTOGRAM_BUDGET`` thresholds (16 MB), and the
+    arrays are read-only.
+    """
+    (lo0, row0), (lo1, row1) = (_window_cdf(t, float(p)) for p in _histogram_chain(ch)[0][:, 0])
+    thresholds = np.concatenate([row0, row1 + 2**53])
+    base = np.array([lo0, lo1 - row0.size])
+    thresholds.flags.writeable = False
+    base.flags.writeable = False
+    return thresholds, base
+
+
 def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """Targets and per-bit log-likelihood-ratio sums for one trial block.
 
@@ -134,16 +200,22 @@ def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int,
     (c_0, ..., c_{m-1}), its sufficient statistic, so the histogram is drawn
     and not the outputs: c_i ~ Binomial(left, f_b(i) / sum_{j >= i} f_b(j))
     for i = 0..m-2, where ``left`` starts at t_k and drops by each c_i, and
-    the last symbol takes what is left. That is m - 1 binomial draws per
-    trial and bit, whatever t_k, on one path for every alphabet. The bit's
-    log-odds sum is sum_i c_i ln f1(i)/f0(i) over the nonzero counts, so a
-    symbol of zero mass (ratio +-inf) never gives 0 * inf.
+    the last symbol takes what is left. The first link c_0 ~ Binomial(t_k,
+    f_b(0)) is drawn by inverse CDF: one uniform per trial, scaled to a
+    53-bit integer and searched in ``_first_link_table``, which spans the
+    Hoeffding window of ``_window_cdf``; a bit whose window exceeds
+    ``HISTOGRAM_BUDGET`` counts is refused with ``BudgetExceededError``
+    naming the bit. Links 1..m-2 of an m-ary channel are ``rng.binomial``
+    draws. The bit's log-odds sum is sum_i c_i ln f1(i)/f0(i) over the
+    nonzero counts, so a symbol of zero mass (ratio +-inf) never gives
+    0 * inf.
 
     Draw order is fixed: the targets, then the bits in ascending index, each
-    bit's symbols 0..m-2 in ascending order; so the layout depends only on
-    the config. Returns (u, [(k, llr_sum)]) for every transmitted bit index
-    k up to the bit extraction cap; deeper bits are unknown at prior for
-    both encoder and decoder.
+    bit's uniforms for symbol 0 and then its binomials for symbols 1..m-2 in
+    ascending order; so the layout depends only on the config. Returns
+    (u, [(k, llr_sum)]) for every transmitted bit index k up to the bit
+    extraction cap; deeper bits are unknown at prior for both encoder and
+    decoder.
     """
     lo = block * BLOCK_TRIALS
     hi = min(cfg.trials, lo + BLOCK_TRIALS)
@@ -157,11 +229,22 @@ def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int,
         k = k0 + 1
         if t_k == 0 or k > BIT_DEPTH_CAP:
             continue
-        p = cond[bits_array(u, k)]
+        bits = bits_array(u, k)
+        try:
+            thresholds, base = _first_link_table(cfg.channel, t_k)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"bit {k}: {exc}") from None
+        # random() is an integer multiple of 2^-53, so w is exact.
+        w = (rng.random(u.size) * 2.0**53).astype(np.int64)
+        key = w + (bits.astype(np.int64) << 53)
+        c = np.searchsorted(thresholds, key, side="right") + base[bits]
         left = t_k
         s = np.zeros(u.size)
         for i, ratio in enumerate(llr):
-            c = rng.binomial(left, p[:, i]) if i < last else left
+            if i == last:
+                c = left
+            elif i > 0:
+                c = rng.binomial(left, cond[bits, i])
             left = left - c
             if math.isfinite(ratio):
                 s += c * ratio

@@ -1,12 +1,17 @@
 """CLI behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dyadicsearch import aurelian, info_constants, make_bac
 from dyadicsearch.cli import main
@@ -274,10 +279,11 @@ class TestPolicy:
         assert rc == 3
 
     def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys):
-        # aurelian(1e10) needs about 1e10 histogram rows for exact D: the
-        # bounds are printed and exact_d is left empty.
+        # aurelian(1e11) needs about 1e9 histogram rows for exact D even
+        # within the binary windows: the bounds are printed and exact_d is
+        # left empty.
         start = time.perf_counter()
-        rc = main(["policy", "--channel", "bsc:0.1", "--n", "10000000000", "--rule", "aurelian",
+        rc = main(["policy", "--channel", "bsc:0.1", "--n", "100000000000", "--rule", "aurelian",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert time.perf_counter() - start < 20.0
@@ -312,6 +318,16 @@ class TestNonuniform:
         _, header, rows = read_csv(tmp_path / "nonuniform.csv")
         assert float(rows[0][header.index("lipschitz_sq")]) == 4.0
         assert rows[0][header.index("inequality_ok")] == "1"
+
+    def test_count_over_sampler_budget_exits_3(self, tmp_path, capsys):
+        # 1e11 uses of bit 1 need a first-link window of about 3.2e6 counts.
+        rc = main(["nonuniform", "--channel", "bac:0.9,0.8", "--prior", "uniform",
+                   "--pattern", "100000000000,3", "--trials", "100", "--seed", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: bit 1: ") and "Traceback" not in err
+        assert not (tmp_path / "nonuniform.csv").exists()
 
     def test_misdeclared_lipschitz_rejected_at_load(self, tmp_path, capsys):
         prior_file = tmp_path / "prior.json"
@@ -380,3 +396,79 @@ class TestDeterminism:
         main(args + ["--out", str(tmp_path / "a"), "--jobs", "1"])
         main(args + ["--out", str(tmp_path / "b"), "--jobs", "4"])
         assert (tmp_path / "a" / "nonuniform.csv").read_bytes() == (tmp_path / "b" / "nonuniform.csv").read_bytes()
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, float]:
+    """Exit code, stderr and wall time of one in-process CLI run; argparse's
+    usage errors arrive as ``SystemExit`` and any other exception escapes."""
+    err = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue(), time.perf_counter() - start
+
+
+def mostly(valid, bad):
+    """An argument drawn from ``valid`` three times in four, else from ``bad``."""
+    return st.one_of(valid, valid, valid, bad)
+
+
+malformed = st.sampled_from(["", "x", "1.5", "1e3", "-", "nan", " 7"])
+huge = st.sampled_from([10**9, 10**10, 10**11, 10**12])
+count_arg = mostly(st.integers(0, 12) | huge, st.integers(-3, -1) | malformed).map(str)
+trials_arg = mostly(st.integers(1, 40), st.integers(-2, 0) | malformed).map(str)
+seed_arg = mostly(
+    st.integers(0, 3) | st.just(2**64 - 1), st.sampled_from([-1, 2**64]) | malformed
+).map(str)
+
+
+class TestMonteCarloCommandContract:
+    """Malformed and extreme arguments of the Monte-Carlo commands: every run
+    ends in exit 0, 2 or 3 within bounded time, never in a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        entries=st.lists(count_arg, max_size=4),
+        trials=trials_arg,
+        seed=seed_arg,
+        jobs=st.integers(1, 3),
+        prior=st.sampled_from(["uniform", "power:2"]),
+    )
+    @example(entries=["10000000000", "3"], trials="40", seed="1", jobs=2, prior="uniform")
+    @example(entries=["0", "100000000000"], trials="5", seed="0", jobs=1, prior="power:2")
+    @example(entries=["1000000000000"], trials="1", seed="3", jobs=3, prior="uniform")
+    def test_nonuniform(self, entries, trials, seed, jobs, prior):
+        with tempfile.TemporaryDirectory() as out:
+            rc, err, seconds = run_cli([
+                "nonuniform", "--channel", "bac:0.9,0.8", "--prior", prior,
+                "--pattern", ",".join(entries), "--trials", trials,
+                "--seed", seed, "--jobs", str(jobs), "--out", out,
+            ])
+        assert rc in (0, 2, 3), (rc, err)
+        assert "Traceback" not in err
+        assert seconds < 30.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        n=count_arg,
+        depth=mostly(st.integers(1, 3), st.integers(-1, 0)).map(str),
+        trials=trials_arg,
+        seed=seed_arg,
+        jobs=st.integers(1, 3),
+    )
+    @example(n="10000000000", depth="1", trials="40", seed="1", jobs=2)
+    @example(n="1000000000000", depth="1", trials="5", seed="2", jobs=1)
+    @example(n="10000000000", depth="2", trials="5", seed="2", jobs=1)
+    @example(n="12", depth="3", trials="40", seed=str(2**64 - 1), jobs=3)
+    def test_fig2(self, n, depth, trials, seed, jobs):
+        with tempfile.TemporaryDirectory() as out:
+            rc, err, seconds = run_cli([
+                "fig2", "--channel", "bsc:0.25", "--n", n, "--depth", depth,
+                "--trials", trials, "--seed", seed, "--jobs", str(jobs), "--out", out,
+            ])
+        assert rc in (0, 2, 3), (rc, err)
+        assert "Traceback" not in err
+        assert seconds < 30.0

@@ -224,13 +224,67 @@ class TestExactBitVariance:
 
     def test_pattern_total_refused_before_any_bit(self, cold_table):
         # 600 distinct counts near 5e5: each bit is under the per-bit budget,
-        # together they pass the pattern's, and nothing is enumerated.
-        ch = make_bac(0.9, 0.8)
+        # together they pass the pattern's, and nothing is enumerated. The
+        # Z channel's zero mass makes every bit sum all its rows.
+        ch = Z_CHANNEL
         t = pattern(list(range(500_600, 500_000, -1)))
         assert max(t.t) + 1 <= decoder.HISTOGRAM_BUDGET
         with pytest.raises(BudgetExceededError):
             exact_distortion(t, ch)
         assert decoder._LOG_FACTORIALS.size == 1
+
+    def test_window_total_refused_before_any_bit(self, cold_table):
+        # 1000 distinct counts near 1e9 on a windowed channel: each bit's
+        # window of about 2.5e5 rows is under the per-bit budget, and the
+        # windows together pass the pattern's.
+        ch = make_bac(0.9, 0.8)
+        t = pattern(list(range(10**9 + 1000, 10**9, -1)))
+        lo, hi = decoder._binary_windows(np.array(t.t), ch)
+        assert (hi - lo + 1).max() <= decoder.HISTOGRAM_BUDGET
+        assert (hi - lo + 1).sum() > decoder.PATTERN_HISTOGRAM_BUDGET
+        with pytest.raises(BudgetExceededError):
+            exact_distortion(t, ch)
+        assert decoder._LOG_FACTORIALS.size == 1
+
+    def test_window_rows_closed_form(self):
+        # The scalar count the budget checks use equals the window's size.
+        ts = np.array([0, 1, 2, 7, 50, 99, 100, 101, 3000, 10**6, 10**8 + 7, 10**10, 10**12])
+        for ch in (make_bac(0.9, 0.8), make_bsc(0.1), make_bac(0.999, 0.51)):
+            theta = decoder._window_centre(ch)
+            lo, hi = decoder._binary_windows(ts, ch)
+            assert [decoder._window_rows(t, theta) for t in ts.tolist()] == (hi - lo + 1).tolist()
+        for ch in (Z_CHANNEL, random_channel(np.random.default_rng(3), alphabet=3)):
+            assert decoder._window_centre(ch) is None
+
+    def test_windowed_bits_over_full_row_budget(self):
+        # Three bits of 1e7 uses hold 1e7 + 1 rows each, above the per-bit
+        # budget, but their certified windows sum about 2.5e4 rows. The
+        # value equals the log sum over every row, computed here in segments
+        # of 1e6 rows from a ln i! table of its own, combined by logsumexp.
+        ch, t = make_bsc(0.1), 10**7
+        assert t + 1 > decoder.HISTOGRAM_BUDGET
+        d = exact_distortion(pattern([t] * 3), ch)
+        (log_v,) = log_bit_variances([t], ch)
+        lg = np.fromiter(map(math.lgamma, np.arange(1.0, t + 2.0)), float, count=t + 1)
+        lo = np.arange(0, t + 1, 10**6)
+        hi = np.minimum(lo + 10**6 - 1, t)
+        segments, _ = decoder._binary_log_variances(np.full(lo.size, t), lo, hi, lg, ch)
+        full = float(np.logaddexp.reduce(segments))
+        assert log_v == pytest.approx(full, rel=1e-13)
+        assert d == pytest.approx(decoder.assemble_distortion([full] * 3), rel=1e-13)
+
+    def test_uncertified_window_over_full_row_budget_refused(self, monkeypatch):
+        # A window that fails its certificate falls back to every row, which
+        # stays under the full-row budget: at 2e6 uses that is a refusal.
+        def narrow(ts, ch):
+            mid = (ts // 2).astype(np.int64)
+            return mid - 2, mid + 2
+
+        monkeypatch.setattr(decoder, "_binary_windows", narrow)
+        exact_bit_variance.cache_clear()
+        with pytest.raises(BudgetExceededError, match="not certified"):
+            log_bit_variances([2 * 10**6], make_bsc(0.1))
+        exact_bit_variance.cache_clear()
 
     def test_pattern_total_admits_greedy_at_1e8(self):
         # The greedy pattern at n = 1e8 needs about 1.0001e8 rows and stays

@@ -1,6 +1,8 @@
 """Monte-Carlo estimators against the exact oracle, plus reproducibility."""
 
 import math
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dyadicsearch import (
+    BudgetExceededError,
     ChannelSpec,
     PriorSpec,
     SimConfig,
@@ -30,7 +33,16 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch.sim import BLOCK_TRIALS, PRIOR_DISTORTION
+from dyadicsearch.decoder import HISTOGRAM_BUDGET
+from dyadicsearch.sim import (
+    BLOCK_TRIALS,
+    PRIOR_DISTORTION,
+    _draw_block,
+    _first_link_table,
+    _histogram_chain,
+    _window_cdf,
+)
+from dyadicsearch.source import bits_array
 
 from conftest import Z_CHANNEL, random_moderate_channel
 
@@ -249,6 +261,92 @@ class TestSamplerProperties:
             assert values.shape == (trials,)
             assert np.all(np.isfinite(values))
             assert values.tobytes() == trial_values(cfg, jobs=3).tobytes()
+
+
+def exact_binomial_pmf(t: int, p: float) -> tuple[list[int], int]:
+    """Binomial(t, p) pmf in exact rationals, p the double as it is stored:
+    integer numerators over one common denominator."""
+    a, d = Fraction(p).as_integer_ratio()
+    return [math.comb(t, c) * a**c * (d - a) ** (t - c) for c in range(t + 1)], d**t
+
+
+def first_counts(ch: ChannelSpec, t: int, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input bit and count of symbol 0 of bit 1 in each trial of a binary
+    channel, recovered from its log-odds sum c0 lam0 + (t - c0) lam1."""
+    lam0, lam1 = _histogram_chain(ch)[1]
+    cfg = SimConfig(channel=ch, pattern=pattern([t]), prior=uniform_prior(), trials=trials, seed=seed)
+    bits, counts = [], []
+    for block in range(-(-trials // BLOCK_TRIALS)):
+        u, [(k, s)] = _draw_block(cfg, block)
+        c0 = (s - t * lam1) / (lam0 - lam1)
+        assert np.all(np.abs(c0 - np.rint(c0)) < 1e-6 * max(1.0, t * 1e-6))
+        bits.append(bits_array(u, k))
+        counts.append(np.rint(c0).astype(np.int64))
+    return np.concatenate(bits), np.concatenate(counts)
+
+
+class TestFirstLinkTable:
+    """The inverse-CDF table of the first link of ``_draw_block``: the count
+    of symbol 0, Binomial(t_k, f_b(0)), over its Hoeffding window."""
+
+    @pytest.mark.parametrize("t", [1, 7, 1000])
+    @pytest.mark.parametrize(
+        "ch", [make_bac(0.9, 0.8), make_bsc(0.25), Z_CHANNEL], ids=["bac", "bsc-0.25", "z"]
+    )
+    def test_bin_masses_match_the_binomial_pmf(self, ch, t):
+        thresholds, base = _first_link_table(ch, t)
+        rows = [_window_cdf(t, float(p)) for p in _histogram_chain(ch)[0][:, 0]]
+        assert thresholds.tolist() == rows[0][1].tolist() + (rows[1][1] + 2**53).tolist()
+        assert base.tolist() == [rows[0][0], rows[1][0] - rows[0][1].size]
+        for b, (lo, edges) in enumerate(rows):
+            p = float(_histogram_chain(ch)[0][b, 0])
+            assert p == (ch.f0, ch.f1)[b][0]
+            masses = np.diff(np.concatenate([[0], edges, [2**53]])) / 2.0**53
+            pmf, whole = exact_binomial_pmf(t, p)
+            window = pmf[lo : lo + masses.size]
+            assert np.max(np.abs(masses - np.array([x / whole for x in window]))) <= 1e-15, b
+            # Hoeffding: the counts left out carry at most 2 e^-50.
+            assert (whole - sum(window)) / whole <= 2.0 * math.exp(-50.0)
+            assert lo + masses.size - 1 <= t and all(abs(c - t * p) < 5.0 * math.sqrt(t)
+                                                     for c in (lo, lo + masses.size - 1))
+
+    def test_counts_have_binomial_mean_and_variance(self):
+        ch, t, trials = make_bac(0.9, 0.8), 10**4, 200_000
+        bits, counts = first_counts(ch, t, trials, seed=77)
+        thresholds, base = _first_link_table(ch, t)
+        for b in (0, 1):
+            lo, edges = _window_cdf(t, float(_histogram_chain(ch)[0][b, 0]))
+            sent = counts[bits == b]
+            assert lo <= sent.min() and sent.max() <= lo + edges.size
+            p = (ch.f0, ch.f1)[b][0]
+            var = t * p * (1.0 - p)
+            fourth = var * (1.0 + 3.0 * (t - 2) * p * (1.0 - p))  # central moment
+            n = sent.size
+            assert abs(sent.mean() - t * p) <= 5.0 * math.sqrt(var / n), b
+            assert abs(sent.var(ddof=1) - var) <= 5.0 * math.sqrt((fourth - var**2) / n), b
+
+    def test_huge_count_in_bounded_time(self):
+        # 1e10 uses: a window of 1e6 - 1 counts per input, built and
+        # searched for 4096 trials in well under a second on two cores.
+        ch, t = make_bac(0.9, 0.8), 10**10
+        _first_link_table.cache_clear()
+        start = time.perf_counter()
+        bits, counts = first_counts(ch, t, BLOCK_TRIALS, seed=5)
+        assert time.perf_counter() - start < 5.0
+        for b in (0, 1):
+            p = (ch.f0, ch.f1)[b][0]
+            sent = counts[bits == b]
+            assert abs(sent.mean() - t * p) <= 5.0 * math.sqrt(t * p * (1.0 - p) / sent.size)
+        assert _first_link_table(ch, t)[0].size <= 2 * HISTOGRAM_BUDGET
+        _first_link_table.cache_clear()
+
+    def test_window_over_budget_refused_naming_the_bit(self):
+        # 1e11 uses need a window of about 3.2e6 counts: refused, not drawn.
+        cfg = rb_config(make_bac(0.9, 0.8), pattern([3, 10**11]), trials=10, seed=1)
+        with pytest.raises(BudgetExceededError, match="^bit 2: "):
+            _draw_block(cfg, 0)
+        with pytest.raises(BudgetExceededError):
+            _window_cdf(10**11, 0.5)
 
 
 class TestAurelianSweep:
