@@ -15,11 +15,11 @@ lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
 error (an --out that cannot be written included), 3 budget refusal (an
 enumeration too large, a Monte-Carlo bit whose first-link window holds more
-than ``decoder.HISTOGRAM_BUDGET`` counts, or a Monte-Carlo estimate that has
-lost all precision). A ``fig3 --mode exact`` row whose D or U underflows the double
-range prints 0.0 there, and its ln(D)/sqrt(n) and ln(U)/sqrt(n) columns come
-from the log-domain sums; ``policy`` prints ln D beside D and records ln D,
-ln U and ln L in its manifest.
+than ``decoder.HISTOGRAM_BUDGET`` counts, or a ``fig3 --mode mc`` mean that
+underflows the double range). A ``fig3 --mode exact`` row whose D or U
+underflows the double range prints 0.0 there, and its ln(D)/sqrt(n) and
+ln(U)/sqrt(n) columns come from the log-domain sums; ``policy`` prints ln D
+beside D and records ln D, ln U and ln L in its manifest.
 """
 
 from __future__ import annotations
@@ -427,7 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default="out", help="output directory (default: out)")
         if seed:
-            p.add_argument("--jobs", type=int, default=1, help="worker threads (result-invariant)")
+            p.add_argument(
+                "--jobs", type=int, default=1,
+                help="accepted for compatibility (>= 1); the simulator runs in one thread",
+            )
 
     p_info = sub.add_parser("info", help="channel constants")
     add_common(p_info)

@@ -11,10 +11,10 @@ closed form; bits beyond the tracked depth sit at their prior 1/2 and their
 contribution is summed analytically.
 
 Two forms of the same decoder live here. The array kernel (``_sigmoid``,
-``_stable_pq``, ``_uniform_estimate``) works on log-odds: the log-odds of bit
-k is the sum of the log-likelihood ratios ln(f1(y)/f0(y)) of its outputs, so
-a whole block of trials decodes with a few vectorised operations. The
-simulator uses it. The scalar forms
+``_uniform_estimate``) works on log-odds: the log-odds of bit k is the sum
+of the log-likelihood ratios ln(f1(y)/f0(y)) of its outputs, so a whole
+block of trials decodes with a few vectorised operations. The simulator's
+squared-error statistic uses it. The scalar forms
 (``posterior_update``, ``mmse_estimate``, ``conditional_distortion``,
 ``PosteriorState``) update one posterior at a time by Bayes' rule; they are
 the independent oracles the kernel is tested against.
@@ -161,12 +161,6 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
     then inf/inf, so its invalid-value warning is silenced too."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(s >= 0.0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
-
-
-def _stable_pq(s: np.ndarray) -> np.ndarray:
-    # p (1 - p) for p = sigmoid(s), computed as e^{-|s|} / (1 + e^{-|s|})^2.
-    e = np.exp(-np.abs(s))
-    return e / (1.0 + e) ** 2
 
 
 def _uniform_estimate(u_size: int, sums: list[tuple[int, np.ndarray]]) -> np.ndarray:

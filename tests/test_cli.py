@@ -171,14 +171,21 @@ class TestFig3:
                    "--mode", "mc", "--out", str(tmp_path)])
         assert rc == 2
 
-    def test_mc_mode_refuses_nonpositive_estimate(self, tmp_path, capsys):
-        # At n = 2000 the Rao-Blackwell sum cancels below zero on this channel.
-        rc = main(["fig3", "--channel", "bac:0.9,0.8", "--mode", "mc", "--n-max", "2000",
-                   "--step", "2000", "--trials", "8192", "--seed", "1", "--out", str(tmp_path)])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert "n=2000" in err and "--mode exact" in err
-        assert not (tmp_path / "fig3.csv").exists()
+    def test_mc_mode_row_at_2000_agrees_with_exact(self, tmp_path):
+        # The Rao-Blackwell sum this estimator replaced cancelled below zero
+        # here (-4.6e-18 against an exact 1.30e-18) and the command exited 3.
+        argv = ["fig3", "--channel", "bac:0.9,0.8", "--n-max", "2000", "--trials", "8192",
+                "--seed", "1"]
+        for step in ("2000", "500"):
+            out = tmp_path / f"mc-{step}"
+            assert main(argv + ["--step", step, "--mode", "mc", "--out", str(out)]) == 0
+        assert main(argv + ["--step", "2000", "--mode", "exact", "--out", str(tmp_path / "exact")]) == 0
+        _, header, (mc,) = read_csv(tmp_path / "mc-2000" / "fig3.csv")
+        _, _, (exact,) = read_csv(tmp_path / "exact" / "fig3.csv")
+        d, se, d_exact = (float(row[header.index(c)]) for row, c in ((mc, "d"), (mc, "d_stderr"), (exact, "d")))
+        assert 0.0 < se and abs(d - d_exact) <= 3.0 * se
+        _, _, rows = read_csv(tmp_path / "mc-500" / "fig3.csv")
+        assert rows[-1] == mc
 
     def test_exact_mode_refuses_underflowed_row(self, tmp_path):
         # D and U at n = 1e6 lie below the smallest double (ln D is about

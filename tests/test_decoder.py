@@ -30,9 +30,9 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, efficient_search, info_constants
-from dyadicsearch.decoder import _safe_log, _sigmoid, _stable_pq, _uniform_estimate
+from dyadicsearch.decoder import _safe_log, _sigmoid, _uniform_estimate
 from dyadicsearch.policy import compositions
-from dyadicsearch.sim import _draw_block
+from dyadicsearch.sim import _block_rng, _draw_block, _draw_llr, _first_link_table, _tilt
 
 from conftest import bench_reference, bumped, random_channel
 
@@ -67,6 +67,12 @@ def recursive_histograms(t: int, m: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+def stable_pq(s: np.ndarray) -> np.ndarray:
+    """p (1 - p) for p = sigmoid(s), as e^-|s| / (1 + e^-|s|)^2."""
+    e = np.exp(-np.abs(s))
+    return e / (1.0 + e) ** 2
+
+
 def linear_bit_variance(t: int, ch: ChannelSpec, lg: np.ndarray) -> float:
     """The linear-domain kernel the log-domain one replaced: over every
     histogram (rows (t - j, j) for two symbols, else the recursive
@@ -83,7 +89,7 @@ def linear_bit_variance(t: int, ch: ChannelSpec, lg: np.ndarray) -> float:
     lp0 = log_mult + H @ _safe_log(ch.f0)
     lp1 = log_mult + H @ _safe_log(ch.f1)
     weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)
-    return float(np.sum(weight * _stable_pq(lp1 - lp0)))
+    return float(np.sum(weight * stable_pq(lp1 - lp0)))
 
 
 def close_to_linear(value: float, linear: float) -> bool:
@@ -506,13 +512,36 @@ class TestArrayKernelAgainstScalarOracle:
         ids=["bac-6-3-1", "bsc-with-skipped-bit", "bac-depth-5"],
     )
     def test_simulated_trials_match_scalar_decoder(self, ch, counts):
-        # Binary outputs: the log-odds sum of bit k fixes how many of its t_k
-        # outputs were 1, which is all the scalar recursion needs.
+        # Under the uniform prior bit k adds 4^-k P0(h) sigma(L_h) / (2 P_s(h))
+        # for its histogram h drawn from the tilted law f_s, whose mean is
+        # 4^-k V(t_k); the bits without uses add 4^-k / 4 and the tail
+        # 4^-q / 12. The draws are replayed from block 0's stream. Binary
+        # outputs: the log-odds sum of bit k fixes how many of its t_k
+        # outputs were 1, which is all the scalar pmfs and the scalar
+        # recursion need.
         cfg = SimConfig(channel=ch, pattern=pattern(counts), prior=uniform_prior(), trials=300, seed=21)
-        rb = trial_values(cfg)
+        values = trial_values(cfg)
+        llr0, llr1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
+        tilt = _tilt(ch)
+        f_s = [a ** (1.0 - tilt.s) * b**tilt.s for a, b in zip(ch.f0, ch.f1)]
+        f_s = [x / math.fsum(f_s) for x in f_s]
+        shared = math.fsum([0.25 * 4.0**-k for k, t_k in enumerate(counts, 1) if t_k == 0])
+        expected = [shared + 4.0 ** -len(counts) / 12.0] * values.size
+        rng = _block_rng(21, 0)
+        for k, t_k in enumerate(counts, 1):
+            if t_k == 0:
+                continue
+            table = _first_link_table(ch, t_k, True)
+            s = _draw_llr(rng, values.size, t_k, table, tilt.cond, (llr0, llr1), 0)
+            for i in range(values.size):
+                ones = round((s[i] - t_k * llr0) / (llr1 - llr0))
+                p0, p1, ps = (math.comb(t_k, ones) * f[1] ** ones * f[0] ** (t_k - ones)
+                              for f in (ch.f0, ch.f1, f_s))
+                expected[i] += 4.0**-k * p0 * (p1 / (p0 + p1)) / (2.0 * ps)
+        assert values.tolist() == pytest.approx(expected, rel=1e-12)
+
         u, sums = _draw_block(cfg, 0)
         u_hat = _uniform_estimate(u.size, sums)
-        llr0, llr1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
         by_bit = dict(sums)
         for i in range(u.size):
             p = [0.5] * len(counts)
@@ -522,5 +551,4 @@ class TestArrayKernelAgainstScalarOracle:
                 for y in [1] * ones + [0] * (t_k - ones):
                     p[k - 1] = posterior_update(p[k - 1], y, ch)
             state = PosteriorState(tuple(p))
-            assert rb[i] == pytest.approx(conditional_distortion(state), rel=1e-12)
             assert u_hat[i] == pytest.approx(mmse_estimate(state), rel=1e-12)
