@@ -5,8 +5,11 @@ chosen number of times each through a noisy binary-input channel and decoded
 by per-bit Bayesian posteriors. The package computes the distortion bounds
 driven by the channel's Chernoff information and mean absolute log-likelihood
 ratio, searches for bound-minimizing repetition patterns, constructs the
-staircase (Aurelian) policy achieving the exp(-A2 sqrt(n)) rate, and
-validates everything by exact computation and Monte-Carlo simulation.
+staircase (Aurelian) policy, and validates everything by exact computation
+and Monte-Carlo simulation. The staircase's upper bound decays like
+exp(-A2 sqrt(n)) with A2 = sqrt(2r) C, r = floor(ln4 / C); that is below
+the optimal rate sqrt(2 C ln4) of the U-minimizing pattern unless ln4 / C
+is an integer.
 """
 
 __version__ = "0.1.0"

@@ -72,6 +72,9 @@ SCHEMA_VERSION = "v1"
 # mixture mean), so `info` prints both for comparison.
 _QUOTED_BAC_CONSTANTS = {"C": 0.77, "B": 2.08}
 _REFERENCE_OPTIMUM_N10_D3 = "6,3,1"
+# Counts shown at each end of a long pattern on stdout; the CSV and the
+# manifest keep the whole pattern.
+_SHOWN_COUNTS = 5
 
 
 @dataclass
@@ -90,14 +93,6 @@ class RunManifest:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(
     path: Path,
     schema: str,
@@ -110,10 +105,11 @@ def _write_csv(
         f.write(f"# schema: dyadicsearch/{schema}-{SCHEMA_VERSION}\n")
         f.write(f"# manifest: {manifest_name}\n")
         f.write(f"# channel: {channel.describe()}\n")
+        # csv writes a float by repr and any other cell by str; callers
+        # give flags as 0/1.
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
 
 
 def _parse_prior(text: str):
@@ -242,7 +238,7 @@ def cmd_fig2(args) -> int:
     table = [
         [
             str(r["pattern"]), r["L"], r["U"], r["exact_d"], r["mc_mean"], r["mc_stderr"],
-            i == argmins["L"], i == argmins["U"], i == argmins["exact_d"], i == argmins["mc_mean"],
+            *(int(i == argmins[key]) for key in ("L", "U", "exact_d", "mc_mean")),
             rank[i],
         ]
         for i, r in enumerate(rows)
@@ -344,6 +340,15 @@ def _resolve_rule(rule: str, n: int, ch: ChannelSpec) -> TransmissionPattern:
     raise ValidationError(f"unknown rule {rule!r} (aurelian | greedy | exhaustive:<depth>)")
 
 
+def _pattern_summary(pat: TransmissionPattern) -> str:
+    """The pattern for stdout: whole up to 4 ``_SHOWN_COUNTS`` counts, else
+    its first and last ``_SHOWN_COUNTS`` around an ellipsis."""
+    if pat.q <= 4 * _SHOWN_COUNTS:
+        return str(pat)
+    ends = (pat.t[:_SHOWN_COUNTS], ("...",), pat.t[-_SHOWN_COUNTS:])
+    return ",".join(str(c) for part in ends for c in part)
+
+
 def cmd_policy(args) -> int:
     start = time.perf_counter()
     cache_before = exact_bit_variance.cache_info()
@@ -359,7 +364,7 @@ def cmd_policy(args) -> int:
     exact_d: float | str = "" if log_v is None else assemble_distortion(log_v)
     eff = check_efficient_properties(pat, consts.r_real)
     cor = depth_bounds(pat, consts.r)
-    print(f"rule {args.rule}, n={args.n}: pattern ({pat}) depth q={pat.q}")
+    print(f"rule {args.rule}, n={args.n}: pattern ({_pattern_summary(pat)}) depth q={pat.q}")
     logs = {"ln_U": log_upper_bound(pat, consts.C), "ln_L": log_lower_bound(pat, consts.B)}
     exact_text = ""
     if log_v is not None:
@@ -373,7 +378,7 @@ def cmd_policy(args) -> int:
     header = ["rule", "n", "pattern", "q", "U", "L", "exact_d",
               "no_gap", "spacing", "t1_bound", "q_bound"]
     row = [args.rule, args.n, str(pat), pat.q, u, l, exact_d,
-           eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound]
+           *map(int, (eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound))]
     config = {"n": args.n, "rule": args.rule}
     findings = {
         "pattern": str(pat),
@@ -398,7 +403,7 @@ def cmd_nonuniform(args) -> int:
     ]
     row = [
         report.uniform_mse, report.uniform_se, report.original_mse, report.original_se,
-        report.lipschitz_sq, report.margin_mean, report.margin_se, report.inequality_ok,
+        report.lipschitz_sq, report.margin_mean, report.margin_se, int(report.inequality_ok),
     ]
     config = {"prior": args.prior, "pattern": args.pattern, "trials": args.trials}
     findings = {"inequality_ok": report.inequality_ok}

@@ -25,6 +25,10 @@ an exact finite sum over the C(t+m-1, m-1) histograms of an m-symbol
 alphabet (t+1 terms for binary channels). The sum is kept in log space,
 because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
 
+* merge: output symbols of equal ratio f1/f0 are merged first, their
+  masses summed (``_merge_tied_outputs``). V(t) is unchanged; the rows, the
+  cache and the budgets are the merged channel's, and a channel that merges
+  to two symbols takes the binary window below;
 * identity: a histogram h weighs (P(h|0) + P(h|1))/2, and times its
   posterior variance that is P(h|0) sigmoid(L_h) / 2 with
   L_h = ln P(h|1)/P(h|0), so its log term is
@@ -45,7 +49,8 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   value does not depend on the bits it shares a chunk with;
 * cost: a binary bit costs O(min(t, sqrt t)) rows, so the greedy pattern
   at n = 1e8 sums 7.1e6 rows in place of 1e8; an m-ary bit costs its
-  C(t+m-1, m-1) rows, built by stars and bars (``policy.compositions``);
+  C(t+m-1, m-1) rows, built in numpy for all the bits of a chunk at once
+  (``policy.composition_rows``);
 * budgets: a bit may sum at most ``HISTOGRAM_BUDGET`` rows and a pattern's
   distinct counts at most ``PATTERN_HISTOGRAM_BUDGET`` together. A windowed
   binary bit counts its window's rows, so binary bits up to about 1.5e10
@@ -75,7 +80,7 @@ import numpy as np
 
 from .channel import LN4, ChannelSpec
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, _logsumexp, compositions
+from .policy import TransmissionPattern, _logsumexp, composition_counts, composition_rows
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
@@ -200,6 +205,37 @@ def _log_factorial_at(lg: np.ndarray, i: np.ndarray) -> np.ndarray:
 
 def _safe_log(masses: tuple[float, ...]) -> np.ndarray:
     return np.array([math.log(p) if p > 0.0 else _LOG_ZERO for p in masses])
+
+
+def _merge_tied_outputs(ch: ChannelSpec) -> ChannelSpec:
+    """``ch`` with its output symbols of equal ratio f1/f0 merged into one,
+    their f0 and f1 masses summed; ``ch`` itself where no two tie, or where
+    all do (a pure-noise channel, which needs two symbols to stay one).
+
+    The merge is lossless. Symbols of equal ratio add the same amount to a
+    histogram's log-likelihood ratio L_h, so the histograms that differ only
+    in how they split a count among them share one L_h, and by the
+    multinomial theorem their P(h|0) and P(h|1) add up to those of the
+    merged count under the summed masses. So V(t) is the same sum over
+    fewer rows, and C and B are unchanged. The key f1/f0 is +inf where f0
+    is zero; the label kept is the first of the merged symbols.
+    """
+    if len(ch.outputs) == 2:  # two symbols either differ or all tie
+        return ch
+    first: dict[float, int] = {}
+    outputs, f0, f1 = [], [], []
+    for y, a, b in zip(ch.outputs, ch.f0, ch.f1):
+        i = first.setdefault(b / a if a > 0.0 else math.inf, len(outputs))
+        if i == len(outputs):
+            outputs.append(y)
+            f0.append(a)
+            f1.append(b)
+        else:
+            f0[i] += a
+            f1[i] += b
+    if 2 <= len(outputs) < len(ch.outputs):
+        return ChannelSpec(outputs=tuple(outputs), f0=tuple(f0), f1=tuple(f1))
+    return ch
 
 
 def _chunks(sizes: list[int]) -> Iterator[slice]:
@@ -334,10 +370,10 @@ def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
             log_v[redo] = _binary_log_variances(full, np.zeros_like(full), full, lg, ch)[0]
         return log_v
     log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
-    sizes = np.array([math.comb(t + m - 1, m - 1) for t in ts.tolist()])
+    sizes = composition_counts(ts, m)
     log_v = np.empty(ts.size)
     for part in _chunks(sizes.tolist()):
-        H = np.concatenate([rows for t in ts[part].tolist() for rows in compositions(t, m)])
+        H = composition_rows(ts[part], m)
         log_mult = lg[np.repeat(ts[part], sizes[part])] - lg[H].sum(axis=1)
         log_v[part] = _segment_log_sums(H, log_mult, sizes[part], log_f)[0]
     return log_v
@@ -392,6 +428,7 @@ class _BitVarianceOracle:
     def log_values(self, counts: Iterable[int], ch: ChannelSpec) -> list[float]:
         """ln V(t) for every count, the uncached ones computed in one pass."""
         counts = list(counts)
+        ch = _merge_tied_outputs(ch)
         known = self._log_v.setdefault(ch, {})
         new: dict[int, None] = {}
         for t in counts:
@@ -424,6 +461,7 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     pattern sum to about its budget n. A windowed binary bit counts its
     window's rows (``_window_rows``), computed only where the full rows
     exceed the budget. (Plain loops: the sweep calls this every row.)"""
+    ch = _merge_tied_outputs(ch)
     m1 = len(ch.outputs) - 1
     distinct = set(counts)
     total = 0

@@ -156,27 +156,83 @@ def pattern_count(n: int, max_depth: int) -> int:
     return math.comb(n + max_depth - 1, max_depth - 1)
 
 
+def composition_counts(totals: np.ndarray, parts: int) -> np.ndarray:
+    """C(t + parts - 1, parts - 1) for each total t: how many rows
+    ``composition_rows`` gives it."""
+    count = np.ones_like(totals)
+    for i in range(1, parts):
+        count = count * (totals + i) // i  # C(t + i, i), exact at every step
+    return count
+
+
+def composition_rows(totals: Sequence[int] | np.ndarray, parts: int) -> np.ndarray:
+    """Every composition of each total into ``parts`` non-negative parts, one
+    per int64 row: lexicographic within a total, the totals' blocks
+    concatenated in input order.
+
+    Part 0 of a total t runs over 0..t, and the rows whose part 0 is a go on
+    with the (parts - 1)-part compositions of t - a. So each level turns
+    every total left into the values of its next part, an ``np.repeat`` of
+    the totals minus ``arange`` offsets, and the last part is what is left
+    after the others. A value of part j stands once for every composition
+    of what is left after it, and is repeated that many times.
+    """
+    left = np.asarray(totals, dtype=np.int64)
+    levels = []
+    for _ in range(parts - 1):
+        width = left + 1
+        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        left = np.repeat(left, width) - part
+        levels.append((part, left))
+    rows = np.empty((left.size, parts), dtype=np.int64)
+    rows[:, -1] = left
+    for j, (part, after) in enumerate(levels):
+        rows[:, j] = np.repeat(part, composition_counts(after, parts - 1 - j))
+    return rows
+
+
+def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:
+    """``composition_rows([n], depth)`` in consecutive pieces of at most
+    ``COMPOSITION_ROWS`` rows: a run of first parts whose rows fit together
+    is one call on the totals left after them, and a first part with more
+    rows than that splits the parts after it the same way."""
+    if math.comb(n + depth - 1, depth - 1) <= COMPOSITION_ROWS:
+        yield composition_rows([n], depth)
+        return
+    firsts = np.arange(n + 1)
+    sizes = composition_counts(n - firsts, depth - 1)
+    ends = np.cumsum(sizes)
+    a = 0
+    while a <= n:
+        b = int(np.searchsorted(ends, ends[a] - sizes[a] + COMPOSITION_ROWS, side="right"))
+        if b == a:
+            for rows in _bounded_rows(n - a, depth - 1):
+                yield np.column_stack([np.full(len(rows), a), rows])
+            b = a + 1
+        else:
+            rest = composition_rows(n - firsts[a:b], depth - 1)
+            yield np.column_stack([np.repeat(firsts[a:b], sizes[a:b]), rest])
+        a = b
+
+
 def compositions(n: int, depth: int) -> Iterator[np.ndarray]:
     """All compositions of n into ``depth`` parts, in lexicographic order.
 
-    Stars and bars: each ascending choice of depth - 1 bar positions among
-    n + depth - 1 slots is one composition, its parts the gaps between bars,
-    and ascending bar positions give lexicographic order. Yields int64
-    arrays of at most ``COMPOSITION_ROWS`` compositions, one per row.
+    Yields int64 arrays of ``COMPOSITION_ROWS`` compositions, one per row,
+    the last holding the rest. The rows are ``composition_rows([n],
+    depth)``, built in pieces of at most that many rows, so a scan over the
+    ``PATTERN_BUDGET`` compositions holds two blocks at a time.
     """
-    if depth == 1:
-        yield np.array([[n]], dtype=np.int64)
-        return
-    total = n + depth - 1
-    bars = itertools.combinations(range(total), depth - 1)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(bars, COMPOSITION_ROWS)), dtype=np.int64
-        )
-        if not flat.size:
-            return
-        edges = np.pad(flat.reshape(-1, depth - 1), ((0, 0), (1, 1)), constant_values=(-1, total))
-        yield np.diff(edges, axis=1) - 1
+    held, size = [], 0
+    for rows in _bounded_rows(n, depth):
+        held.append(rows)
+        size += len(rows)
+        if size >= COMPOSITION_ROWS:  # each piece fits a block, so one block is full
+            rows = np.concatenate(held)
+            yield rows[:COMPOSITION_ROWS]
+            held, size = [rows[COMPOSITION_ROWS:]], size - COMPOSITION_ROWS
+    if size:
+        yield np.concatenate(held)
 
 
 def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicsearch import aurelian, info_constants, make_bac
-from dyadicsearch.cli import main
+from dyadicsearch import aurelian, info_constants, load_channel, make_bac
+from dyadicsearch.cli import _pattern_summary, main
 from dyadicsearch.decoder import exact_bit_variance
-from dyadicsearch.policy import aurelian_steps
+from dyadicsearch.policy import aurelian_steps, pattern
 
 from conftest import bench_reference
 
@@ -299,6 +299,26 @@ class TestPolicy:
         manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
         assert manifest["findings"]["oracle_cache"] == {"hits": 0, "misses": 0}
         assert "ln_exact_d" not in manifest["findings"] and "ln_U" in manifest["findings"]
+
+    def test_long_pattern_stdout_bounded(self, tmp_path, capsys):
+        # q = 316227: stdout shows q and the first and last five counts; the
+        # CSV and the manifest keep every count.
+        rc = main(["policy", "--channel", "bsc:0.1", "--n", "100000000000", "--rule", "aurelian",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 4096
+        full = aurelian(10**11, info_constants(load_channel("bsc:0.1"))).t
+        shown = ",".join(map(str, [*full[:5], "...", *full[-5:]]))
+        assert f"pattern ({shown}) depth q={len(full)}" in out
+        # The pattern cell is past csv's default field size limit.
+        data = (tmp_path / "policy.csv").read_text().splitlines()[-1]
+        assert data.split('"')[1] == ",".join(map(str, full))
+        manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
+        assert manifest["findings"]["pattern"] == data.split('"')[1]
+        # Up to 20 counts stdout shows the whole pattern.
+        assert _pattern_summary(pattern(range(20, 0, -1))) == ",".join(map(str, range(20, 0, -1)))
+        assert _pattern_summary(pattern(range(21, 0, -1))) == "21,20,19,18,17,...,5,4,3,2,1"
 
     def test_unknown_rule(self, tmp_path):
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "5", "--rule", "magic",

@@ -31,7 +31,7 @@ from dyadicsearch import (
 )
 from dyadicsearch import decoder, efficient_search, info_constants
 from dyadicsearch.decoder import _safe_log, _sigmoid, _uniform_estimate
-from dyadicsearch.policy import compositions
+from dyadicsearch.policy import composition_rows, compositions
 from dyadicsearch.sim import _block_rng, _draw_block, _draw_llr, _first_link_table, _tilt
 
 from conftest import bench_reference, bumped, random_channel
@@ -307,8 +307,8 @@ class TestExactBitVariance:
 
 
 class TestSharedTableKernel:
-    """The log-domain kernel over the shared ln i! table and stars-and-bars
-    rows against the linear-domain kernel it replaced."""
+    """The log-domain kernel over the shared ln i! table and the batched
+    composition rows against the linear-domain kernel it replaced."""
 
     _rng = np.random.default_rng(20261018)
 
@@ -349,6 +349,32 @@ class TestSharedTableKernel:
             assert H.shape == (math.comb(t + m - 1, m - 1), m)
             assert np.array_equal(H, recursive_histograms(t, m))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_batched_rows_match_recursive_enumerator(self, m):
+        # Several totals in one call: zeros, mixed sizes and one total with
+        # more rows than a chunk, each block in input order.
+        big = next(t for t in itertools.count() if math.comb(t + m - 1, m - 1) > decoder.CHUNK_ROWS)
+        totals = [0, 3, 0, 1, big, 7, 2, 12]
+        H = composition_rows(np.array(totals), m)
+        assert H.dtype == np.int64
+        assert np.array_equal(H, np.concatenate([recursive_histograms(t, m) for t in totals]))
+
+    def test_ternary_call_order_independent(self, cold_table):
+        # The m-ary twin of test_call_order_independent: a count's ln V is
+        # the same alone, in one call with every other count, and in that
+        # call reversed, which chunks the counts differently. Count 130 has
+        # more rows than a chunk.
+        ch = random_channel(np.random.default_rng(7), alphabet=3)
+        counts = [*range(1, 41), 130]
+        together = log_bit_variances(counts, ch)
+        exact_bit_variance.cache_clear()
+        backwards = log_bit_variances(counts[::-1], ch)[::-1]
+        alone = []
+        for t in counts:
+            exact_bit_variance.cache_clear()
+            alone.append(log_bit_variances([t], ch)[0])
+        assert together == backwards == alone
+
     def test_lgamma_calls_bounded_by_deepest_bit(self, monkeypatch, cold_table):
         calls = []
 
@@ -368,6 +394,50 @@ class TestSharedTableKernel:
 
 
 Z_CHANNEL = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.3, 0.7))
+# Symbols 1 and 2 share the ratio f1/f0 = 2: merged, a 3-symbol channel.
+TIED_4 = ChannelSpec(outputs=(0, 1, 2, 3), f0=(0.4, 0.2, 0.1, 0.3), f1=(0.1, 0.4, 0.2, 0.3))
+# Symbols 1 and 2 share the ratio 1.6: merged, a binary channel.
+TIED_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.25, 0.25), f1=(0.2, 0.4, 0.4))
+
+
+class TestTiedOutputMerge:
+    """Output symbols of equal ratio f1/f0 are merged before the oracle
+    enumerates any row."""
+
+    def test_merged_channels(self):
+        merged = decoder._merge_tied_outputs(TIED_4)
+        assert merged.outputs == (0, 1, 3)
+        assert merged.f0 == (0.4, 0.2 + 0.1, 0.3) and merged.f1 == (0.1, 0.4 + 0.2, 0.3)
+        binary = decoder._merge_tied_outputs(TIED_3)
+        assert binary.outputs == (0, 1) and binary.f0 == (0.5, 0.5) and binary.f1 == (0.2, 0.8)
+        assert decoder._window_centre(binary) is not None  # the windowed binary path
+        noise = ChannelSpec(outputs=(0, 1, 2), f0=(0.2, 0.3, 0.5), f1=(0.2, 0.3, 0.5))
+        ternary = random_channel(np.random.default_rng(1), alphabet=3)
+        near = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.25, 0.25), f1=(0.2, 0.4 - 1e-12, 0.4 + 1e-12))
+        for ch in (make_bac(0.9, 0.8), Z_CHANNEL, ternary, noise, near):
+            assert decoder._merge_tied_outputs(ch) is ch
+
+    # Past t of about 300 the ln multinomial terms, of size t ln t, carry a
+    # rounding above 1e-13 relative in either sum (3e-13 against a 40-digit
+    # reference at t = 900 on TIED_3), so the comparison stops below it.
+    @pytest.mark.parametrize("ch, t_max", [(TIED_4, 120), (TIED_3, 250)], ids=["4-to-3", "3-to-2"])
+    def test_equals_unmerged_full_sum(self, ch, t_max, cold_table):
+        ts = np.arange(1, t_max + 1)
+        unmerged = decoder._log_variance_pass(ts, ch)
+        merged = np.array(log_bit_variances(ts.tolist(), ch))
+        assert np.abs(np.expm1(merged - unmerged)).max() <= 1e-13
+
+    def test_budgets_count_merged_rows(self, cold_table):
+        # 200 counts from 1600: unmerged, each bit has over 1.28e6 ternary
+        # rows, past the per-bit budget, and the pattern about 2.9e8, past
+        # the pattern's. Merged, each is a binary bit of at most t + 1 rows.
+        counts = list(range(1600, 1800))
+        assert math.comb(1600 + 2, 2) > decoder.HISTOGRAM_BUDGET
+        assert sum(math.comb(t + 2, 2) for t in counts) > decoder.PATTERN_HISTOGRAM_BUDGET
+        log_v = log_bit_variances(counts, TIED_3)
+        assert all(math.isfinite(v) for v in log_v)
+        # C(303, 3) = 4.6e6 rows unmerged, C(302, 2) = 45 451 merged.
+        assert math.isfinite(log_bit_variances([300], TIED_4)[0])
 
 
 class TestLogKernel:
