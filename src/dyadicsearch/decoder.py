@@ -11,7 +11,7 @@ closed form; bits beyond the tracked depth sit at their prior 1/2 and their
 contribution is summed analytically.
 
 Two forms of the same decoder live here. The array kernel (``_sigmoid``,
-``_uniform_estimate``) works on log-odds: the log-odds of bit k is the sum
+``_bit_offset``) works on log-odds: the log-odds of bit k is the sum
 of the log-likelihood ratios ln(f1(y)/f0(y)) of its outputs, so a whole
 block of trials decodes with a few vectorised operations. The simulator's
 squared-error statistic uses it. The scalar forms
@@ -168,12 +168,10 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
         return np.where(s >= 0.0, 1.0 / (1.0 + np.exp(-s)), np.exp(s) / (1.0 + np.exp(s)))
 
 
-def _uniform_estimate(u_size: int, sums: list[tuple[int, np.ndarray]]) -> np.ndarray:
-    """MMSE decode 1/2 + sum_k (p_k - 1/2) 2^(-k) from per-bit log-odds sums."""
-    est = np.full(u_size, 0.5)
-    for k, s in sums:
-        est += (_sigmoid(s) - 0.5) * 2.0**-k
-    return est
+def _bit_offset(s: np.ndarray, k: int) -> np.ndarray:
+    """Bit k's term (p_k - 1/2) 2^(-k) of the MMSE decode
+    1/2 + sum_k (p_k - 1/2) 2^(-k), p_k = sigmoid(s) from its log-odds sum s."""
+    return (_sigmoid(s) - 0.5) * 2.0**-k
 
 
 # ln i! = math.lgamma(i + 1.0) for i = 0, 1, ..., len - 1, shared by every

@@ -4,11 +4,24 @@ The channel is memoryless, so the decoder sees a bit's t_k outputs only
 through their output histogram; the sampler draws that histogram directly,
 as a chain of m - 1 conditional binomials per bit (``_draw_llr``), and never
 the t_k outputs one by one. The first link, the count of symbol 0, is drawn
-by inverse CDF: one uniform per trial searched in a cached table of
-Binomial(t_k, p) over the Hoeffding window |c - t_k p| < 5 sqrt(t_k), which
-leaves out at most 2 e^-50 of mass. A bit whose window holds more than
+by inverse CDF from a table of Binomial(t_k, p) over the Hoeffding window
+|c - t_k p| < 5 sqrt(t_k), which leaves out at most 2 e^-50 of mass: one
+53-bit integer per trial, the top bits of one raw Philox output, is looked
+up through a guide on its top bits and a few fixed lifting steps
+(``_first_link_table``). A bit whose window holds more than
 ``decoder.HISTOGRAM_BUDGET`` counts (t_k above about 1e10) is refused with
-``BudgetExceededError``. The prior picks the per-trial statistic:
+``BudgetExceededError``.
+
+On a binary channel the count of symbol 0 is all the decoder sees of a
+bit, so each trial's term for that bit is a function of the count's table
+index: the term is evaluated once per index on the table's
+log-likelihood ratios, and each trial gathers it (``_add_bit_values``). On
+an m-ary channel the table gives the first link's part of the ratio, and
+the other links and the term are computed per trial. Both give each trial
+the same double as computing it per trial, from the same draws as
+``random()`` scaled by 2^53 and a binary search gave, so the random stream
+and every output byte are those of that per-trial kernel. The prior picks
+the per-trial statistic:
 
 * uniform prior: importance sampling at the Chernoff tilt
   (``_tilted_values``). The bits are independent, and
@@ -27,14 +40,14 @@ leaves out at most 2 e^-50 of mass. A bit whose window holds more than
   (``_rounding_bound``), which binds only where the draw is deterministic;
 * any other prior: the squared error (X_hat - X)^2 of the MMSE decode mapped
   back through the prior's inverse CDF, in the original domain, where the
-  statistic is not additive over bits (``_draw_block``: a target per trial,
-  its bits up to the 52-bit cap of a double, each bit's histogram drawn
-  under the law of the target's bit).
+  statistic is not additive over bits (``_squared_errors``: a target per
+  trial, its bits up to the 52-bit cap of a double, each bit's histogram
+  drawn under the law of the target's bit).
 
 Reproducibility contract: trials are grouped into fixed blocks of 4096;
 block b draws from a Philox stream keyed by (seed, b) in a fixed order and
 results are kept in block order. Under the uniform prior the order is, for
-each bit with t_k > 0 in ascending index, one uniform per trial for the
+each bit with t_k > 0 in ascending index, one raw output per trial for the
 count of symbol 0 and then one binomial draw per trial for each of the
 symbols 1..m-2 in ascending order; there are no targets. Under any other
 prior the block's targets come first, then the same per bit. The randomness
@@ -42,11 +55,10 @@ consumed by trial i is therefore a pure function of (seed, trials, i), of
 (seed, i) alone when i lies in a full block. Blocks run in one thread:
 ``jobs`` is validated (>= 1) and changes nothing.
 
-``_squared_errors`` walks the blocks in the outer loop and decodes each with
-the array kernel of ``decoder``; ``trial_values`` and
-``nonuniform_experiment`` share it. The uniform-prior estimator walks the
-bits in the outer loop instead, so each bit's table is looked up once per
-estimate.
+Both statistics walk the bits in the outer loop and the blocks in the
+inner one, each block continuing its own stream, so each bit's table is
+looked up, and its per-index terms evaluated, once per estimate. The
+tables are cached across estimates, up to ``TABLE_CACHE_ENTRIES`` entries.
 
 The staircase sweep ``aurelian_sweep`` takes its patterns stepped from
 ``policy.aurelian_steps``, which yields each budget's pattern with the bits
@@ -66,17 +78,17 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import LN4, ChannelSpec, InfoConstants, chernoff_information, info_constants
 from .decoder import (
     HISTOGRAM_BUDGET,
+    _bit_offset,
     _check_histogram_total,
     _distortion_sum,
     _distortion_term,
-    _uniform_estimate,
     assemble_log_distortion,
     exact_bit_variance,
 )
@@ -85,6 +97,8 @@ from .policy import TransmissionPattern, _bound_term, _log_bound, _upper_sum, au
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
 BLOCK_TRIALS = 4096
+GUIDE_BUCKETS = 1 << 16  # most buckets of a first-link table's guide
+TABLE_CACHE_ENTRIES = 1 << 23  # int64/float64 entries the first-link tables may hold together
 SWEEP_BLOCK = 256  # budgets whose changed bits share one oracle pass
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -216,35 +230,146 @@ def _window_cdf(t: int, p: float) -> tuple[int, np.ndarray]:
     return lo, np.rint(cdf[:-1] * (2.0**53 / cdf[-1])).astype(np.int64)
 
 
-@functools.lru_cache(maxsize=BIT_DEPTH_CAP)
-def _first_link_table(
-    ch: ChannelSpec, t: int, tilted: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+class _FirstLinkTable(NamedTuple):
+    """Everything one bit's draw needs that depends only on (channel, t, law):
+    built by ``_first_link_table``, read-only, and shared by every trial."""
+
+    keys: np.ndarray  # sorted int64 keys of the rows, padded with int64 max
+    guide: np.ndarray  # guide[g]: how many keys lie below g 2^shift
+    shift: int
+    steps: tuple[tuple[int, np.ndarray], ...]  # (h, keys[h - 1:]) for h = 2^(S-1), ..., 1
+    base: np.ndarray  # the count of index i in row r is i + base[r]
+    llr: np.ndarray  # log-likelihood-ratio sum of the links the count fixes, per index
+    t: int
+    cond: np.ndarray  # conditional masses of the table's laws, one row per law
+    ratios: tuple[float, ...]  # ln f1(i)/f0(i), +-inf at a zero mass
+
+    @property
+    def entries(self) -> int:
+        return self.keys.size + self.guide.size + self.llr.size
+
+
+def _add_link(s: np.ndarray, c: np.ndarray | int, ratio: float) -> None:
+    """s += c ratio for one symbol's counts c; a count of 0 adds nothing,
+    so a symbol of zero mass (ratio +-inf) never gives 0 * inf."""
+    if math.isfinite(ratio):
+        s += c * ratio
+    else:
+        s[c > 0] = ratio
+
+
+def _build_first_link_table(ch: ChannelSpec, t: int, tilted: bool) -> _FirstLinkTable:
     """Inverse-CDF table of the count of symbol 0 after t uses.
 
     One row per law: the laws of both inputs (rows b = 0, 1 of
     ``_histogram_chain``), or with ``tilted`` the one tilted law of
-    ``_tilt``. Row r is ``_window_cdf(t, p_r)``, p_r the law's first
-    conditional mass. The rows are stored as one sorted int64 array, row r
-    shifted up by r 2^53: the key w + r 2^53 of a uniform integer w on
-    [0, 2^53) is searched once (``side="right"``), and the index plus
-    ``base[r]`` is the count. Every row keeps all 53 bits of w, which a key
-    of ``w + r`` on doubles would not. Each row has at most
-    ``HISTOGRAM_BUDGET`` thresholds (8 MB), and the arrays are read-only. An
-    estimate looks a bit's table up once and serves all its trial blocks
-    from it, so the cache only carries tables from one estimate to the next.
+    ``_tilt``. Row r holds ``_window_cdf(t, p_r)``'s thresholds, p_r the
+    law's first conditional mass, shifted up by r 2^53 and closed by the key
+    (r + 1) 2^53; the rows are concatenated into one sorted int64 array.
+    A uniform integer w on [0, 2^53) keyed as w + r 2^53 then has exactly
+    ``searchsorted(keys, w + r 2^53, side="right")`` keys at or below it,
+    and that index i names count i + base[r] of row r: each row owns one
+    index per count of its window, so the two rows never share an index, and
+    every row keeps all 53 bits of w.
+
+    ``_first_link_index`` finds the index without a binary search. The
+    guide splits the key range into G equal buckets, G a power of two near
+    4 times the number of keys (at most ``GUIDE_BUCKETS``), and holds the
+    number of keys below each bucket's start; a key's bucket is its top
+    bits. The keys inside one bucket, at most F of them, are then passed by
+    S = F.bit_length() fixed steps of binary lifting. Equal buckets leave
+    the tails crowded, where the thresholds of improbable counts lie
+    geometrically close together (F is 6 at t = 20 and 2941 at t = 1e6 on
+    ``bac:0.9,0.8``), so a one-key-at-a-time pass would not be bounded;
+    S steps are.
+
+    ``llr`` holds, for each index, the log-likelihood-ratio sum of the
+    links the count fixes, computed elementwise as ``_draw_llr`` computes
+    it per trial: c ln f1(0)/f0(0) + (t - c) ln f1(1)/f0(1) on a binary
+    channel, c ln f1(0)/f0(0) alone on an m-ary one. An index whose count
+    has no mass (a zero-mass output, or a window edge past the law's
+    support) has a bin of width 0 and is never drawn; its entry may be
+    +-inf, and a value computed from it nan. Each row has at most
+    ``HISTOGRAM_BUDGET`` thresholds, and the arrays are read-only.
     """
-    cond = _tilt(ch).cond if tilted else _histogram_chain(ch)[0]
+    if tilted:
+        cond = _tilt(ch).cond
+        ratios = _histogram_chain(ch)[1]
+    else:
+        cond, ratios = _histogram_chain(ch)
     rows = [_window_cdf(t, float(p)) for p in cond[:, 0]]
-    thresholds = np.concatenate([row + (r << 53) for r, (_, row) in enumerate(rows)])
-    before = np.cumsum([0] + [row.size for _, row in rows[:-1]])
-    base = np.array([lo for lo, _ in rows]) - before
-    thresholds.flags.writeable = False
-    base.flags.writeable = False
-    return thresholds, base
+    keys = np.concatenate([np.append(row + (r << 53), (r + 1) << 53) for r, (_, row) in enumerate(rows)])
+    size = keys.size
+    buckets = min(1 << (4 * size - 1).bit_length(), GUIDE_BUCKETS)
+    shift = (len(rows) << 53).bit_length() - buckets.bit_length()
+    below = np.searchsorted(keys, np.arange(buckets + 1, dtype=np.int64) << shift)
+    lifts = int(np.diff(below).max()).bit_length()
+    padded = np.concatenate([keys, np.full(1 << lifts, np.iinfo(np.int64).max)])
+    starts = np.cumsum([0] + [row.size + 1 for _, row in rows[:-1]])
+    base = np.array([lo for lo, _ in rows]) - starts
+    counts = np.concatenate([np.arange(lo, lo + row.size + 1) for lo, row in rows])
+    llr = np.zeros(size)
+    _add_link(llr, counts, ratios[0])
+    if len(ratios) == 2:
+        _add_link(llr, t - counts, ratios[1])
+    for a in (padded, below, base, llr):
+        a.flags.writeable = False
+    steps = tuple((1 << j, padded[(1 << j) - 1 :]) for j in reversed(range(lifts)))
+    return _FirstLinkTable(padded, below[:-1], shift, steps, base, llr, t, cond, ratios)
 
 
-def _bit_table(ch: ChannelSpec, k: int, t_k: int, tilted: bool) -> tuple[np.ndarray, np.ndarray]:
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    tables: int
+    entries: int
+
+
+class _TableCache:
+    """First-link tables by (channel, t, tilted), bounded in table entries.
+
+    An estimate walks its bits in order, and a sweep walks one pattern after
+    another, so a cache bounded in tables evicts, once a pattern has more
+    distinct counts than it holds, exactly the table the scan asks for
+    next. This one holds tables until a new one would take the total of
+    their ``entries`` past ``TABLE_CACHE_ENTRIES`` (8 bytes each, 64 MB),
+    and then starts over empty. A table has at most 2 ``HISTOGRAM_BUDGET``
+    keys and as many ratios, at most 2^21 keys of padding and
+    ``GUIDE_BUCKETS`` guide entries: fewer than 6.2e6 entries, so any table
+    fits (the two tables of t = 1e10 on ``bac:0.9,0.8`` have 5.1e6 and
+    2.6e6).
+    """
+
+    def __init__(self) -> None:
+        self.cache_clear()
+
+    def __call__(self, ch: ChannelSpec, t: int, tilted: bool = False) -> _FirstLinkTable:
+        key = (ch, t, tilted)
+        table = self._tables.get(key)
+        if table is not None:
+            self._hits += 1
+            return table
+        self._misses += 1
+        table = _build_first_link_table(ch, t, tilted)
+        if self._entries + table.entries > TABLE_CACHE_ENTRIES:
+            self._tables.clear()
+            self._entries = 0
+        self._tables[key] = table
+        self._entries += table.entries
+        return table
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, len(self._tables), self._entries)
+
+    def cache_clear(self) -> None:
+        self._tables: dict[tuple[ChannelSpec, int, bool], _FirstLinkTable] = {}
+        self._hits = self._misses = self._entries = 0
+
+
+_first_link_table = _TableCache()
+
+
+def _bit_table(ch: ChannelSpec, k: int, t_k: int, tilted: bool) -> _FirstLinkTable:
     """``_first_link_table`` of bit k; a refusal names the bit."""
     try:
         return _first_link_table(ch, t_k, tilted)
@@ -252,77 +377,118 @@ def _bit_table(ch: ChannelSpec, k: int, t_k: int, tilted: bool) -> tuple[np.ndar
         raise BudgetExceededError(f"bit {k}: {exc}") from None
 
 
-def _draw_llr(
-    rng: np.random.Generator,
-    size: int,
-    t_k: int,
-    table: tuple[np.ndarray, np.ndarray],
-    cond: np.ndarray,
-    llr: tuple[float, ...],
-    row: np.ndarray | int,
+def _table_index(table: _FirstLinkTable, key: np.ndarray) -> np.ndarray:
+    """``searchsorted(table.keys, key, side="right")`` for keys in
+    [0, rows 2^53), from the guide and the lifting steps of
+    ``_build_first_link_table``: the bucket's entry counts the keys below
+    the bucket, and each step of h passes h more keys where the h-th next
+    is at or below the key."""
+    idx = table.guide[key >> table.shift]
+    for h, keys in table.steps:
+        if h == 1:
+            idx += keys[idx] <= key
+        else:
+            np.add(idx, h, out=idx, where=keys[idx] <= key)
+    return idx
+
+
+def _first_link_index(
+    rng: np.random.Generator, size: int, table: _FirstLinkTable, row: np.ndarray | int
 ) -> np.ndarray:
-    """The log-likelihood-ratio sum of one bit's t_k outputs in each of
+    """The table index of the count of symbol 0 in each of ``size`` trials.
+
+    ``row`` picks each trial's law: an int8 array (the trial's input bit)
+    or 0 for one law that every trial shares. Each trial takes one 53-bit
+    integer w, the top 53 bits of one raw Philox output: ``rng.random()``
+    is that integer times 2^-53, so w is the value ``random()`` would give
+    scaled by 2^53, and the generator moves on by the same one output. The
+    index is that of the key w + row 2^53 (``_table_index``).
+    """
+    key = (rng.bit_generator.random_raw(size) >> 11).view(np.int64)
+    if np.ndim(row):
+        key += row.astype(np.int64) << 53
+    return _table_index(table, key)
+
+
+def _draw_llr(
+    rng: np.random.Generator, size: int, table: _FirstLinkTable, row: np.ndarray | int
+) -> np.ndarray:
+    """The log-likelihood-ratio sum of one bit's t outputs in each of
     ``size`` trials, drawn through the outputs' histogram.
 
-    The t_k outputs of a bit reach the decoder only through their histogram
+    The t outputs of a bit reach the decoder only through their histogram
     (c_0, ..., c_{m-1}), its sufficient statistic, so the histogram is drawn
     and not the outputs: c_i ~ Binomial(left, cond[row, i]) for
-    i = 0..m-2, where ``left`` starts at t_k and drops by each c_i, and the
-    last symbol takes what is left. ``row`` picks each trial's law: an int8
-    array (the trial's input bit) or 0 for one law that every trial shares.
-    The first link c_0 is drawn by inverse CDF: one uniform per trial,
-    scaled to a 53-bit integer and searched in the law's row of ``table``
-    (``_first_link_table``). Links 1..m-2 of an m-ary channel are
-    ``rng.binomial`` draws. The sum is sum_i c_i ln f1(i)/f0(i) over the
-    nonzero counts, so a symbol of zero mass (ratio +-inf) never gives
-    0 * inf.
+    i = 0..m-2, where ``left`` starts at t and drops by each c_i, and the
+    last symbol takes what is left. The first link c_0 is drawn by inverse
+    CDF (``_first_link_index``), and its part of the sum is read from
+    ``table.llr``: on a binary channel that is the whole sum. Links
+    1..m-2 of an m-ary channel are ``rng.binomial`` draws, and each link
+    adds c_i ln f1(i)/f0(i) by ``_add_link``.
     """
-    thresholds, base = table
-    # random() is an integer multiple of 2^-53, so w is exact.
-    w = (rng.random(size) * 2.0**53).astype(np.int64)
-    if np.ndim(row):
-        w += row.astype(np.int64) << 53
-    c = np.searchsorted(thresholds, w, side="right") + base[row]
-    left = t_k
-    s = np.zeros(size)
-    last = len(llr) - 1
-    for i, ratio in enumerate(llr):
-        if i == last:
-            c = left
-        elif i > 0:
-            c = rng.binomial(left, cond[row, i])
-        left = left - c
-        if math.isfinite(ratio):
-            s += c * ratio
-        else:
-            s[c > 0] = ratio
+    idx = _first_link_index(rng, size, table, row)
+    s = table.llr[idx]
+    if len(table.ratios) > 2:
+        left = table.t - (idx + table.base[row])
+        for i, ratio in enumerate(table.ratios[1:-1], 1):
+            c = rng.binomial(left, table.cond[row, i])
+            left = left - c
+            _add_link(s, c, ratio)
+        _add_link(s, left, table.ratios[-1])
     return s
 
 
-def _draw_block(cfg: SimConfig, block: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """Targets and per-bit log-likelihood-ratio sums for one trial block,
-    each bit's histogram drawn by ``_draw_llr`` under the law of the
-    target's bit.
+def _block_rngs(cfg: SimConfig) -> list[np.random.Generator]:
+    return [_block_rng(cfg.seed, b) for b in range(-(-cfg.trials // BLOCK_TRIALS))]
 
-    Draw order is fixed: the targets, then the bits in ascending index, each
-    bit's uniforms for symbol 0 and then its binomials for symbols 1..m-2 in
-    ascending order; so the layout depends only on the config. Returns
-    (u, [(k, llr_sum)]) for every transmitted bit index k up to the bit
-    extraction cap; deeper bits are unknown at prior for both encoder and
-    decoder. A bit whose window exceeds ``HISTOGRAM_BUDGET`` counts is
-    refused with ``BudgetExceededError`` naming the bit.
+
+def _add_bit_values(
+    cfg: SimConfig,
+    acc: np.ndarray,
+    rngs: list[np.random.Generator],
+    value: Callable[[int, int, np.ndarray], np.ndarray],
+    targets: np.ndarray | None = None,
+) -> None:
+    """Add value(k, t_k, L) to ``acc`` for each drawn bit k in ascending
+    order, L the bit's log-likelihood-ratio sum in each trial.
+
+    Without ``targets`` every bit up to q is drawn from the tilted law;
+    with them, the bits up to the 52-bit cap of a double, each trial's
+    histogram drawn under the law of its target's bit. Bit by bit, the
+    bit's table is looked up once and serves every block, whose stream
+    ``rngs[b]`` it continues. On a binary channel L is a function of the
+    first link's index, so ``value`` is evaluated once on ``table.llr`` and
+    each trial gathers its entry; an entry nobody can draw may be nan
+    there, so that evaluation does not warn. On an m-ary channel each
+    trial's L comes from ``_draw_llr`` and ``value`` is evaluated on it.
+    Either way each trial's value is the same double.
     """
-    lo = block * BLOCK_TRIALS
-    hi = min(cfg.trials, lo + BLOCK_TRIALS)
-    rng = _block_rng(cfg.seed, block)
-    u = rng.random(hi - lo)
-    cond, llr = _histogram_chain(cfg.channel)
-    sums: list[tuple[int, np.ndarray]] = []
-    for k, t_k in enumerate(cfg.pattern.t[:BIT_DEPTH_CAP], 1):
-        if t_k:
-            table = _bit_table(cfg.channel, k, t_k, tilted=False)
-            sums.append((k, _draw_llr(rng, u.size, t_k, table, cond, llr, bits_array(u, k))))
-    return u, sums
+    tilted = targets is None
+    counts = cfg.pattern.t if tilted else cfg.pattern.t[:BIT_DEPTH_CAP]
+    starts = range(0, cfg.trials, BLOCK_TRIALS)
+    for k, t_k in enumerate(counts, 1):
+        if t_k == 0:
+            continue
+        table = _bit_table(cfg.channel, k, t_k, tilted)
+        binary = len(table.ratios) == 2
+        if binary:
+            with np.errstate(invalid="ignore"):
+                per_index = value(k, t_k, table.llr)
+        for lo, rng in zip(starts, rngs):
+            part = acc[lo : lo + BLOCK_TRIALS]
+            row = 0 if tilted else bits_array(targets[lo : lo + BLOCK_TRIALS], k)
+            if binary:
+                part += per_index[_first_link_index(rng, part.size, table, row)]
+            else:
+                part += value(k, t_k, _draw_llr(rng, part.size, table, row))
+
+
+def _tilted_value(tilt: _Tilt, k: int, t_k: int, L: np.ndarray) -> np.ndarray:
+    """Bit k's importance-sampling value exp(ln 1/2 + t_k ln M(s) - s L -
+    softplus(-L) - k ln 4) at log-likelihood ratio L (``_tilted_values``)."""
+    shift = _LN_HALF + t_k * tilt.log_m - k * LN4
+    # -s L - softplus(-L) = -s L + min(L, 0) - ln(1 + e^-|L|)
+    return np.exp(shift - tilt.s * L + np.minimum(L, 0.0) - np.log1p(np.exp(-np.abs(L))))
 
 
 def _tilted_values(cfg: SimConfig) -> np.ndarray:
@@ -333,8 +499,8 @@ def _tilted_values(cfg: SimConfig) -> np.ndarray:
     log-likelihood ratio of the bit's t outputs (the identity of
     ``decoder``). The histogram is drawn from the tilted law f_s^(x t) of
     ``_tilt`` and weighted by P_0(h) / P_s(h) = M(s)^t e^(-s L), so the
-    bit's value is exp(ln 1/2 + t ln M(s) - s L - softplus(-L) - k ln 4):
-    unbiased for every s, and at most 4^-k M(s)^t / 2. At s = s* the
+    bit's value is ``_tilted_value``, which is unbiased for every s and at
+    most 4^-k M(s)^t / 2. At s = s* the
     tilted mean of L is 0, the histograms that carry V(t) are typical, and
     the value's relative deviation grows only like t^(1/4), where under the
     true law it grows exponentially in t (Sadowsky and Bucklew, IEEE Trans.
@@ -343,33 +509,20 @@ def _tilted_values(cfg: SimConfig) -> np.ndarray:
     4^-q / 12; every term is >= 0 and the tail > 0. Where no output has mass
     under both inputs every output reveals the bit, and V(t_k) = 0.
 
-    Every bit up to q is drawn: no target is drawn, so the 52-bit cap of
-    the target's double does not apply. Bit by bit, the bit's table is
-    looked up once and serves every block; within block b the stream is
-    Philox keyed by (seed, b), and for each drawn bit in ascending order it
-    gives one uniform per trial for symbol 0 and then the binomials of
-    symbols 1..m-2. Each trial adds its terms in the same order (the shared
-    constant, then the bits ascending), whatever the block.
+    Every bit up to q is drawn (``_add_bit_values``): no target is drawn,
+    so the 52-bit cap of the target's double does not apply. Within block b
+    the stream is Philox keyed by (seed, b), and for each drawn bit in
+    ascending order it gives one 53-bit integer per trial for symbol 0 and
+    then the binomials of symbols 1..m-2. Each trial adds its terms in the
+    same order (the shared constant, then the bits ascending), whatever the
+    block.
     """
     ch, t = cfg.channel, cfg.pattern.t
     tilt = _tilt(ch)
     shared = [0.25 * 4.0**-k for k, t_k in enumerate(t, 1) if t_k == 0]
     values = np.full(cfg.trials, math.fsum(shared + [4.0 ** -len(t) / 12.0]))
-    if tilt.cond is None:
-        return values
-    llr = _histogram_chain(ch)[1]
-    starts = range(0, cfg.trials, BLOCK_TRIALS)
-    rngs = [_block_rng(cfg.seed, b) for b in range(len(starts))]
-    for k, t_k in enumerate(t, 1):
-        if t_k == 0:
-            continue
-        table = _bit_table(ch, k, t_k, tilted=True)
-        shift = _LN_HALF + t_k * tilt.log_m - k * LN4
-        for lo, rng in zip(starts, rngs):
-            part = values[lo : lo + BLOCK_TRIALS]
-            L = _draw_llr(rng, part.size, t_k, table, tilt.cond, llr, 0)
-            # -s L - softplus(-L) = -s L + min(L, 0) - ln(1 + e^-|L|)
-            part += np.exp(shift - tilt.s * L + np.minimum(L, 0.0) - np.log1p(np.exp(-np.abs(L))))
+    if tilt.cond is not None:
+        _add_bit_values(cfg, values, _block_rngs(cfg), functools.partial(_tilted_value, tilt))
     return values
 
 
@@ -416,17 +569,37 @@ def _rounding_bound(cfg: SimConfig) -> float:
 
 
 def _squared_errors(cfg: SimConfig) -> np.ndarray:
-    """Squared errors of the MMSE decode of every trial, in trial order, one
-    ``_draw_block`` per trial block: row 0 in the uniform domain,
-    (F_n - F(X))^2; row 1 in the original domain, (X_hat - X)^2."""
-    parts = []
-    for block in range(-(-cfg.trials // BLOCK_TRIALS)):
-        u, sums = _draw_block(cfg, block)
-        u_hat = _uniform_estimate(u.size, sums)
-        x = from_uniform(cfg.prior, u)
-        x_hat = from_uniform(cfg.prior, u_hat)
-        parts.append(np.stack([(u_hat - u) ** 2, (x_hat - x) ** 2]))
-    return np.concatenate(parts, axis=1)
+    """Squared errors of the MMSE decode of every trial, in trial order: row
+    0 in the uniform domain, (F_n - F(X))^2; row 1 in the original domain,
+    (X_hat - X)^2.
+
+    Each block draws its targets first, then the bits in ascending index
+    (``_add_bit_values``), each bit's histogram under the law of the
+    target's bit. The decode F_n is 1/2 plus each bit's
+    ``decoder._bit_offset``, (sigma(L) - 1/2) 2^-k; deeper bits than the
+    52-bit cap of the target's double are unknown at prior for both encoder
+    and decoder. A bit whose window exceeds ``HISTOGRAM_BUDGET`` counts is
+    refused with ``BudgetExceededError`` naming the bit.
+
+    Row 0 holds F_n until each block's errors replace it, so the targets
+    and the result are the only arrays of the trials' length.
+    """
+    rngs = _block_rngs(cfg)
+    starts = range(0, cfg.trials, BLOCK_TRIALS)
+    u = np.empty(cfg.trials)
+    for lo, rng in zip(starts, rngs):
+        rng.random(out=u[lo : lo + BLOCK_TRIALS])
+    errors = np.empty((2, cfg.trials))
+    u_hat = errors[0]
+    u_hat[:] = 0.5
+    _add_bit_values(cfg, u_hat, rngs, lambda k, t_k, L: _bit_offset(L, k), targets=u)
+    for lo in starts:
+        block = slice(lo, lo + BLOCK_TRIALS)
+        x = from_uniform(cfg.prior, u[block])
+        x_hat = from_uniform(cfg.prior, u_hat[block])
+        errors[1, block] = (x_hat - x) ** 2
+        errors[0, block] = (u_hat[block] - u[block]) ** 2
+    return errors
 
 
 def _check_jobs(jobs: int) -> None:

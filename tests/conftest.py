@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dyadicsearch import ChannelSpec, TransmissionPattern, chernoff_information
+from dyadicsearch.sim import BLOCK_TRIALS, _bit_table, _block_rng, _draw_llr
+from dyadicsearch.source import BIT_DEPTH_CAP, bits_array
 
 
 # The Z channel: input 0 always gives output 0, input 1 gives 1 with 0.7.
@@ -39,6 +41,23 @@ def bumped(t: TransmissionPattern, k: int) -> TransmissionPattern:
     counts = list(t.t) + [0] * max(0, k - len(t.t))
     counts[k - 1] += 1
     return TransmissionPattern(tuple(counts))
+
+
+def draw_block(cfg, block: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """Targets and per-bit log-likelihood-ratio sums of one trial block,
+    drawn trial by trial with ``sim._draw_llr`` in the simulator's order:
+    the block's targets, then each transmitted bit up to the 52-bit cap in
+    ascending index, under the law of the target's bit. Returns
+    (u, [(k, llr_sum)]): the per-trial reference of ``sim._squared_errors``."""
+    lo = block * BLOCK_TRIALS
+    rng = _block_rng(cfg.seed, block)
+    u = rng.random(min(cfg.trials, lo + BLOCK_TRIALS) - lo)
+    sums = []
+    for k, t_k in enumerate(cfg.pattern.t[:BIT_DEPTH_CAP], 1):
+        if t_k:
+            table = _bit_table(cfg.channel, k, t_k, tilted=False)
+            sums.append((k, _draw_llr(rng, u.size, table, bits_array(u, k))))
+    return u, sums
 
 
 @functools.lru_cache(maxsize=None)

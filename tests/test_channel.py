@@ -20,10 +20,10 @@ from dyadicsearch import (
     pattern,
     uniform_prior,
 )
-from dyadicsearch.sim import BLOCK_TRIALS, SimConfig, _draw_block
+from dyadicsearch.sim import BLOCK_TRIALS, SimConfig
 from dyadicsearch.source import bits_array
 
-from conftest import Z_CHANNEL, random_channel
+from conftest import Z_CHANNEL, draw_block, random_channel
 
 LN4 = math.log(4.0)
 
@@ -215,7 +215,7 @@ def simulated_sums(ch: ChannelSpec, t: int, trials: int, seed: int) -> tuple[np.
     cfg = SimConfig(channel=ch, pattern=pattern([t]), prior=uniform_prior(), trials=trials, seed=seed)
     bits, sums = [], []
     for block in range(-(-trials // BLOCK_TRIALS)):
-        u, [(k, s)] = _draw_block(cfg, block)
+        u, [(k, s)] = draw_block(cfg, block)
         bits.append(bits_array(u, k))
         sums.append(s)
     return np.concatenate(bits), np.concatenate(sums)
@@ -233,7 +233,7 @@ def simulated_outputs(ch: ChannelSpec, trials: int, seed: int) -> tuple[np.ndarr
 
 
 class TestSampleOutput:
-    """Output frequencies of the simulator's sampler (``sim._draw_block``)."""
+    """Output frequencies of the simulator's sampler (``sim._draw_llr``)."""
 
     def test_noiseless_channel_is_deterministic(self):
         ch = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.0, 1.0))
@@ -286,7 +286,7 @@ def log_odds_law(ch: ChannelSpec, bit: int, t: int) -> tuple[np.ndarray, np.ndar
 
 
 class TestSampleHistogram:
-    """Per-bit output histograms of ``sim._draw_block`` at t_k = 7 uses."""
+    """Per-bit output histograms of ``sim._draw_llr`` at t_k = 7 uses."""
 
     USES = 7
 

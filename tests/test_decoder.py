@@ -30,11 +30,11 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, efficient_search, info_constants
-from dyadicsearch.decoder import _safe_log, _sigmoid, _uniform_estimate
+from dyadicsearch.decoder import _bit_offset, _safe_log, _sigmoid
 from dyadicsearch.policy import composition_rows, compositions
-from dyadicsearch.sim import _block_rng, _draw_block, _draw_llr, _first_link_table, _tilt
+from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table, _tilt
 
-from conftest import bench_reference, bumped, random_channel
+from conftest import bench_reference, bumped, draw_block, random_channel
 
 
 def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
@@ -602,7 +602,7 @@ class TestArrayKernelAgainstScalarOracle:
             if t_k == 0:
                 continue
             table = _first_link_table(ch, t_k, True)
-            s = _draw_llr(rng, values.size, t_k, table, tilt.cond, (llr0, llr1), 0)
+            s = _draw_llr(rng, values.size, table, 0)
             for i in range(values.size):
                 ones = round((s[i] - t_k * llr0) / (llr1 - llr0))
                 p0, p1, ps = (math.comb(t_k, ones) * f[1] ** ones * f[0] ** (t_k - ones)
@@ -610,8 +610,10 @@ class TestArrayKernelAgainstScalarOracle:
                 expected[i] += 4.0**-k * p0 * (p1 / (p0 + p1)) / (2.0 * ps)
         assert values.tolist() == pytest.approx(expected, rel=1e-12)
 
-        u, sums = _draw_block(cfg, 0)
-        u_hat = _uniform_estimate(u.size, sums)
+        u, sums = draw_block(cfg, 0)
+        u_hat = np.full(u.size, 0.5)
+        for k, s in sums:
+            u_hat += _bit_offset(s, k)
         by_bit = dict(sums)
         for i in range(u.size):
             p = [0.5] * len(counts)

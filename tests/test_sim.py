@@ -34,20 +34,28 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch.decoder import HISTOGRAM_BUDGET
+from dyadicsearch import sim
+from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
     BLOCK_TRIALS,
     PRIOR_DISTORTION,
+    TABLE_CACHE_ENTRIES,
     DistortionEstimate,
-    _draw_block,
+    _block_rng,
+    _draw_llr,
+    _first_link_index,
     _first_link_table,
     _histogram_chain,
     _rounding_bound,
+    _squared_errors,
+    _table_index,
+    _tilt,
+    _tilted_value,
     _window_cdf,
 )
-from dyadicsearch.source import bits_array
+from dyadicsearch.source import bits_array, from_uniform
 
-from conftest import Z_CHANNEL, random_moderate_channel
+from conftest import Z_CHANNEL, draw_block, random_moderate_channel
 
 CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
@@ -357,7 +365,7 @@ def first_counts(ch: ChannelSpec, t: int, trials: int, seed: int) -> tuple[np.nd
     cfg = SimConfig(channel=ch, pattern=pattern([t]), prior=uniform_prior(), trials=trials, seed=seed)
     bits, counts = [], []
     for block in range(-(-trials // BLOCK_TRIALS)):
-        u, [(k, s)] = _draw_block(cfg, block)
+        u, [(k, s)] = draw_block(cfg, block)
         c0 = (s - t * lam1) / (lam0 - lam1)
         assert np.all(np.abs(c0 - np.rint(c0)) < 1e-6 * max(1.0, t * 1e-6))
         bits.append(bits_array(u, k))
@@ -366,7 +374,7 @@ def first_counts(ch: ChannelSpec, t: int, trials: int, seed: int) -> tuple[np.nd
 
 
 class TestFirstLinkTable:
-    """The inverse-CDF table of the first link of ``_draw_block``: the count
+    """The inverse-CDF table of the first link of ``_draw_llr``: the count
     of symbol 0, Binomial(t_k, f_b(0)), over its Hoeffding window."""
 
     @pytest.mark.parametrize("t", [1, 7, 1000])
@@ -374,10 +382,16 @@ class TestFirstLinkTable:
         "ch", [make_bac(0.9, 0.8), make_bsc(0.25), Z_CHANNEL], ids=["bac", "bsc-0.25", "z"]
     )
     def test_bin_masses_match_the_binomial_pmf(self, ch, t):
-        thresholds, base = _first_link_table(ch, t)
+        table = _first_link_table(ch, t)
         rows = [_window_cdf(t, float(p)) for p in _histogram_chain(ch)[0][:, 0]]
-        assert thresholds.tolist() == rows[0][1].tolist() + (rows[1][1] + 2**53).tolist()
-        assert base.tolist() == [rows[0][0], rows[1][0] - rows[0][1].size]
+        # Each row's thresholds, shifted by r 2^53 and closed by (r + 1) 2^53,
+        # then int64 max as padding; index i of row r is count i + base[r].
+        size = rows[0][1].size + rows[1][1].size + 2
+        assert table.keys[:size].tolist() == (
+            rows[0][1].tolist() + [2**53] + (rows[1][1] + 2**53).tolist() + [2**54]
+        )
+        assert np.all(table.keys[size:] == np.iinfo(np.int64).max)
+        assert table.base.tolist() == [rows[0][0], rows[1][0] - rows[0][1].size - 1]
         for b, (lo, edges) in enumerate(rows):
             p = float(_histogram_chain(ch)[0][b, 0])
             assert p == (ch.f0, ch.f1)[b][0]
@@ -393,7 +407,6 @@ class TestFirstLinkTable:
     def test_counts_have_binomial_mean_and_variance(self):
         ch, t, trials = make_bac(0.9, 0.8), 10**4, 200_000
         bits, counts = first_counts(ch, t, trials, seed=77)
-        thresholds, base = _first_link_table(ch, t)
         for b in (0, 1):
             lo, edges = _window_cdf(t, float(_histogram_chain(ch)[0][b, 0]))
             sent = counts[bits == b]
@@ -417,18 +430,137 @@ class TestFirstLinkTable:
             p = (ch.f0, ch.f1)[b][0]
             sent = counts[bits == b]
             assert abs(sent.mean() - t * p) <= 5.0 * math.sqrt(t * p * (1.0 - p) / sent.size)
-        assert _first_link_table(ch, t)[0].size <= 2 * HISTOGRAM_BUDGET
+        assert _first_link_table(ch, t).llr.size <= 2 * HISTOGRAM_BUDGET
         _first_link_table.cache_clear()
 
     def test_window_over_budget_refused_naming_the_bit(self):
         # 1e11 uses need a window of about 3.2e6 counts: refused, not drawn.
         cfg = rb_config(make_bac(0.9, 0.8), pattern([3, 10**11]), trials=10, seed=1)
         with pytest.raises(BudgetExceededError, match="^bit 2: "):
-            _draw_block(cfg, 0)
+            _squared_errors(cfg)
         with pytest.raises(BudgetExceededError, match="^bit 2: "):
             trial_values(cfg)  # the tilted draw's table has the same window
         with pytest.raises(BudgetExceededError):
             _window_cdf(10**11, 0.5)
+
+
+# Output 0 reveals input 0 (ln f1(0)/f0(0) = -inf), and the tilted law
+# never charges it: every count of symbol 0 but 0 is undrawable there.
+REVERSE_Z = ChannelSpec(outputs=(0, 1), f0=(0.3, 0.7), f1=(0.0, 1.0))
+PURE_NOISE = ChannelSpec(outputs=(0, 1), f0=(0.4, 0.6), f1=(0.4, 0.6))
+TABLE_CHANNELS = [make_bac(0.9, 0.8), Z_CHANNEL, REVERSE_Z, PURE_NOISE, load_channel(CHANNEL3)]
+TABLE_IDS = ["bac", "z", "reverse-z", "pure-noise", "channel3"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTableKernel:
+    """The per-count tables of the Monte-Carlo kernel against the per-trial
+    computation they stand for: the guide lookup against a binary search,
+    the raw draws against scaled uniforms, and the gathered values against
+    values computed trial by trial, bit for bit."""
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["channel-laws", "tilted"])
+    @pytest.mark.parametrize("t", [1, 7, 20, 1000, 10**6])
+    @pytest.mark.parametrize("ch", TABLE_CHANNELS, ids=TABLE_IDS)
+    def test_guide_lookup_equals_searchsorted(self, ch, t, tilted):
+        table = _first_link_table(ch, t, tilted)
+        end = table.base.size << 53  # keys lie in [0, rows 2^53)
+        inner = table.keys[table.keys < end]
+        rows = np.arange(table.base.size, dtype=np.int64) << 53
+        keys = np.concatenate([
+            np.random.default_rng(t).integers(0, end, 20_000),
+            inner, inner - 1, inner + 1,  # every threshold and its neighbours
+            rows, rows + 2**53 - 1,  # 0 and 2^53 - 1 in every row
+        ])
+        keys = keys[(keys >= 0) & (keys < end)]
+        assert np.array_equal(_table_index(table, keys), np.searchsorted(table.keys, keys, side="right"))
+
+    def test_raw_draws_equal_scaled_uniforms(self):
+        # random() is the top 53 bits of one raw output times 2^-53, so both
+        # give the same integers and leave the generator in the same state,
+        # also between the binomial draws of an m-ary channel's links.
+        a, b = _block_rng(9, 4), _block_rng(9, 4)
+        for size in (1, 3, BLOCK_TRIALS, 5):
+            w = (a.random(size) * 2.0**53).astype(np.int64)
+            assert w.tolist() == (b.bit_generator.random_raw(size) >> 11).tolist()
+            left = np.arange(size) + 3
+            assert a.binomial(left, 0.3).tolist() == b.binomial(left, 0.3).tolist()
+        np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+        assert a.random(7).tolist() == b.random(7).tolist()
+
+    @pytest.mark.parametrize("tilted", [False, True], ids=["channel-laws", "tilted"])
+    def test_first_link_index_is_the_searched_uniform(self, tilted):
+        table = _first_link_table(make_bac(0.9, 0.8), 20, tilted)
+        row = 0 if tilted else (np.arange(BLOCK_TRIALS) % 3 == 0).astype(np.int8)
+        a, b = _block_rng(3, 1), _block_rng(3, 1)
+        key = (a.random(BLOCK_TRIALS) * 2.0**53).astype(np.int64) + (np.asarray(row, np.int64) << 53)
+        index = _first_link_index(b, BLOCK_TRIALS, table, row)
+        assert np.array_equal(index, np.searchsorted(table.keys, key, side="right"))
+
+    @pytest.mark.parametrize("ch", TABLE_CHANNELS, ids=TABLE_IDS)
+    def test_table_path_matches_per_trial_reference(self, ch):
+        # A full block and a partial one; bit 2 sends nothing, bit 4 is m-ary
+        # on channel3 and binary elsewhere.
+        counts, trials, seed = [6, 0, 3, 20, 1], BLOCK_TRIALS + 1000, 17
+        cfg = rb_config(ch, pattern(counts), trials, seed)
+        tilt = _tilt(ch)
+        expected = np.full(trials, math.fsum([0.25 * 4.0**-2, 4.0**-5 / 12.0]))
+        rngs = [_block_rng(seed, 0), _block_rng(seed, 1)]
+        for k, t_k in enumerate(counts, 1):
+            if t_k and tilt.cond is not None:
+                table = _first_link_table(ch, t_k, True)
+                for lo, rng in zip((0, BLOCK_TRIALS), rngs):
+                    part = expected[lo : lo + BLOCK_TRIALS]
+                    part += _tilted_value(tilt, k, t_k, _draw_llr(rng, part.size, table, 0))
+        assert trial_values(cfg).tobytes() == expected.tobytes()
+
+        cfg = SimConfig(channel=ch, pattern=pattern(counts), prior=power_prior(2), trials=trials, seed=seed)
+        blocks = []
+        for block in (0, 1):
+            u, sums = draw_block(cfg, block)
+            u_hat = np.full(u.size, 0.5)
+            for k, s in sums:
+                u_hat += _bit_offset(s, k)
+            x, x_hat = from_uniform(cfg.prior, u), from_uniform(cfg.prior, u_hat)
+            blocks.append(np.stack([(u_hat - u) ** 2, (x_hat - x) ** 2]))
+        assert _squared_errors(cfg).tobytes() == np.concatenate(blocks, axis=1).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 7, 100])
+    @pytest.mark.parametrize("ch", [Z_CHANNEL, REVERSE_Z], ids=["z", "reverse-z"])
+    def test_undrawable_counts_are_never_gathered(self, ch, t):
+        # The table holds every count of the window, also those of zero
+        # mass, whose +-inf log-likelihood ratio gives inf - inf in the
+        # tilted value. Their bins are empty: no key lands on them.
+        tilt = _tilt(ch)
+        for tilted in (False, True):
+            table = _first_link_table(ch, t, tilted)
+            with np.errstate(invalid="ignore"):
+                values = _tilted_value(tilt, 1, t, table.llr) if tilted else _bit_offset(table.llr, 1)
+            width = np.diff(table.keys[: table.llr.size], prepend=0)
+            assert np.all(width[~np.isfinite(values)] == 0)
+            if tilted and ch is REVERSE_Z and t > 1:
+                assert not np.isfinite(values).all()
+        cfg = rb_config(ch, pattern([t, 3, t]), trials=5000, seed=2)
+        assert np.isfinite(trial_values(cfg)).all()
+        assert np.isfinite(_squared_errors(cfg)).all()
+
+    def test_sweep_reuses_tables(self):
+        # q = 140 at n = 30000: more distinct counts per pattern than a
+        # cache of 52 tables holds, which then missed on every lookup.
+        _first_link_table.cache_clear()
+        aurelian_sweep(make_bac(0.9, 0.8), list(range(20000, 30001, 1000)), exact=False, trials=4096)
+        info = _first_link_table.cache_info()
+        assert info.hits > info.misses > 0
+        assert info.entries <= TABLE_CACHE_ENTRIES
+
+    def test_cache_starts_over_at_its_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(sim, "TABLE_CACHE_ENTRIES", 5000)
+        _first_link_table.cache_clear()
+        for t in range(100, 200):
+            _first_link_table(make_bac(0.9, 0.8), t, True)
+            assert _first_link_table.cache_info().entries <= 5000
+        assert _first_link_table.cache_info().tables < 100
+        _first_link_table.cache_clear()
 
 
 class TestAurelianSweep:
