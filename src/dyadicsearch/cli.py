@@ -35,6 +35,7 @@ from pathlib import Path
 from . import __version__
 from .channel import (
     ChannelSpec,
+    InfoConstants,
     b_alt,
     chernoff_information,
     info_constants,
@@ -325,8 +326,7 @@ def cmd_fig3(args) -> int:
     return 0
 
 
-def _resolve_rule(rule: str, n: int, ch: ChannelSpec) -> TransmissionPattern:
-    consts = info_constants(ch)
+def _resolve_rule(rule: str, n: int, consts: InfoConstants) -> TransmissionPattern:
     if rule == "aurelian":
         return aurelian(n, consts)
     if rule == "greedy":
@@ -354,7 +354,7 @@ def cmd_policy(args) -> int:
     cache_before = exact_bit_variance.cache_info()
     ch = load_channel(args.channel)
     consts = info_constants(ch)
-    pat = _resolve_rule(args.rule, args.n, ch)
+    pat = _resolve_rule(args.rule, args.n, consts)
     u = upper_bound(pat, consts.C)
     l = lower_bound(pat, consts.B)
     try:

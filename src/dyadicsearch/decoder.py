@@ -36,7 +36,11 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
 * window: for a binary channel with four positive masses the terms are
   log-concave in the row j and peak where L_h changes sign, at
   t theta*, theta* the output-1 mass of the tilted law at the Chernoff
-  exponent s*. Only rows j in t theta* +- (4 sqrt(t) + 50) are summed;
+  exponent s*. Only rows j in t theta* +- min(4 sqrt(t) + 50, h_ch) are
+  summed, h_ch a per-channel number of rows past which the terms lie more
+  than 38 nats below the largest at every t (``_binary_windows`` derives
+  it: the terms decay at least min(s*, 1 - s*) |lam1 - lam0| nats per
+  row);
 * certificate: each edge of that window other than 0 and t must lie at
   least ``WINDOW_CERTIFICATE`` = 38 nats below the bit's largest term; by
   log-concavity the rows left out then fall off at least geometrically from
@@ -47,15 +51,16 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   bit's segment is reduced with ``np.maximum.reduceat`` and
   ``np.add.reduceat``; the chunking bounds the temporaries, and a bit's
   value does not depend on the bits it shares a chunk with;
-* cost: a binary bit costs O(min(t, sqrt t)) rows, so the greedy pattern
-  at n = 1e8 sums 7.1e6 rows in place of 1e8; an m-ary bit costs its
-  C(t+m-1, m-1) rows, built in numpy for all the bits of a chunk at once
-  (``policy.composition_rows``);
+* cost: a windowed binary bit costs O(min(sqrt t, h_ch)) rows, O(1) in t:
+  53 rows on bac:0.9,0.8, so the greedy pattern at n = 1e8 sums 3.7e5
+  rows in place of 1e8; an m-ary bit costs its C(t+m-1, m-1) rows, built
+  in numpy for all the bits of a chunk at once (``policy.composition_rows``);
 * budgets: a bit may sum at most ``HISTOGRAM_BUDGET`` rows and a pattern's
   distinct counts at most ``PATTERN_HISTOGRAM_BUDGET`` together. A windowed
-  binary bit counts its window's rows, so binary bits up to about 1.5e10
-  uses are exact; an uncertified window falls back to every row and is held
-  to the same budgets in full rows.
+  binary bit counts its window's rows, so a channel whose h_ch is under
+  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t; an uncertified
+  window falls back to every row and is held to the same budgets in full
+  rows.
 
 The multinomial coefficients come from one module-level table of ln i!
 (``math.lgamma(i + 1.0)``) that every call shares and that grows on demand
@@ -94,6 +99,7 @@ _LOG_ODDS_SWITCH = 1e-12
 # the subnormal range takes a slow path.
 _EXP_FLOOR = -700.0
 _LN_QUARTER = math.log(0.25)
+_LN2 = math.log(2.0)
 _LN_12 = math.log(12.0)
 
 
@@ -286,32 +292,74 @@ def _window_centre(ch: ChannelSpec) -> float | None:
     return None
 
 
+def _decay_half_width(theta: float, ch: ChannelSpec) -> float:
+    """h_ch: the rows on each side of t theta* past which every term of a
+    binary bit lies more than ``WINDOW_CERTIFICATE`` nats below its largest,
+    at any t (see ``_binary_windows``); inf where the decay rate is not
+    positive."""
+    if not 0.0 < theta < 1.0:
+        return math.inf
+    (a0, a1), (b0, b1) = ch.f0, ch.f1
+    odds = theta / (1.0 - theta)
+    # s* |lam1 - lam0| and (1 - s*) |lam1 - lam0|, read off theta*.
+    r_s, r_rest = abs(math.log(a1 / (a0 * odds))), abs(math.log(odds * b0 / b1))
+    rate = min(r_s, r_rest)
+    if rate == 0.0:
+        return math.inf
+    # The quotient is inf for a rate near the smallest double; np.ceil keeps it.
+    return float(np.ceil((WINDOW_CERTIFICATE + _LN2 + max(r_s, r_rest) + 1.0) / rate)) + 1.0
+
+
 def _binary_windows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     """First and last row j of each binary bit's sum over histograms (t - j, j).
 
     With all four masses positive these are the integers in
-    t theta* +- (4 sqrt(t) + 50), clipped to [0, t]. theta* = lam0 / (lam0 -
-    lam1), lam_y = ln(f1(y)/f0(y)), is the output-1 mass of the tilted law
-    f0^(1-s) f1^s at the Chernoff exponent s*, where the tilted mean of the
-    log-likelihood ratio is 0: the row where L_h changes sign, around which
-    the dominant terms lie (Bahadur and Rao; Dembo and Zeitouni, Large
-    Deviations Techniques and Applications, 2nd ed., section 3.7).
-    Otherwise every row 0..t. ``_window_rows`` counts the same rows.
+    t theta* +- min(4 sqrt(t) + 50, h_ch), clipped to [0, t]; otherwise every
+    row 0..t. theta* = lam0 / (lam0 - lam1), lam_y = ln(f1(y)/f0(y)), is the
+    output-1 mass of the tilted law f_s = f0^(1-s) f1^s / M(s) at the
+    Chernoff exponent s*, where the tilted mean of the log-likelihood ratio
+    is 0: the row where L_j = (j - t theta*)(lam1 - lam0) changes sign. The
+    4 sqrt(t) + 50 rows span the tilted law's sqrt(t) width (Bahadur and
+    Rao; Dembo and Zeitouni, Large Deviations Techniques and Applications,
+    2nd ed., section 3.7).
+
+    h_ch (``_decay_half_width``) does not grow with t. Since
+    P(j|0) = M(s)^t b_s(j) e^(-s L_j), b_s the Binomial(t, f_s(1)) pmf,
+    row j's term is
+
+        T_j = t ln M(s*) + ln b(j) + u(L_j) + ln(1/2),
+        u(L) = -s* L - softplus(-L),
+
+    b = b_s* with f_s*(1) = theta*. For L >= 0, u(L) <= -s* L; for L < 0,
+    u(L) = (1 - s*) L - softplus(L) <= -(1 - s*) |L|. With
+    r0 = s* |lam1 - lam0| = |ln((1 - theta*)/theta* f0(1)/f0(0))| and
+    r1 = (1 - s*) |lam1 - lam0| = |ln(theta*/(1 - theta*) f1(0)/f1(1))|
+    (the odds of f_s* against those of f0 and of f1),
+    u(L_j) <= -r |j - t theta*| with r = min(r0, r1): the terms decay at
+    least linearly, r nats per row. For a lower bound on the largest term
+    take the mode k of b, which lies within 1 of t theta*: the same two
+    cases give u(L_k) >= -ln 2 - max(r0, r1). Since b(j) <= b(k),
+
+        T_j <= T_k - r |j - t theta*| + c,   c = ln 2 + max(r0, r1):
+
+    c covers the softplus's kink at L = 0 and the mode's distance from
+    t theta*. So every row farther than (38 + c)/r from t theta* lies more
+    than 38 nats below the largest term. h_ch = ceil((38 + c + 1)/r) + 1:
+    the spare nat absorbs the rounding of the terms (about 0.01 nat at
+    t = 1e12, where ln t! is near 2.7e13) and of t theta*, and the extra row
+    the ceiling of the lower edge. Rows outside the window then lie below
+    e^-(38 + 1 + r i) times the largest term, i rows past t theta* +- h_ch,
+    so that cut leaves out less than 2 e^-39 / (1 - e^-r) of V. A bsc:0.1
+    bit sums at most 43 rows, a bac:0.9,0.8 bit 53; a near-pure-noise
+    channel, with r near 0, keeps the sqrt(t) window.
     """
     theta = _window_centre(ch)
     if theta is None:
         return np.zeros_like(ts), ts
-    half = 4.0 * np.sqrt(ts) + 50.0
+    half = np.minimum(4.0 * np.sqrt(ts) + 50.0, _decay_half_width(theta, ch))
     lo = np.maximum(np.ceil(ts * theta - half), 0.0).astype(np.int64)
     hi = np.minimum((ts * theta + half).astype(np.int64), ts)
     return lo, hi
-
-
-def _window_rows(t: int, theta: float) -> int:
-    """Rows of one binary bit's window about theta* (``_binary_windows``),
-    in scalar arithmetic: the budget checks run it per distinct count."""
-    half = 4.0 * math.sqrt(t) + 50.0
-    return min(int(t * theta + half), t) - max(math.ceil(t * theta - half), 0) + 1
 
 
 def _binary_log_variances(
@@ -348,12 +396,22 @@ def _binary_log_variances(
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
-    """ln V(t) for distinct counts t >= 1, within the histogram budget."""
+    """ln V(t) for distinct counts t >= 1. A bit of more than
+    ``HISTOGRAM_BUDGET`` rows (its window's, for a windowed binary bit) is
+    refused before any row is summed."""
     m = len(ch.outputs)
+    if m == 2:
+        lo, hi = _binary_windows(ts, ch)
+        rows = int((hi - lo).max()) + 1
+    else:  # rows grow with t; math.comb is exact where int64 is not
+        rows = math.comb(int(ts.max()) + m - 1, m - 1)
+    if rows > HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"histogram enumeration too large: {rows} exceeds {HISTOGRAM_BUDGET}"
+        )
     # Counts above the budget are windowed binary bits, read by lgamma.
     lg = _log_factorials(int(ts[ts <= HISTOGRAM_BUDGET].max(initial=0)))
     if m == 2:
-        lo, hi = _binary_windows(ts, ch)
         log_v, certified = _binary_log_variances(ts, lo, hi, lg, ch)
         redo = ~certified
         if redo.any():  # an uncertified window falls back to the full row sum
@@ -379,20 +437,10 @@ def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
 
 def _log_bit_variances(counts: list[int], ch: ChannelSpec) -> dict[int, float]:
     """ln V(t) by distinct count, in one batched pass; t = 0 is ln(1/4)."""
-    m1 = len(ch.outputs) - 1
-    theta = _window_centre(ch)
-    for t in counts:
-        if t < 0:
-            raise ValidationError("repetition count must be >= 0")
-        rows = math.comb(t + m1, m1)
-        if rows > HISTOGRAM_BUDGET and theta is not None:
-            rows = _window_rows(t, theta)
-        if rows > HISTOGRAM_BUDGET:
-            raise BudgetExceededError(
-                f"histogram enumeration too large: {rows} exceeds {HISTOGRAM_BUDGET}"
-            )
-    values = dict.fromkeys(counts, _LN_QUARTER)
+    if min(counts) < 0:
+        raise ValidationError("repetition count must be >= 0")
     ts = np.array([t for t in counts if t > 0], dtype=np.int64)
+    values = dict.fromkeys(counts, _LN_QUARTER)
     if ts.size:
         values.update(zip(ts.tolist(), _log_variance_pass(ts, ch).tolist()))
     return values
@@ -456,19 +504,20 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     """Refuse counts whose distinct t_k sum more than
     ``PATTERN_HISTOGRAM_BUDGET`` histogram rows together: each bit stays
     under ``HISTOGRAM_BUDGET``, but for a binary channel the full rows of a
-    pattern sum to about its budget n. A windowed binary bit counts its
-    window's rows (``_window_rows``), computed only where the full rows
-    exceed the budget. (Plain loops: the sweep calls this every row.)"""
+    pattern, the sum of t + 1 over its distinct counts, come to about its
+    budget n. A windowed binary bit counts its window's rows
+    (``_binary_windows``), computed only where the full rows exceed the
+    budget, so the sweep's per-step call stays a plain sum."""
     ch = _merge_tied_outputs(ch)
     m1 = len(ch.outputs) - 1
     distinct = set(counts)
-    total = 0
-    for t in distinct:
-        total += math.comb(t + m1, m1)
-    if total > PATTERN_HISTOGRAM_BUDGET and (theta := _window_centre(ch)) is not None:
-        total = 0
-        for t in distinct:
-            total += _window_rows(t, theta)
+    if m1 == 1:
+        total = sum(distinct) + len(distinct)
+        if total > PATTERN_HISTOGRAM_BUDGET:
+            lo, hi = _binary_windows(np.fromiter(distinct, np.int64, len(distinct)), ch)
+            total = int((hi - lo).sum()) + len(distinct)
+    else:
+        total = sum(math.comb(t + m1, m1) for t in distinct)
     if total > PATTERN_HISTOGRAM_BUDGET:
         raise BudgetExceededError(
             f"exact distortion too large: {total} histograms exceed the "

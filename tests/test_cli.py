@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicsearch import aurelian, info_constants, load_channel, make_bac
+from dyadicsearch import aurelian, decoder, info_constants, load_channel, make_bac
 from dyadicsearch.cli import _pattern_summary, main
 from dyadicsearch.decoder import exact_bit_variance
 from dyadicsearch.policy import aurelian_steps, pattern
@@ -206,9 +206,11 @@ class TestFig3:
                                  ("log_u_over_sqrt_n", ref.log_upper(t))):
                 assert float(row[header.index(col)]) == pytest.approx(log_ref / math.sqrt(n), rel=1e-12)
 
-    def test_exact_mode_refuses_pattern_over_histogram_budget(self, tmp_path, capsys):
-        # Every bit of aurelian(1e11) is under the per-bit budget, but their
-        # histograms sum to about 1e11 rows: refused up front, not enumerated.
+    def test_exact_mode_refuses_pattern_over_histogram_budget(self, tmp_path, capsys, monkeypatch):
+        # aurelian(1e11)'s histograms sum to about 1e11 full rows and about
+        # 1.4e7 windowed ones: on a pattern budget of 1e6 rows it is refused up
+        # front, not enumerated.
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 10**6)
         start = time.perf_counter()
         rc = main(["fig3", "--channel", "bsc:0.1", "--mode", "exact", "--n-max", "100000000000",
                    "--step", "100000000000", "--out", str(tmp_path)])
@@ -285,10 +287,11 @@ class TestPolicy:
                    "--rule", "exhaustive:6", "--out", str(tmp_path)])
         assert rc == 3
 
-    def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys):
-        # aurelian(1e11) needs about 1e9 histogram rows for exact D even
-        # within the binary windows: the bounds are printed and exact_d is
-        # left empty.
+    def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys, monkeypatch):
+        # On a pattern budget of 1e6 rows, aurelian(1e11) (about 1.4e7
+        # windowed rows) gets no exact D: the bounds are printed and exact_d
+        # is left empty.
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 10**6)
         start = time.perf_counter()
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "100000000000", "--rule", "aurelian",
                    "--out", str(tmp_path)])
@@ -299,6 +302,20 @@ class TestPolicy:
         manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
         assert manifest["findings"]["oracle_cache"] == {"hits": 0, "misses": 0}
         assert "ln_exact_d" not in manifest["findings"] and "ln_U" in manifest["findings"]
+
+    def test_exact_d_at_1e11(self, tmp_path, capsys):
+        # Each windowed bit sums at most 43 rows on bsc:0.1, so the
+        # 316 227 bits of aurelian(1e11) get an exact ln D inside the bounds.
+        exact_bit_variance.cache_clear()
+        start = time.perf_counter()
+        rc = main(["policy", "--channel", "bsc:0.1", "--n", "100000000000", "--rule", "aurelian",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert time.perf_counter() - start < 20.0
+        findings = json.loads((tmp_path / "manifest-policy.json").read_text())["findings"]
+        assert f"ln_exact_d={findings['ln_exact_d']!r}" in capsys.readouterr().out
+        assert math.isfinite(findings["ln_exact_d"])
+        assert findings["ln_L"] <= findings["ln_exact_d"] <= findings["ln_U"]
 
     def test_long_pattern_stdout_bounded(self, tmp_path, capsys):
         # q = 316227: stdout shows q and the first and last five counts; the

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadicsearch import (
     BudgetExceededError,
@@ -29,7 +31,7 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch import decoder, efficient_search, info_constants
+from dyadicsearch import decoder, efficient_search, info_constants, load_channel
 from dyadicsearch.decoder import _bit_offset, _safe_log, _sigmoid
 from dyadicsearch.policy import composition_rows, compositions
 from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table, _tilt
@@ -240,10 +242,11 @@ class TestExactBitVariance:
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_window_total_refused_before_any_bit(self, cold_table):
-        # 1000 distinct counts near 1e9 on a windowed channel: each bit's
-        # window of about 2.5e5 rows is under the per-bit budget, and the
-        # windows together pass the pattern's.
-        ch = make_bac(0.9, 0.8)
+        # 1000 distinct counts near 1e9 on a near-pure-noise channel, whose
+        # decay half-width (about 9.9e5 rows) keeps the sqrt(t) window: each
+        # bit's window of about 2.5e5 rows is under the per-bit budget, and
+        # the windows together pass the pattern's.
+        ch = make_bsc(0.49999)
         t = pattern(list(range(10**9 + 1000, 10**9, -1)))
         lo, hi = decoder._binary_windows(np.array(t.t), ch)
         assert (hi - lo + 1).max() <= decoder.HISTOGRAM_BUDGET
@@ -252,15 +255,30 @@ class TestExactBitVariance:
             exact_distortion(t, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
-    def test_window_rows_closed_form(self):
-        # The scalar count the budget checks use equals the window's size.
-        ts = np.array([0, 1, 2, 7, 50, 99, 100, 101, 3000, 10**6, 10**8 + 7, 10**10, 10**12])
-        for ch in (make_bac(0.9, 0.8), make_bsc(0.1), make_bac(0.999, 0.51)):
-            theta = decoder._window_centre(ch)
-            lo, hi = decoder._binary_windows(ts, ch)
-            assert [decoder._window_rows(t, theta) for t in ts.tolist()] == (hi - lo + 1).tolist()
-        for ch in (Z_CHANNEL, random_channel(np.random.default_rng(3), alphabet=3)):
-            assert decoder._window_centre(ch) is None
+    def test_budget_totals_count_window_rows(self, cold_table):
+        # The pattern check counts t + 1 rows a bit until that passes the
+        # budget, then each bit's window: the 1000 counts near 1e9 above pass
+        # on bac:0.9,0.8 (at most 53 rows a bit), and one more bit is refused
+        # on a monkeypatched budget they just meet. m-ary bits count
+        # C(t + m - 1, m - 1) rows.
+        counts = list(range(10**9 + 1000, 10**9, -1))
+        ch = make_bac(0.9, 0.8)
+        lo, hi = decoder._binary_windows(np.array([*counts, 2 * 10**9]), ch)
+        rows = (hi - lo + 1).tolist()
+        assert max(rows) <= 53
+        decoder._check_histogram_total(counts, ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", sum(rows[:-1]))
+            decoder._check_histogram_total(counts, ch)
+            with pytest.raises(BudgetExceededError, match=f"{sum(rows)} histograms"):
+                decoder._check_histogram_total([*counts, 2 * 10**9], ch)
+        ternary = random_channel(np.random.default_rng(3), alphabet=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", math.comb(102, 2) + math.comb(52, 2))
+            decoder._check_histogram_total([100, 50, 100], ternary)
+            with pytest.raises(BudgetExceededError):
+                decoder._check_histogram_total([100, 50, 1], ternary)
+        assert decoder._LOG_FACTORIALS.size == 1
 
     def test_windowed_bits_over_full_row_budget(self):
         # Three bits of 1e7 uses hold 1e7 + 1 rows each, above the per-bit
@@ -517,6 +535,109 @@ class TestLogKernel:
         exact_bit_variance.cache_clear()
         info = exact_bit_variance.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+WINDOW_GRID_CHANNELS = [
+    "bac:0.9,0.8", "bsc:0.05", "bsc:0.25", "bsc:0.45", "bsc:0.499", "bac:0.999,0.51", "bsc:0.001",
+]
+WINDOW_GRID_USES = np.array([1, 7, 50, 300, 3000, 10**5, 10**7, 10**10, 10**12])
+
+
+def full_row_terms(t: int, ch: ChannelSpec) -> np.ndarray:
+    """ln(P(j|0) sigmoid(L_j)) of every row j = 0..t of a binary bit, from
+    math.lgamma and the masses alone."""
+    j = np.arange(t + 1)
+    lg = np.array([math.lgamma(x + 1.0) for x in range(t + 1)])
+    (a0, a1), (b0, b1) = ch.f0, ch.f1
+    lp0 = lg[t] - lg[j] - lg[t - j] + (t - j) * math.log(a0) + j * math.log(a1)
+    llr = (t - j) * math.log(b0 / a0) + j * math.log(b1 / a1)
+    return lp0 - np.logaddexp(0.0, -llr)
+
+
+def mp_log_bit_variance(t: int, ch: ChannelSpec):
+    """ln V(t) of a binary bit at 40 digits, an mpmath number: the rows
+    P0 P1 / (2 (P0 + P1)) from the largest outwards, each side until its
+    rows fall below 1e-60 of the largest (the terms are log-concave in j)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        (a0, a1), (b0, b1) = (map(mpmath.mpf, f) for f in (ch.f0, ch.f1))
+        top = mpmath.loggamma(t + 1)
+
+        def row(j: int):
+            ln_c = top - mpmath.loggamma(j + 1) - mpmath.loggamma(t - j + 1)
+            p0 = mpmath.exp(ln_c + (t - j) * mpmath.log(a0) + j * mpmath.log(a1))
+            p1 = mpmath.exp(ln_c + (t - j) * mpmath.log(b0) + j * mpmath.log(b1))
+            return p0 * p1 / (2 * (p0 + p1))
+
+        centre = min(max(round(t * decoder._window_centre(ch)), 0), t)
+        peak = row(centre)
+        total = peak
+        for step in (1, -1):
+            j = centre + step
+            while 0 <= j <= t and (value := row(j)) > peak * mpmath.mpf(10) ** -60:
+                total += value
+                j += step
+        return mpmath.log(total)
+
+
+class TestConstantWindow:
+    """The binary window t theta* +- min(4 sqrt(t) + 50, h_ch): certified at
+    every t, never wider than the sqrt(t) window, equal to the full sum."""
+
+    @pytest.mark.parametrize("name", WINDOW_GRID_CHANNELS)
+    def test_grid_certified_and_no_wider(self, name, cold_table):
+        ch = load_channel(name)
+        ts = WINDOW_GRID_USES
+        theta = decoder._window_centre(ch)
+        h = decoder._decay_half_width(theta, ch)
+        lo, hi = decoder._binary_windows(ts, ch)
+        rows = hi - lo + 1
+        half = 4.0 * np.sqrt(ts) + 50.0
+        sqrt_rows = np.minimum((ts * theta + half).astype(np.int64), ts) - np.maximum(
+            np.ceil(ts * theta - half), 0
+        ) + 1
+        assert (rows <= sqrt_rows).all()
+        assert (rows <= 2 * h + 1).all()
+        lg = decoder._log_factorials(int(ts[ts <= decoder.HISTOGRAM_BUDGET].max()))
+        log_v, certified = decoder._binary_log_variances(ts, lo, hi, lg, ch)
+        assert certified.all()
+        small = ts[ts + 1 <= decoder.HISTOGRAM_BUDGET]
+        full, _ = decoder._binary_log_variances(small, np.zeros_like(small), small, lg, ch)
+        assert log_v[: small.size] == pytest.approx(full, rel=1e-13)
+
+    def test_rows_constant_in_t(self):
+        # From t = 3000 on a bac:0.9,0.8 bit sums 52 or 53 rows, whatever t.
+        ts = np.array([3000, 10**5, 10**8 + 7, 10**12, 10**15])
+        lo, hi = decoder._binary_windows(ts, make_bac(0.9, 0.8))
+        assert set((hi - lo + 1).tolist()) <= {52, 53}
+        for ch in (Z_CHANNEL, random_channel(np.random.default_rng(3), alphabet=3)):
+            assert decoder._window_centre(ch) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p00=st.floats(1e-4, 1.0 - 1e-4),
+        p11=st.floats(1e-4, 1.0 - 1e-4),
+        t=st.integers(1, 20_000),
+    )
+    def test_derived_edges_clear_certificate(self, p00, p11, t):
+        # Every row at or past t theta* +- h_ch lies at least 38 nats below
+        # the bit's largest term, on any binary channel with positive masses.
+        ch = ChannelSpec(outputs=(0, 1), f0=(p00, 1.0 - p00), f1=(1.0 - p11, p11))
+        theta = decoder._window_centre(ch)
+        if theta is None:
+            return
+        h = decoder._decay_half_width(theta, ch)
+        terms = full_row_terms(t, ch)
+        j = np.arange(t + 1)
+        outside = (j <= math.ceil(t * theta - h)) | (j >= math.floor(t * theta + h))
+        assert (terms[outside] <= terms.max() - decoder.WINDOW_CERTIFICATE).all()
+
+    @pytest.mark.parametrize("t", [10**4, 10**6])
+    @pytest.mark.parametrize("name", ["bac:0.9,0.8", "bsc:0.05", "bac:0.999,0.51"])
+    def test_matches_forty_digit_reference(self, name, t):
+        ch = load_channel(name)
+        (log_v,) = log_bit_variances([t], ch)
+        assert log_v == pytest.approx(float(mp_log_bit_variance(t, ch)), rel=1e-13)
 
 
 class TestExactDistortion:
