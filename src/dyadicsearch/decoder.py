@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -100,6 +101,7 @@ _LOG_ODDS_SWITCH = 1e-12
 _EXP_FLOOR = -700.0
 _LN_QUARTER = math.log(0.25)
 _LN2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
 _LN_12 = math.log(12.0)
 
 
@@ -296,7 +298,7 @@ def _decay_half_width(theta: float, ch: ChannelSpec) -> float:
     """h_ch: the rows on each side of t theta* past which every term of a
     binary bit lies more than ``WINDOW_CERTIFICATE`` nats below its largest,
     at any t (see ``_binary_windows``); inf where the decay rate is not
-    positive."""
+    positive or not resolved in doubles."""
     if not 0.0 < theta < 1.0:
         return math.inf
     (a0, a1), (b0, b1) = ch.f0, ch.f1
@@ -304,7 +306,20 @@ def _decay_half_width(theta: float, ch: ChannelSpec) -> float:
     # s* |lam1 - lam0| and (1 - s*) |lam1 - lam0|, read off theta*.
     r_s, r_rest = abs(math.log(a1 / (a0 * odds))), abs(math.log(odds * b0 / b1))
     rate = min(r_s, r_rest)
-    if rate == 0.0:
+    # Each lam_y is rounded by about eps (1 + |lam_y|), which moves theta*
+    # by up to 2 eps (1 + gap)/gap, gap = |lam1 - lam0| = |lam0| + |lam1|,
+    # and so ln odds, and each rate, by that over theta* (1 - theta*); the
+    # logs above add about 3 eps + eps r. Near f0 = f1 the error reaches the
+    # rates themselves: f0 = (1/3, 2/3) against f1 one ulp away reads
+    # theta* = 0.8 and a rate of ln 2 where the true one is near 1e-15. A
+    # rate not 2^10 times its error bound is not trusted, which keeps the
+    # rate's share of the spare nat under 2^-10 (39 + c).
+    lam0, lam1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
+    gap = abs(lam1 - lam0)
+    err = 4.0 * _EPS * (
+        (1.0 + gap) / (gap * theta * (1.0 - theta)) + 1.0 + max(r_s, r_rest)
+    )
+    if rate <= 1024.0 * err:
         return math.inf
     # The quotient is inf for a rate near the smallest double; np.ceil keeps it.
     return float(np.ceil((WINDOW_CERTIFICATE + _LN2 + max(r_s, r_rest) + 1.0) / rate)) + 1.0

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadicsearch import (
@@ -619,9 +619,14 @@ class TestConstantWindow:
         p11=st.floats(1e-4, 1.0 - 1e-4),
         t=st.integers(1, 20_000),
     )
+    # f0 and f1 differ only by rounding: theta* clips to 0, or its rates are
+    # below their rounding error; h_ch is inf either way.
+    @example(p00=0.9999, p11=0.0001, t=1)
+    @example(p00=0.3333333333333333, p11=0.666666666666667, t=112)
     def test_derived_edges_clear_certificate(self, p00, p11, t):
         # Every row at or past t theta* +- h_ch lies at least 38 nats below
         # the bit's largest term, on any binary channel with positive masses.
+        # The edges stay floats: an infinite h_ch leaves no row outside.
         ch = ChannelSpec(outputs=(0, 1), f0=(p00, 1.0 - p00), f1=(1.0 - p11, p11))
         theta = decoder._window_centre(ch)
         if theta is None:
@@ -629,7 +634,7 @@ class TestConstantWindow:
         h = decoder._decay_half_width(theta, ch)
         terms = full_row_terms(t, ch)
         j = np.arange(t + 1)
-        outside = (j <= math.ceil(t * theta - h)) | (j >= math.floor(t * theta + h))
+        outside = (j <= np.ceil(t * theta - h)) | (j >= np.floor(t * theta + h))
         assert (terms[outside] <= terms.max() - decoder.WINDOW_CERTIFICATE).all()
 
     @pytest.mark.parametrize("t", [10**4, 10**6])
