@@ -32,6 +32,11 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+try:  # the builtin, as ``random`` takes its SHA-512: hashlib maps OpenSSL, 3.6 MB resident
+    from _sha256 import sha256 as _sha256
+except ImportError:  # renamed in Python 3.12
+    from hashlib import sha256 as _sha256
+
 from . import __version__
 from .channel import (
     ChannelSpec,
@@ -377,11 +382,14 @@ def cmd_policy(args) -> int:
     print(f"  t1_bound={cor.t1_bound} q_bound={cor.q_bound} (r={consts.r})")
     header = ["rule", "n", "pattern", "q", "U", "L", "exact_d",
               "no_gap", "spacing", "t1_bound", "q_bound"]
-    row = [args.rule, args.n, str(pat), pat.q, u, l, exact_d,
+    cell = str(pat)
+    row = [args.rule, args.n, cell, pat.q, u, l, exact_d,
            *map(int, (eff.no_gap, eff.spacing, cor.t1_bound, cor.q_bound))]
     config = {"n": args.n, "rule": args.rule}
     findings = {
-        "pattern": str(pat),
+        "pattern": _pattern_summary(pat),
+        "q": pat.q,
+        "pattern_sha256": _sha256(cell.encode()).hexdigest(),
         "oracle_cache": _oracle_cache_since(cache_before),
         # Values below the double range print as 0.0; the ln_* entries keep them.
         "underflow": [name for name, v in (("U", u), ("L", l), ("exact_d", exact_d)) if v == 0.0],

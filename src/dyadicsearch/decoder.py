@@ -69,9 +69,9 @@ Windowed rows beyond the table call ``math.lgamma`` for their own entries,
 the same values. The table holds ln i! only, the same in every process.
 ln V is cached per (t_k, channel) by the oracle behind
 ``exact_bit_variance`` (its exp) and ``log_bit_variances`` (the batched
-lookup); ``exact_distortion`` and the staircase sweep assemble D from
-it with one helper, and ``assemble_log_distortion`` gives ln D, finite at any
-budget.
+lookup). D = sum_k 4^-k V(t_k) + 4^-q / 12 is summed from it by the kernel
+that sums U and L in ``policy``: as a double by ``assemble_distortion``,
+and as ln D, finite at any budget, by ``assemble_log_distortion``.
 """
 
 from __future__ import annotations
@@ -84,9 +84,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import LN4, ChannelSpec
+from .channel import ChannelSpec
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, _logsumexp, composition_counts, composition_rows
+from .policy import TransmissionPattern, composition_counts, composition_rows
+from .policy import _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
@@ -553,26 +554,15 @@ def log_bit_variances(counts: Sequence[int], ch: ChannelSpec) -> list[float]:
     return exact_bit_variance.log_values(counts, ch)
 
 
-def _distortion_term(k: int, log_v: float) -> float:
-    """4^-(k+1) E[Var(X_{k+1} | history)]: the term of 0-based bit k in D."""
-    return 4.0 ** -(k + 1) * math.exp(log_v)
-
-
-def _distortion_sum(terms: Sequence[float]) -> float:
-    """D from the terms of bits 1..q: their fsum plus the prior-variance tail."""
-    return math.fsum(terms) + 0.25 * (4.0 ** -len(terms) / 3.0)
-
-
 def assemble_distortion(log_v: Sequence[float]) -> float:
     """D = sum_k 4^-k V(t_k) + 4^-q / 12 from ln V of bits 1..q, by
     positive-term summation; 0.0 where D is below the double range."""
-    return _distortion_sum([_distortion_term(k, v) for k, v in enumerate(log_v)])
+    return _series_sum(_series_terms(np.arange(len(log_v)), log_v), 1.0 / 12.0)
 
 
 def assemble_log_distortion(log_v: Sequence[float]) -> float:
     """ln D from ln V of bits 1..q, summed in log space: finite at any budget."""
-    q = len(log_v)
-    return _logsumexp([v - (k + 1) * LN4 for k, v in enumerate(log_v)] + [-q * LN4 - _LN_12])
+    return _log_series(log_v, -_LN_12)
 
 
 def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:

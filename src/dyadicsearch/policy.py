@@ -9,7 +9,10 @@ end-to-end mean squared error D(t) is sandwiched by
     U(t) =     sum_{k>=1} 4^(-k) exp(-t_k C)
 
 (untransmitted indices contribute their prior terms; the infinite tail
-beyond the last transmitted bit is summed in closed form).
+beyond the last transmitted bit is summed in closed form). U, L and the exact
+D of ``decoder`` are one dyadic series sum_k 4^-k e^(y_k) + c 4^-q, summed
+by one private kernel (``_series_terms``, ``_series_sum``, ``_log_series``)
+that the staircase sweep of ``sim`` shares.
 
 An *efficient* pattern minimizes U subject to sum t_k = n. Because U is
 separable with convex decreasing per-index terms, the minimum takes the n
@@ -48,6 +51,7 @@ PATTERN_BUDGET = 10_000_000
 COMPOSITION_ROWS = 65536
 
 _CHECK_SLACK = 1e-9
+_BOUND_TAIL = 1.0 / 3.0  # c of U and, before the factor 1/4, of L
 _LN3 = math.log(3.0)
 _LN_QUARTER = math.log(0.25)
 
@@ -94,29 +98,35 @@ def parse_pattern(text: str) -> TransmissionPattern:
         raise ValidationError(f"cannot parse pattern {text!r}: {exc}") from exc
 
 
-def _bound_term(k: int, t_k: int, rate: float) -> float:
-    """4^-(k+1) e^(-t_k rate): the term of 0-based bit k in U (rate C) and,
-    before the factor 1/4, in L (rate B)."""
-    return 4.0 ** -(k + 1) * math.exp(-t_k * rate)
+def _series_terms(k: np.ndarray, y: Sequence[float]) -> list[float]:
+    """4^-(k+1) e^(y_k) for 0-based bits k: the terms of the dyadic series
+    S(y, c) = sum_k 4^-(k+1) e^(y_k) + c 4^-q. U is S(-t C, 1/3), L is
+    S(-t B, 1/3) / 4 and D is S(ln V, 1/12). The power of four is an exact
+    scaling. The exps are ``math.exp``'s: numpy's SIMD exp varies with the
+    CPU and, with AVX-512, errs by up to 0.67 ulp on [-700, 0], against 0.503."""
+    return np.ldexp(np.fromiter(map(math.exp, y), np.float64, len(y)), -2 * (k + 1)).tolist()
 
 
-def _upper_sum(terms: Sequence[float]) -> float:
-    """U from the terms of bits 1..q: their fsum plus the closed-form tail.
-    L is a quarter of the same sum over its own terms."""
-    return math.fsum(terms) + 4.0 ** -len(terms) / 3.0
+def _series_sum(terms: Sequence[float], c: float) -> float:
+    """S from the terms of bits 1..q: their correctly rounded sum, which
+    does not depend on the terms' order, plus the closed-form tail c 4^-q."""
+    return math.fsum(terms) + 4.0 ** -len(terms) * c
 
 
-def _logsumexp(xs: Sequence[float]) -> float:
-    """ln sum_i e^(x_i), shifted by the largest x_i so no term overflows."""
-    top = max(xs)
-    return top + math.log(math.fsum(math.exp(x - top) for x in xs))
+def _log_series(y: Sequence[float], ln_c: float) -> float:
+    """ln S(y, c) from ln c, summed in log space: shifted by the largest log
+    term, so it stays finite where S underflows."""
+    q = len(y)
+    x = np.append(np.asarray(y, dtype=np.float64) - LN4 * np.arange(1, q + 1), ln_c - q * LN4)
+    top = x.max()
+    return float(top + math.log(math.fsum(map(math.exp, (x - top).tolist()))))
 
 
-def _log_bound(counts: Sequence[int], rate: float) -> float:
-    """ln of ``_upper_sum`` over the terms of ``counts`` at ``rate``, summed
-    in log space, so it stays finite where the sum underflows."""
-    q = len(counts)
-    return _logsumexp([-(k + 1) * LN4 - c * rate for k, c in enumerate(counts)] + [-q * LN4 - _LN3])
+def _exponents(t: TransmissionPattern, rate: float, name: str) -> list[float]:
+    """-t_k rate per bit, the exponents of U (rate C) and L (rate B)."""
+    if not 0.0 <= rate < math.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {rate!r}")
+    return (-np.asarray(t.t, dtype=np.float64) * rate).tolist()
 
 
 def upper_bound(t: TransmissionPattern, C: float) -> float:
@@ -126,30 +136,22 @@ def upper_bound(t: TransmissionPattern, C: float) -> float:
     relative precision even when it underflows the prior scale (needed for
     the large-n rate sweeps).
     """
-    if C < 0.0:
-        raise ValidationError("C must be >= 0")
-    return _upper_sum([_bound_term(k, c, C) for k, c in enumerate(t.t)])
+    return _series_sum(_series_terms(np.arange(t.q), _exponents(t, C, "C")), _BOUND_TAIL)
 
 
 def lower_bound(t: TransmissionPattern, B: float) -> float:
     """L(t): lower bound driven by the mean absolute log-likelihood ratio."""
-    if B < 0.0:
-        raise ValidationError("B must be >= 0")
-    return 0.25 * _upper_sum([_bound_term(k, c, B) for k, c in enumerate(t.t)])
+    return 0.25 * _series_sum(_series_terms(np.arange(t.q), _exponents(t, B, "B")), _BOUND_TAIL)
 
 
 def log_upper_bound(t: TransmissionPattern, C: float) -> float:
     """ln U(t), summed in log space: finite where U underflows."""
-    if C < 0.0:
-        raise ValidationError("C must be >= 0")
-    return _log_bound(t.t, C)
+    return _log_series(_exponents(t, C, "C"), -_LN3)
 
 
 def log_lower_bound(t: TransmissionPattern, B: float) -> float:
     """ln L(t), summed in log space: finite where L underflows."""
-    if B < 0.0:
-        raise ValidationError("B must be >= 0")
-    return _LN_QUARTER + _log_bound(t.t, B)
+    return _LN_QUARTER + _log_series(_exponents(t, B, "B"), -_LN3)
 
 
 def pattern_count(n: int, max_depth: int) -> int:

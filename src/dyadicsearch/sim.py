@@ -65,10 +65,11 @@ The staircase sweep ``aurelian_sweep`` takes its patterns stepped from
 that changed since the previous budget. It keeps the per-bit terms of D, U
 and L and recomputes only the changed ones, so a step of one use costs a
 term or two, not a rebuilt pattern and q oracle lookups; the changed bits
-of ``SWEEP_BLOCK`` budgets share one oracle pass. Each row is re-summed
-with ``math.fsum``, which is correctly rounded and so independent of the
-order of the terms, plus the closed-form tail: the rows equal, float for
-float, those computed one budget at a time.
+of ``SWEEP_BLOCK`` budgets share one oracle pass and one call per series of
+``policy._series_terms``. Each row is re-summed with ``math.fsum``, which
+is correctly rounded and so independent of the order of the terms, plus
+the closed-form tail: the rows equal, float for float, those computed one
+budget at a time.
 """
 
 from __future__ import annotations
@@ -87,13 +88,12 @@ from .decoder import (
     HISTOGRAM_BUDGET,
     _bit_offset,
     _check_histogram_total,
-    _distortion_sum,
-    _distortion_term,
     assemble_log_distortion,
     exact_bit_variance,
 )
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, _bound_term, _log_bound, _upper_sum, aurelian_steps
+from .policy import TransmissionPattern, aurelian_steps, log_upper_bound
+from .policy import _BOUND_TAIL, _series_sum, _series_terms
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
 BLOCK_TRIALS = 4096
@@ -686,15 +686,15 @@ def aurelian_sweep(
 
     The patterns come stepped from ``aurelian_steps``. The per-bit terms of
     D, U and L are kept in three lists, and only the bits a budget step
-    changed are recomputed, from the same per-term expressions that
-    ``exact_distortion``, ``upper_bound`` and ``lower_bound`` use. Each row
-    is re-summed with ``math.fsum``, which is correctly rounded whatever the
-    order, plus the same closed-form tail, so every value equals the one
-    those functions give for ``aurelian(n)``. Where an exact D or a U is
-    below the smallest normal double, its log column comes from the
-    log-domain sum (``assemble_log_distortion``, the closed-form ln U)
-    instead of the log of the double. A row whose changed bits exceed the
-    oracle's histogram budget is refused with ``BudgetExceededError``.
+    changed are recomputed, by the series kernel that ``exact_distortion``,
+    ``upper_bound`` and ``lower_bound`` use. Each row is re-summed with
+    ``math.fsum``, which is correctly rounded whatever the order, plus the
+    same closed-form tail, so every value equals the one those functions
+    give for ``aurelian(n)``. Where an exact D or a U is below the smallest
+    normal double, its log column comes from the log-domain sum
+    (``assemble_log_distortion``, ``log_upper_bound``) instead of the log
+    of the double. A row whose changed bits exceed the oracle's histogram
+    budget is refused with ``BudgetExceededError``.
     """
     _check_jobs(jobs)
     consts = info_constants(channel)
@@ -705,21 +705,29 @@ def aurelian_sweep(
     l_terms: list[float] = []
     steps = zip(n_values, aurelian_steps(n_values, consts))
     while block := list(itertools.islice(steps, SWEEP_BLOCK)):
-        looked_up = iter(_changed_log_variances(block, channel) if exact else ())
+        # The terms of every bit the block's steps change, in step order.
+        changes = [(k, t[k]) for _, (t, changed) in block for k in changed]
+        bits, counts = np.array(changes, dtype=np.int64).reshape(-1, 2).T
+        new_u = _series_terms(bits, (-counts * consts.C).tolist())
+        new_l = _series_terms(bits, (-counts * consts.B).tolist())
+        if exact:  # each step's bits are held to the pattern histogram budget, as one pattern's are
+            for _, (t, changed) in block:
+                _check_histogram_total([t[k] for k in changed], channel)
+            new_log_v = exact_bit_variance.log_values(counts.tolist(), channel)
+            new_d = _series_terms(bits, new_log_v)
+        i = 0
         for n, (t, changed) in block:
             q = len(t)
             if q != len(u_terms):  # every index from the old q on is in ``changed``
                 for terms in (d_terms, log_v, u_terms, l_terms):
-                    del terms[q:]
-                    terms.extend([0.0] * (q - len(terms)))
+                    terms[q:] = [0.0] * (q - len(terms))
             for k in changed:
-                u_terms[k] = _bound_term(k, t[k], consts.C)
-                l_terms[k] = _bound_term(k, t[k], consts.B)
+                u_terms[k], l_terms[k] = new_u[i], new_l[i]
+                if exact:
+                    log_v[k], d_terms[k] = new_log_v[i], new_d[i]
+                i += 1
             if exact:
-                for k in changed:
-                    log_v[k] = next(looked_up)
-                    d_terms[k] = _distortion_term(k, log_v[k])
-                d, se = _distortion_sum(d_terms), 0.0
+                d, se = _series_sum(d_terms, PRIOR_DISTORTION), 0.0
                 log_d = math.log(d) if d >= _SMALLEST_NORMAL else assemble_log_distortion(log_v)
             else:
                 cfg = SimConfig(
@@ -737,8 +745,11 @@ def aurelian_sweep(
                         "use the exact oracle (--mode exact), whose log columns stay finite"
                     )
                 log_d = math.log(d)
-            u = _upper_sum(u_terms)
-            log_u = math.log(u) if u >= _SMALLEST_NORMAL else _log_bound(t, consts.C)
+            u = _series_sum(u_terms, _BOUND_TAIL)
+            if u >= _SMALLEST_NORMAL:
+                log_u = math.log(u)
+            else:
+                log_u = log_upper_bound(TransmissionPattern(t), consts.C)
             rows.append(
                 SweepRow(
                     n=n,
@@ -747,25 +758,13 @@ def aurelian_sweep(
                     distortion=d,
                     std_error=se,
                     upper=u,
-                    lower=0.25 * _upper_sum(l_terms),
+                    lower=0.25 * _series_sum(l_terms, _BOUND_TAIL),
                     log_d_over_sqrt_n=log_d / math.sqrt(n),
                     log_u_over_sqrt_n=log_u / math.sqrt(n),
                     d_over_d0=d / PRIOR_DISTORTION,
                 )
             )
     return SweepResult(constants=consts, rows=tuple(rows))
-
-
-def _changed_log_variances(block: list, channel: ChannelSpec) -> list[float]:
-    """ln V of every changed bit of a block of sweep steps, in step order,
-    from one oracle lookup. Each step's bits are held to the pattern
-    histogram budget on their own, as one pattern's are."""
-    counts: list[int] = []
-    for _, (t, changed) in block:
-        step = [t[k] for k in changed]
-        _check_histogram_total(step, channel)
-        counts += step
-    return exact_bit_variance.log_values(counts, channel)
 
 
 @dataclass(frozen=True)

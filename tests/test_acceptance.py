@@ -27,10 +27,13 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from dyadicsearch import (
     PosteriorState,
     SimConfig,
+    assemble_log_distortion,
+    aurelian,
     aurelian_sweep,
     b_functional,
     chernoff_information,
@@ -42,6 +45,8 @@ from dyadicsearch import (
     exact_bit_variance,
     exact_distortion,
     info_constants,
+    load_channel,
+    log_bit_variances,
     lower_bound,
     make_bac,
     make_bsc,
@@ -211,6 +216,25 @@ def test_criterion_5_asymptotic_rate():
         f"(b) ln(U_5000)/sqrt(n) = {last.log_u_over_sqrt_n:.4f} in [{-a2:.4f}, {-0.75 * a2:.4f}]; "
         f"(c) ln(D_5000)/sqrt(n) = {last.log_d_over_sqrt_n:.4f} < {-0.5 * a2:.4f}",
     )
+
+
+@pytest.mark.parametrize("spec", ["bsc:0.05", "bsc:0.1", "bsc:0.25", "bac:0.9,0.8"])
+def test_exact_rates_approach_their_limits(spec):
+    # Exact ln D / sqrt(n): greedy's tends to -sqrt(2 C ln4), the staircase's
+    # to -A2, and each gets closer at every step of 1e5..1e8. (Below 1e5 it
+    # need not: bsc:0.25 greedy reads -0.62984 at 1e4 and -0.62912 at 1e5.)
+    ch = load_channel(spec)
+    k = info_constants(ch)
+    rules = {
+        "greedy": (lambda n: efficient_search(n, k.C), -math.sqrt(2.0 * k.C * math.log(4.0))),
+        "aurelian": (lambda n: aurelian(n, k), -k.A2),
+    }
+    for rule, (policy, limit) in rules.items():
+        gaps = []
+        for n in (10**5, 10**6, 10**7, 10**8):
+            log_d = assemble_log_distortion(log_bit_variances(policy(n).t, ch))
+            gaps.append(abs(log_d / math.sqrt(n) - limit))
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), (rule, gaps)
 
 
 def test_criterion_6_decoder_unit_properties():

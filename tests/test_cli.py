@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -262,7 +263,8 @@ class TestPolicy:
                      "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         findings = json.loads((tmp_path / "manifest-policy.json").read_text())["findings"]
-        t = [int(x) for x in findings["pattern"].split(",")]
+        _, header, rows = read_csv(tmp_path / "policy.csv")
+        t = [int(x) for x in rows[0][header.index("pattern")].split(",")]
         ref = bench_reference(make_bac(0.9, 0.8))
         assert f"exact_d=0.0  ln_exact_d={findings['ln_exact_d']!r}" in out
         assert findings["ln_exact_d"] == pytest.approx(ref.log_distortion(t), rel=1e-12)
@@ -318,8 +320,8 @@ class TestPolicy:
         assert findings["ln_L"] <= findings["ln_exact_d"] <= findings["ln_U"]
 
     def test_long_pattern_stdout_bounded(self, tmp_path, capsys):
-        # q = 316227: stdout shows q and the first and last five counts; the
-        # CSV and the manifest keep every count.
+        # q = 316227: stdout and the manifest show q and the first and last
+        # five counts; the CSV keeps every count, and the manifest its digest.
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "100000000000", "--rule", "aurelian",
                    "--out", str(tmp_path)])
         assert rc == 0
@@ -331,8 +333,9 @@ class TestPolicy:
         # The pattern cell is past csv's default field size limit.
         data = (tmp_path / "policy.csv").read_text().splitlines()[-1]
         assert data.split('"')[1] == ",".join(map(str, full))
-        manifest = json.loads((tmp_path / "manifest-policy.json").read_text())
-        assert manifest["findings"]["pattern"] == data.split('"')[1]
+        findings = json.loads((tmp_path / "manifest-policy.json").read_text())["findings"]
+        assert (findings["pattern"], findings["q"]) == (shown, len(full))
+        assert findings["pattern_sha256"] == hashlib.sha256(data.split('"')[1].encode()).hexdigest()
         # Up to 20 counts stdout shows the whole pattern.
         assert _pattern_summary(pattern(range(20, 0, -1))) == ",".join(map(str, range(20, 0, -1)))
         assert _pattern_summary(pattern(range(21, 0, -1))) == "21,20,19,18,17,...,5,4,3,2,1"

@@ -3,7 +3,9 @@
 import heapq
 import itertools
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from dyadicsearch import (
     BudgetExceededError,
     InfoConstants,
     ValidationError,
+    assemble_distortion,
+    assemble_log_distortion,
     aurelian,
     aurelian_steps,
     b_functional,
@@ -20,6 +24,8 @@ from dyadicsearch import (
     efficient_search,
     enumerate_patterns,
     info_constants,
+    log_lower_bound,
+    log_upper_bound,
     lower_bound,
     make_bac,
     make_bsc,
@@ -174,6 +180,48 @@ class TestLowerBound:
             B = b_functional(ch)
             t = pattern(rng.integers(0, 8, size=rng.integers(1, 6)).tolist())
             assert lower_bound(t, B) <= upper_bound(t, C) + 1e-15
+
+
+def mp_series(y, c):
+    """sum_k 4^-(k+1) e^(y_k) + c 4^-q at 50 digits, on the same double y_k."""
+    with mpmath.workdps(50):
+        q = len(y)
+        terms = [mpmath.ldexp(mpmath.exp(mpmath.mpf(v)), -2 * (k + 1)) for k, v in enumerate(y)]
+        return mpmath.fsum(terms) + c * mpmath.mpf(4) ** -q
+
+
+class TestSeriesKernel:
+    """U, L and D are one dyadic series S(y, c); each function against a
+    50-digit sum of the same double exponents."""
+
+    @pytest.mark.parametrize("fn", [upper_bound, lower_bound, log_upper_bound, log_lower_bound])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_rate_must_be_finite_and_non_negative(self, fn, rate):
+        with pytest.raises(ValidationError):
+            fn(pattern([2, 0, 1]), rate)
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 5, 30, 200, 600])
+    def test_against_mpmath_sum(self, q, rng):
+        third, twelfth = mpmath.mpf(1) / 3, mpmath.mpf(1) / 12
+        for draw in range(6):
+            counts = rng.integers(15, 40, size=q)
+            if draw % 2:  # zeros inside; the last count stays positive
+                counts[:-1][rng.random(q - 1 if q else 0) < 0.2] = 0
+            t = pattern(counts.tolist())
+            assert t.q == q
+            # At rate 50 and q = 600 with no zero S is below the double range.
+            rate = 50.0 * rng.random() if draw < 4 else 50.0
+            y = [-c * rate for c in t.t]
+            cases = [
+                (upper_bound(t, rate), log_upper_bound(t, rate), mp_series(y, third)),
+                (lower_bound(t, rate), log_lower_bound(t, rate), mp_series(y, third) / 4),
+                (assemble_distortion(y), assemble_log_distortion(y), mp_series(y, twelfth)),
+            ]
+            for value, log_value, ref in cases:
+                if ref >= sys.float_info.min:
+                    assert abs(value - ref) <= 1e-15 * ref
+                ln_ref = float(mpmath.log(ref))
+                assert abs(log_value - ln_ref) <= 1e-14 * max(1.0, abs(ln_ref))
 
 
 class TestEnumerate:
