@@ -26,16 +26,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-try:  # the builtin, as ``random`` takes its SHA-512: hashlib maps OpenSSL, 3.6 MB resident
-    from _sha256 import sha256 as _sha256
-except ImportError:  # renamed in Python 3.12
-    from hashlib import sha256 as _sha256
 
 from . import __version__
 from .channel import (
@@ -389,7 +385,7 @@ def cmd_policy(args) -> int:
     findings = {
         "pattern": _pattern_summary(pat),
         "q": pat.q,
-        "pattern_sha256": _sha256(cell.encode()).hexdigest(),
+        "pattern_sha256": hashlib.sha256(cell.encode()).hexdigest(),
         "oracle_cache": _oracle_cache_since(cache_before),
         # Values below the double range print as 0.0; the ln_* entries keep them.
         "underflow": [name for name, v in (("U", u), ("L", l), ("exact_d", exact_d)) if v == 0.0],

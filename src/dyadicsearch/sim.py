@@ -720,7 +720,8 @@ def aurelian_sweep(
             q = len(t)
             if q != len(u_terms):  # every index from the old q on is in ``changed``
                 for terms in (d_terms, log_v, u_terms, l_terms):
-                    terms[q:] = [0.0] * (q - len(terms))
+                    del terms[q:]
+                    terms.extend([0.0] * (q - len(terms)))
             for k in changed:
                 u_terms[k], l_terms[k] = new_u[i], new_l[i]
                 if exact:

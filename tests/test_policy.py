@@ -5,7 +5,6 @@ import itertools
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -184,6 +183,7 @@ class TestLowerBound:
 
 def mp_series(y, c):
     """sum_k 4^-(k+1) e^(y_k) + c 4^-q at 50 digits, on the same double y_k."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         q = len(y)
         terms = [mpmath.ldexp(mpmath.exp(mpmath.mpf(v)), -2 * (k + 1)) for k, v in enumerate(y)]
@@ -202,6 +202,7 @@ class TestSeriesKernel:
 
     @pytest.mark.parametrize("q", [0, 1, 2, 5, 30, 200, 600])
     def test_against_mpmath_sum(self, q, rng):
+        mpmath = pytest.importorskip("mpmath")
         third, twelfth = mpmath.mpf(1) / 3, mpmath.mpf(1) / 12
         for draw in range(6):
             counts = rng.integers(15, 40, size=q)
