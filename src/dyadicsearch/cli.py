@@ -64,6 +64,7 @@ from .policy import (
     parse_pattern,
     upper_bound,
 )
+from .policy import _check_budget
 from .sim import SimConfig, aurelian_sweep, estimate_distortion, nonuniform_experiment
 from .source import load_prior, uniform_prior
 
@@ -280,7 +281,9 @@ def cmd_fig3(args) -> int:
         raise ValidationError("--seed is required in mc mode")
     if args.step < 1 or args.n_max < args.step:
         raise ValidationError("need n_max >= step >= 1")
-    n_values = [n for n in range(args.step, args.n_max + 1, args.step) if n >= consts.r]
+    grid = range(args.step, args.n_max + 1, args.step)
+    _check_budget(len(grid), "budgets in the fig3 grid")
+    n_values = [n for n in grid if n >= consts.r]
     if not n_values:
         raise ValidationError(
             f"no sweep points: need a budget of at least r={consts.r} (step {args.step})"

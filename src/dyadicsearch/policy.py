@@ -19,11 +19,12 @@ separable with convex decreasing per-index terms, the minimum takes the n
 uses with the largest decreases of U (marginal allocation). In units of C the
 negative log of the decrease from one more use of bit k at count c is the key
 k ln4/C + c, so the n smallest keys are those below a water level plus a tie
-fill: one pass over the indices finds the level, each count is floored at it,
-and one sort on (key, k) places the fewer-than-one-per-index uses left over,
-ties going to the smaller index. That is O(q log q) for depth q, independent
-of n. Exhaustive enumeration over bounded-depth compositions is kept as an
-independent route.
+fill, found in numpy passes over the O(sqrt(n C)) bits it can reach: a
+running sum over the sorted first keys gives the level, each count is
+floored at it, and one sort on (key, k) of 2m + 1 keys places the uses left
+over, ties going to the smaller index. A fill that could pass
+``PATTERN_BUDGET`` bits is refused before it is built. Exhaustive
+enumeration over bounded-depth compositions is an independent route.
 
 The staircase ("Aurelian") policy allocates t_k = (q - k + 1) r with
 r = floor(ln4 / C) and q the largest depth whose staircase fits the budget,
@@ -31,8 +32,8 @@ then places the remainder with the same threshold fill. Its upper bound
 decays like exp(-A2 sqrt(n)) with A2 = sqrt(2 r) C. At a fixed q the
 remainder fill is nested: the fill of R + 1 uses is the fill of R plus the
 next key in (key, k) order. ``aurelian_steps`` uses this to walk a budget
-grid: one fill and one sort per run of budgets sharing q, then one unit per
-extra use, reporting the bits each step changes.
+grid: one fill and one sort of its units per run of budgets sharing q, then
+one unit per extra use, reporting the bits each step changes.
 """
 
 from __future__ import annotations
@@ -223,8 +224,9 @@ def compositions(n: int, depth: int) -> Iterator[np.ndarray]:
     Yields int64 arrays of ``COMPOSITION_ROWS`` compositions, one per row,
     the last holding the rest. The rows are ``composition_rows([n],
     depth)``, built in pieces of at most that many rows, so a scan over the
-    ``PATTERN_BUDGET`` compositions holds two blocks at a time.
+    ``PATTERN_BUDGET`` compositions, the most it allows, holds two blocks.
     """
+    _check_budget(pattern_count(n, depth), "patterns to enumerate")
     held, size = [], 0
     for rows in _bounded_rows(n, depth):
         held.append(rows)
@@ -241,80 +243,70 @@ def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:
     """All ways to split n uses over bits 1..max_depth, in lexicographic order."""
     if n < 0 or max_depth < 1:
         raise ValidationError("need n >= 0 and max_depth >= 1")
-    count = pattern_count(n, max_depth)
-    if count > PATTERN_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration too large: {count} patterns exceeds the {PATTERN_BUDGET} budget"
-        )
     return [TransmissionPattern(tuple(t)) for b in compositions(n, max_depth) for t in b.tolist()]
 
 
-def _water_fill(counts: Sequence[int], units: int, C: float) -> list[int]:
-    # Gives `units` more uses to the smallest keys (k+1) a + c, a = ln4 / C,
-    # of 0-based index k at count c: the negative log of U's decrease from
-    # one more use, in units of C, so each use raises an index's key by 1.
-    # The taken keys are those below a water level, ties going to the smaller
-    # index. Fresh indices enter lazily: index k+1's first key exceeds k's.
-    a = LN4 / C
-    out = list(counts)
-    if units <= 0:
-        return out
-    # Level lam with sum_k max(0, lam - first_k) = units: walk the first keys
-    # upwards until the level shared by the m walked ones stays below the next.
-    firsts = sorted(((k + 1) * a + c, k) for k, c in enumerate(out))
-    firsts.append((math.inf, -1))
-    walked = []
-    i, total = 0, 0.0
-    while True:
-        nxt = firsts[i]
-        if (len(out) + 1) * a < nxt[0]:
-            nxt = ((len(out) + 1) * a, len(out))
-        if walked and units + total <= len(walked) * nxt[0]:
-            break
-        if nxt[1] == len(out):
-            out.append(0)
-        else:
-            i += 1
-        walked.append(nxt)
-        total += nxt[0]
-    level = (units + total) / len(walked)
-    # Every key at least 2 below the level is taken. The rest of the budget,
-    # under one key per walked index, goes to keys just below the level. The
-    # window holds two keys per walked index, so rounding in the level cannot
-    # lose one, and the next unwalked key, in case rounding hid a tie with
-    # the level. One sort on (key, k) picks them; ties go to the smaller index.
-    short = units
-    window = [nxt]
-    for f, k in walked:
-        inc = max(0, math.floor(level - f) - 1)
-        out[k] += inc
-        short -= inc
-        window += ((f + inc, k), (f + inc + 1, k))
-    for _, k in sorted(window)[:short]:
-        if k == len(out):
-            out.append(0)
-        out[k] += 1
-    return out
+def _check_budget(size: int, what: str) -> None:
+    """Refuse, before anything is built, more than ``PATTERN_BUDGET`` of
+    ``what``: patterns to enumerate, bits of a pattern, budgets of a grid."""
+    if size > PATTERN_BUDGET:
+        raise BudgetExceededError(f"too many {what}: {size} over the {PATTERN_BUDGET} budget")
+
+
+def _key_step(C: float) -> float:
+    """a = ln4 / C, the key step from one bit to the next."""
+    if not 0.0 < C < math.inf:
+        raise ValidationError(f"C must be finite and > 0, got {C!r}")
+    return LN4 / C
+
+
+def _water_fill(base: Sequence[int], units: int, a: float) -> np.ndarray:
+    """``base`` plus ``units`` uses on the smallest keys (k+1) a + c of index
+    k at count c, ties to the smaller k, as int64 counts over the base and
+    the fresh indices the fill may open, trailing zeros kept. A key is the
+    negative log of U's decrease from one more use, in units of C.
+
+    In (key, k) order of the first keys f, the first m indices share the
+    water level (units + F_m) / m, F the running sum, where m is the first
+    with that level at most the next first key. The sort is needed: staircase
+    keys rise with k (a >= r), but in doubles can fall an ulp when a is just
+    above r. Fresh index j + 1 past the base opens only once units > a j
+    (j+1) / 2, so isqrt(2 units / a) + 2 fresh ones hold the walk and the next.
+    """
+    fresh = math.isqrt(int(2 * units / a) + 1) + 2
+    _check_budget(len(base) + fresh, "bits in the pattern")
+    counts = np.concatenate((np.asarray(base, dtype=np.int64), np.zeros(fresh, np.int64)))
+    rank = np.arange(1, counts.size + 1)
+    first = rank * a + counts
+    order = np.argsort(first, kind="stable")  # (key, k) order: ties keep index order
+    f = first[order]
+    total = np.cumsum(f)
+    m = int(np.argmax(float(units) + total[:-1] <= rank[:-1] * f[1:])) + 1
+    level = (float(units) + float(total[m - 1])) / m
+    # Keys at least 2 below the level are taken: max(0, floor(level - f) - 1)
+    # more uses, which truncation gives too. The rest, under one per walked
+    # index, go to the window's smallest keys: two per walked index, so level
+    # rounding cannot lose one, and the next first key, for a hidden tie.
+    walked = order[:m]
+    inc = np.maximum((level - f[:m]).astype(np.int64) - 1, 0)
+    counts[walked] += inc
+    low = f[:m] + inc
+    keys = np.concatenate((low, low + 1.0, f[m : m + 1]))
+    ks = np.concatenate((walked, walked, order[m : m + 1]))
+    take = ks[np.lexsort((ks, keys))[: units - int(inc.sum())]]
+    return counts + np.bincount(take, minlength=counts.size)
 
 
 def _exhaustive_argmin(n: int, C: float, max_depth: int) -> TransmissionPattern:
-    count = pattern_count(n, max_depth)
-    if count > PATTERN_BUDGET:
-        raise BudgetExceededError(
-            f"enumeration too large: {count} patterns exceeds the {PATTERN_BUDGET} budget"
-        )
     weights = 4.0 ** -np.arange(1, max_depth + 1)
-    best_val = math.inf
-    best: tuple[int, ...] | None = None
+    best_val, best = math.inf, ()
     for block in compositions(n, max_depth):
         # Fixed-depth evaluation: zero entries contribute their prior weight,
         # which together with the constant 4^-d/3 tail equals the trimmed form.
         vals = np.exp(-block.astype(np.float64) * C) @ weights
         i = int(np.argmin(vals))
         if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = tuple(block[i].tolist())
-    assert best is not None
+            best_val, best = float(vals[i]), tuple(block[i].tolist())
     return TransmissionPattern(best)
 
 
@@ -327,21 +319,21 @@ def efficient_search(
     """Pattern minimizing U for budget n.
 
     ``greedy`` gives the n uses to the n largest decreases of U, found by the
-    threshold fill (water level, floor, one sort; ties toward the smaller
-    index) in O(q log q) for depth q; separable convexity makes this the
-    exact integer minimum, the same pattern as allocating one use at a time.
-    Its depth is whatever the fill reaches, so it takes no ``max_depth``.
+    threshold fill (water level, floor, one sort of 2m + 1 keys; ties toward
+    the smaller index) in numpy passes over the O(sqrt(n C)) bits it may
+    reach; separable convexity makes this the exact integer minimum. Its
+    depth is whatever the fill reaches (refused past ``PATTERN_BUDGET``), so
+    it takes no ``max_depth``.
     ``exhaustive`` scans every composition of n into ``max_depth`` parts and
     is the independent cross-check route (refused above the pattern budget).
     """
     if n < 0:
         raise ValidationError("budget n must be >= 0")
-    if C <= 0.0:
-        raise ValidationError("efficient search needs C > 0")
+    a = _key_step(C)
     if mode == "greedy":
         if max_depth is not None:
             raise ValidationError("greedy mode takes no max_depth (exhaustive mode does)")
-        return TransmissionPattern(tuple(_water_fill([], n, C)))
+        return TransmissionPattern(tuple(_water_fill((), n, a).tolist()))
     if mode == "exhaustive":
         if max_depth is None or max_depth < 1:
             raise ValidationError("exhaustive mode needs max_depth >= 1")
@@ -359,25 +351,20 @@ def _check_staircase(n: int, k: InfoConstants) -> None:
 
 
 def _staircase_depth(n: int, r: int) -> int:
-    """Largest q whose full staircase r q (q+1) / 2 fits in n (q >= 1)."""
-    q = int(math.floor(math.sqrt(2.0 * n / r + 0.25) - 0.5))
-    # Guard the float sqrt against off-by-one at exact staircase budgets.
-    while r * (q + 1) * (q + 2) // 2 <= n:
-        q += 1
-    while q > 1 and r * q * (q + 1) // 2 > n:
-        q -= 1
-    return q
+    """Largest q whose full staircase r q (q+1) / 2 fits in n: q (q+1) / 2
+    <= n // r exactly when (2q + 1)^2 <= 8 (n // r) + 1."""
+    return (math.isqrt(8 * (n // r) + 1) - 1) // 2
 
 
 def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     """Staircase policy: base allocation t_j = (q - j + 1) r, remainder by threshold fill.
 
-    q is the largest depth whose full staircase r q (q+1) / 2 fits in n,
-    i.e. q = floor(sqrt(2n/r + 1/4) - 1/2); the leftover uses go to the
-    largest decreases of U on top of the staircase, placed by the same
-    O(q log q) threshold fill as ``efficient_search``, which keeps the
-    pattern non-increasing. This is the one-budget grid of
-    ``aurelian_steps``, the only construction of the staircase.
+    q is the largest depth whose full staircase r q (q+1) / 2 fits in n
+    (refused past ``PATTERN_BUDGET``); the leftover uses go to the largest
+    decreases of U on top of the staircase, placed by the same threshold
+    fill as ``efficient_search``, which keeps the pattern non-increasing.
+    This is the one-budget grid of ``aurelian_steps``, the only
+    construction of the staircase.
     """
     return TransmissionPattern(next(aurelian_steps([n], k))[0])
 
@@ -397,37 +384,46 @@ def aurelian_steps(
     the keys (k+1) ln4/C + c of the threshold fill and its ties to the
     smaller index. So for a run of budgets that share q, one fill of the
     run's largest remainder gives every unit the run places, and those
-    units sorted on (key, k) give each budget's pattern as a prefix. The
-    fill may open bit q+1. A budget that changes q starts a new run.
+    units, ordered by one ``np.lexsort`` on (key, k), give each budget's
+    pattern as a prefix. The fill may open bit q+1. A budget that changes
+    q starts a new run; a q past ``PATTERN_BUDGET`` is refused up front.
     """
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+    a = _key_step(k.C)
+    if any(y <= x for x, y in zip(n_values, n_values[1:])):
         raise ValidationError("n_values must be strictly increasing")
-    if n_values:
-        _check_staircase(n_values[0], k)
-    r, a = k.r, LN4 / k.C
+    if not n_values:
+        return
+    _check_staircase(n_values[0], k)
+    r = k.r
+    _check_budget(_staircase_depth(n_values[-1], r), "bits in the pattern")
     counts: tuple[int, ...] = ()
     for q, run in itertools.groupby(n_values, key=lambda n: _staircase_depth(n, r)):
         run = list(run)
         floor_n = r * q * (q + 1) // 2
-        base = [(q - m) * r for m in range(q)] + [0]
-        last = _water_fill(base[:q], run[-1] - floor_n, k.C)
-        # The fill's keys: f + e, with f = (m+1) a + base count, e uses on top.
-        units = sorted(
-            ((m + 1) * a + base[m] + e, m) for m, c in enumerate(last) for e in range(c - base[m])
-        )
-        prev, cur = counts, base[:q]
-        for i, n in enumerate(run):
-            step = units[run[i - 1] - floor_n if i else 0 : n - floor_n]
-            for _, m in step:
+        stairs = np.arange(q, 0, -1) * r
+        last = _water_fill(stairs, run[-1] - floor_n, a)
+        cur = last
+        if len(run) > 1:
+            base = np.zeros_like(last)
+            base[:q] = stairs
+            # The fill's units as keys f + e: f = (m+1) a + base count, e uses on top.
+            extra = last - base
+            bit = np.repeat(np.arange(last.size), extra)
+            e = np.arange(bit.size) - np.repeat(np.cumsum(extra) - extra, extra)
+            units = bit[np.lexsort((bit, ((bit + 1) * a + base[bit]) + e))]
+            cur = base + np.bincount(units[: run[0] - floor_n], minlength=base.size)
+            units = units.tolist()
+        cur = cur[: np.flatnonzero(cur)[-1] + 1].tolist()
+        prev, counts = counts, tuple(cur)
+        yield counts, [m for m, c in enumerate(counts) if m >= len(prev) or prev[m] != c]
+        for lo, n in zip(run, run[1:]):
+            step = units[lo - floor_n : n - floor_n]
+            for m in step:
                 if m == len(cur):
                     cur.append(0)
                 cur[m] += 1
             counts = tuple(cur)
-            if i:
-                changed = sorted({m for _, m in step})
-            else:
-                changed = [m for m, c in enumerate(counts) if m >= len(prev) or prev[m] != c]
-            yield counts, changed
+            yield counts, sorted(set(step))
 
 
 @dataclass(frozen=True)

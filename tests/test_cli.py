@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicsearch import aurelian, decoder, info_constants, load_channel, make_bac
+from dyadicsearch import aurelian, decoder, info_constants, load_channel, make_bac, policy
 from dyadicsearch.cli import _pattern_summary, main
 from dyadicsearch.decoder import exact_bit_variance
 from dyadicsearch.policy import aurelian_steps, pattern
@@ -219,6 +219,22 @@ class TestFig3:
         assert time.perf_counter() - start < 20.0
         assert "histograms exceed" in capsys.readouterr().err
 
+    def test_grid_over_pattern_budget_refused_before_it_is_built(self, tmp_path, capsys):
+        start = time.perf_counter()
+        rc = main(["fig3", "--channel", "bac:0.9,0.8", "--n-max", "100000000000", "--step", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: too many budgets") and "Traceback" not in err
+        assert not (tmp_path / "fig3.csv").exists()
+
+    def test_grid_of_exactly_the_pattern_budget_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(policy, "PATTERN_BUDGET", 100)
+        argv = ["fig3", "--channel", "bac:0.9,0.8", "--step", "1", "--out", str(tmp_path)]
+        assert main([*argv, "--n-max", "100"]) == 0
+        assert main([*argv, "--n-max", "101"]) == 3
+
     def test_mc_mode_runs(self, tmp_path):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "40", "--step", "20",
                    "--mode", "mc", "--trials", "2000", "--seed", "5", "--out", str(tmp_path)])
@@ -288,6 +304,18 @@ class TestPolicy:
         rc = main(["policy", "--channel", "bsc:0.1", "--n", "200",
                    "--rule", "exhaustive:6", "--out", str(tmp_path)])
         assert rc == 3
+
+    @pytest.mark.parametrize("channel", ["bsc:0.1", "bac:0.9,0.8"])
+    @pytest.mark.parametrize("rule", ["greedy", "aurelian"])
+    def test_pattern_deeper_than_budget_exits_3(self, tmp_path, capsys, channel, rule):
+        # At n = 1e15 both rules reach more than 2e7 bits on these channels.
+        start = time.perf_counter()
+        rc = main(["policy", "--channel", channel, "--n", "1000000000000000", "--rule", rule,
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: too many bits in the pattern") and "Traceback" not in err
 
     def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys, monkeypatch):
         # On a pattern budget of 1e6 rows, aurelian(1e11) (about 1.4e7

@@ -93,6 +93,26 @@ def staircase_oracle(n, k):
     return heap_fill(base, n - k.r * q * (q + 1) // 2, k.C)
 
 
+def staircase_by_integer_keys(n, j):
+    """Aurelian pattern at C = ln4 / j, where every key (k+1) j + c is an
+    integer: the staircase, then the remainder's (key, k) pairs taken one
+    integer key value at a time, smaller indices first within a value."""
+    q = 1
+    while j * (q + 1) * (q + 2) // 2 <= n:
+        q += 1
+    counts = [(q - k) * j for k in range(q)] + [0, 0]
+    first = [(k + 1) * j + c for k, c in enumerate(counts)]
+    left = n - j * q * (q + 1) // 2
+    value = min(first)
+    while left:
+        for k, f in enumerate(first):
+            if f <= value and left:
+                counts[k] += 1
+                left -= 1
+        value += 1
+    return pattern(counts).t
+
+
 def assert_steps_match_aurelian(grid, k):
     """``aurelian_steps`` against ``aurelian(n)`` at every budget of the grid;
     the changed indices are exactly those whose count differs."""
@@ -321,6 +341,28 @@ class TestEfficientSearch:
             loss = max((k + 1) * LN4 + (c - 1) * C for k, c in enumerate(t) if c > 0)
             assert loss <= gain + 1e-9 * gain, C
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_must_be_finite_and_positive(self, C):
+        k = InfoConstants(C=C, B=1.0, r=2, r_real=2.0, A1=0.0, A2=0.0)
+        calls = [
+            lambda: efficient_search(10, C),
+            lambda: efficient_search(10, C, mode="exhaustive", max_depth=3),
+            lambda: aurelian(10, k),
+            lambda: list(aurelian_steps([10, 20], k)),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="finite and > 0"):
+                call()
+
+    def test_pattern_deeper_than_budget_refused(self):
+        # n = 1e15 reaches about 2.7e7 bits greedily and q = 3.2e7 on the staircase.
+        k = info_constants(make_bsc(0.1))
+        with pytest.raises(BudgetExceededError, match="bits in the pattern"):
+            efficient_search(10**15, k.C)
+        for grid in ([10**15], [10, 10**15]):
+            with pytest.raises(BudgetExceededError, match="bits in the pattern"):
+                list(aurelian_steps(grid, k))
+
     def test_exhaustive_requires_depth(self):
         with pytest.raises(ValidationError):
             efficient_search(5, 0.3, mode="exhaustive")
@@ -399,6 +441,14 @@ class TestAurelian:
             k = InfoConstants(C=LN4 / j, B=1.0, r=j, r_real=float(j), A1=0.0, A2=0.0)
             assert_steps_match_aurelian(range(j, 2001), k)
             assert_steps_match_aurelian(range(j, 2001, 7), k)
+
+    def test_exact_ties_match_integer_keys(self):
+        # Every first key of the staircase ties (a = r = j), so the remainder
+        # is placed by the tie rule alone.
+        for j in (1, 2, 3, 4, 8):
+            k = InfoConstants(C=LN4 / j, B=1.0, r=j, r_real=float(j), A1=0.0, A2=0.0)
+            for n in range(j, 2001):
+                assert aurelian(n, k).t == staircase_by_integer_keys(n, j), (j, n)
 
     def test_steps_on_random_channels_and_grids(self, rng):
         for _ in range(100):
