@@ -14,12 +14,13 @@ Every run writes a manifest JSON next to its CSVs; each CSV carries comment
 lines naming its schema, manifest and channel so the numbers stay traceable.
 Randomness enters only through --seed. Exit codes: 0 success, 2 validation
 error (an --out that cannot be written included), 3 budget refusal (an
-enumeration too large, a Monte-Carlo bit whose first-link window holds more
-than ``decoder.HISTOGRAM_BUDGET`` counts, or a ``fig3 --mode mc`` mean that
-underflows the double range). A ``fig3 --mode exact`` row whose D or U
-underflows the double range prints 0.0 there, and its ln(D)/sqrt(n) and
-ln(U)/sqrt(n) columns come from the log-domain sums; ``policy`` prints ln D
-beside D and records ln D, ln U and ln L in its manifest.
+enumeration too large, a budget past 2^53 uses, a Monte-Carlo bit whose
+first-link window holds more than ``decoder.HISTOGRAM_BUDGET`` counts, or a
+``fig3 --mode mc`` mean that underflows the double range). A ``fig3 --mode
+exact`` row whose D or U underflows the double range prints 0.0 there, and
+its ln(D)/sqrt(n) and ln(U)/sqrt(n) columns come from the log-domain sums;
+``policy`` prints ln D beside D and records ln D, ln U and ln L in its
+manifest.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .policy import (
     parse_pattern,
     upper_bound,
 )
-from .policy import _check_budget
+from .policy import _check_budget, _check_uses
 from .sim import SimConfig, aurelian_sweep, estimate_distortion, nonuniform_experiment
 from .source import load_prior, uniform_prior
 
@@ -283,6 +284,7 @@ def cmd_fig3(args) -> int:
         raise ValidationError("need n_max >= step >= 1")
     grid = range(args.step, args.n_max + 1, args.step)
     _check_budget(len(grid), "budgets in the fig3 grid")
+    _check_uses(grid[-1])
     n_values = [n for n in grid if n >= consts.r]
     if not n_values:
         raise ValidationError(

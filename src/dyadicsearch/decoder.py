@@ -46,37 +46,39 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   log-concavity the rows left out then fall off at least geometrically from
   below e^-38 times it. A bit whose edge fails is summed over every row.
   m-ary channels, and binary ones with a zero mass, always sum every row;
-* batching: the uncached bits of one lookup are computed together. Their
-  rows are concatenated, in chunks of about ``CHUNK_ROWS`` rows, and each
-  bit's segment is reduced with ``np.maximum.reduceat`` and
+* rows and batching: ``_bit_rows`` gives each bit's first row and exact
+  row count (its window's, or C(t+m-1, m-1) by ``math.comb``), and one
+  chunk loop (``_row_sums``) sums the uncached bits of one lookup together,
+  the uncertified fallback over rows 0..t included. Their rows, (t - j, j)
+  or ``policy.composition_rows``, are concatenated in chunks of about
+  ``CHUNK_ROWS`` rows, ln t! - sum_i ln h_i! is added column by column, and
+  each bit's segment is reduced with ``np.maximum.reduceat`` and
   ``np.add.reduceat``; the chunking bounds the temporaries, and a bit's
   value does not depend on the bits it shares a chunk with;
 * cost: a windowed binary bit costs O(min(sqrt t, h_ch)) rows, O(1) in t:
   53 rows on bac:0.9,0.8, so the greedy pattern at n = 1e8 sums 3.7e5
-  rows in place of 1e8; an m-ary bit costs its C(t+m-1, m-1) rows, built
-  in numpy for all the bits of a chunk at once (``policy.composition_rows``);
-* budgets: a bit may sum at most ``HISTOGRAM_BUDGET`` rows and a pattern's
-  distinct counts at most ``PATTERN_HISTOGRAM_BUDGET`` together. A windowed
-  binary bit counts its window's rows, so a channel whose h_ch is under
-  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t; an uncertified
-  window falls back to every row and is held to the same budgets in full
-  rows.
+  rows in place of 1e8; an m-ary bit costs its C(t+m-1, m-1) rows;
+* budgets: one gate (``_check_histogram_total``) holds each bit to
+  ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
+  ``PATTERN_HISTOGRAM_BUDGET`` together, in the rows of ``_bit_rows``,
+  before any row is summed, so a channel whose h_ch is under
+  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. The sweep in
+  ``sim`` calls it per step, and the fallback on its full rows.
 
-The multinomial coefficients come from one module-level table of ln i!
-(``math.lgamma(i + 1.0)``) that every call shares and that grows on demand
-up to i = ``HISTOGRAM_BUDGET``: a pattern costs O(max t_k) ``lgamma`` calls.
-Windowed rows beyond the table call ``math.lgamma`` for their own entries,
-the same values. The table holds ln i! only, the same in every process.
-ln V is cached per (t_k, channel) by the oracle behind
-``exact_bit_variance`` (its exp) and ``log_bit_variances`` (the batched
-lookup). D = sum_k 4^-k V(t_k) + 4^-q / 12 is summed from it by the kernel
-that sums U and L in ``policy``: as a double by ``assemble_distortion``,
-and as ln D, finite at any budget, by ``assemble_log_distortion``.
+The multinomial coefficients come from one accessor, ``_ln_factorial``,
+over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
+call shares and grows on demand up to ``LOG_FACTORIAL_TABLE`` entries: a
+pattern costs O(max t_k) ``lgamma`` calls, and windowed rows past the table
+call ``math.lgamma`` for their own entries, the same values. ln V is cached
+per (t_k, channel) by ``log_bit_variances``, the batched lookup;
+``exact_bit_variance`` holds that cache (``cache_info``, ``cache_clear``).
+D = sum_k 4^-k V(t_k) + 4^-q / 12 is summed from it by the kernel that
+sums U and L in ``policy``: as a double by ``assemble_distortion``, and as
+ln D, finite at any budget, by ``assemble_log_distortion``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,13 +88,14 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, composition_counts, composition_rows
+from .policy import TransmissionPattern, composition_rows
 from .policy import _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
 CHUNK_ROWS = 8192  # histogram rows per numpy pass: bounds the batch's temporaries
 WINDOW_CERTIFICATE = 38.0  # nats an inner window edge lies below the bit's largest term
+LOG_FACTORIAL_TABLE = 1_000_001  # most entries of the shared ln i! table (8 MB)
 
 _LOG_ZERO = -1e30  # stand-in for log 0; exp underflows to exactly 0.0
 _LOG_ODDS_SWITCH = 1e-12
@@ -188,24 +191,24 @@ def _bit_offset(s: np.ndarray, k: int) -> np.ndarray:
 _LOG_FACTORIALS = np.zeros(1)
 
 
-def _log_factorials(t: int) -> np.ndarray:
-    """The shared ln i! table, grown (at least doubling, up to
-    ``HISTOGRAM_BUDGET`` + 1 entries) to hold i = 0..t, t <= HISTOGRAM_BUDGET."""
+def _ln_factorial(i: np.ndarray) -> np.ndarray:
+    """ln i! for each entry of the integer array ``i``, from the shared
+    table where it reaches and by ``math.lgamma``, the same values, past its
+    end. An entry past the table first grows it (at least doubling) to hold
+    the largest entry below ``LOG_FACTORIAL_TABLE``; only the windowed rows
+    of binary bits with t past that call ``math.lgamma``."""
     global _LOG_FACTORIALS
+    try:
+        return _LOG_FACTORIALS[i]
+    except IndexError:  # an entry past the table's end
+        pass
     table = _LOG_FACTORIALS
-    if table.size <= t:
-        grown = range(table.size, max(t + 1, min(2 * table.size, HISTOGRAM_BUDGET + 1)))
-        table = np.concatenate([table, [math.lgamma(i + 1.0) for i in grown]])
-        _LOG_FACTORIALS = table
-    return table
-
-
-def _log_factorial_at(lg: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """ln i! for each entry of ``i``: from the table ``lg`` where it reaches,
-    by ``math.lgamma`` (the same values) beyond it, where only the windowed
-    rows of binary bits with t above ``HISTOGRAM_BUDGET`` go."""
-    beyond = i >= lg.size
-    out = lg[np.where(beyond, 0, i)]
+    need = int(i[i < LOG_FACTORIAL_TABLE].max(initial=-1)) + 1
+    if need > table.size:
+        grown = range(table.size, min(max(need, 2 * table.size), LOG_FACTORIAL_TABLE))
+        table = _LOG_FACTORIALS = np.concatenate([table, [math.lgamma(x + 1.0) for x in grown]])
+    beyond = i >= table.size
+    out = table[np.where(beyond, 0, i)]
     out[beyond] = [math.lgamma(x + 1.0) for x in i[beyond].tolist()]
     return out
 
@@ -272,6 +275,7 @@ def _segment_log_sums(
     first row.
     """
     starts = np.cumsum(sizes) - sizes
+    H = H.astype(np.float64)  # once: an integer operand is cast in each product
     lp0 = log_mult + H @ log_f[0]
     lp1 = log_mult + H @ log_f[1]
     neg_l = lp0 - lp1
@@ -378,88 +382,62 @@ def _binary_windows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, np.nda
     return lo, hi
 
 
-def _binary_log_variances(
-    ts: np.ndarray, lo: np.ndarray, hi: np.ndarray, lg: np.ndarray, ch: ChannelSpec
+def _bit_rows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, list[int]]:
+    """Each bit's first row and exact number of rows: a binary bit's window
+    of rows (t - j, j) from j = lo to hi (``_binary_windows``), an m-ary
+    bit's C(t + m - 1, m - 1) compositions from the first, counted by
+    ``math.comb``, exact where int64 is not."""
+    m = len(ch.outputs)
+    if m == 2:
+        lo, hi = _binary_windows(ts, ch)
+        return lo, (hi - lo + 1).tolist()
+    return np.zeros_like(ts), [math.comb(t + m - 1, m - 1) for t in ts.tolist()]
+
+
+def _row_sums(
+    ts: np.ndarray, first: np.ndarray, sizes: np.ndarray, ch: ChannelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ln V of each binary bit summed over rows lo..hi, and whether the cut
-    is certified: each edge row other than 0 and t lies at least
-    ``WINDOW_CERTIFICATE`` nats below the bit's largest term. ``lg`` is
-    the ln i! table; counts past its end go through ``_log_factorial_at``."""
+    """ln V of each bit summed over its ``sizes`` rows from row ``first`` on,
+    and whether its window is certified: each edge of a binary bit's rows
+    other than j = 0 and j = t lies at least ``WINDOW_CERTIFICATE`` nats
+    below the bit's largest term. An m-ary bit sums every row."""
+    m = len(ch.outputs)
     log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
-    sizes = hi - lo + 1
     log_v = np.empty(ts.size)
-    certified = np.empty(ts.size, dtype=bool)
-    # Every row index is at most its t, so the table alone serves when it
-    # reaches the largest t.
-    ln_fact = lg.__getitem__
-    if int(ts.max()) >= lg.size:
-        ln_fact = functools.partial(_log_factorial_at, lg)
+    certified = np.ones(ts.size, dtype=bool)
     for part in _chunks(sizes.tolist()):
-        n, first = sizes[part], lo[part]
-        t_rows = np.repeat(ts[part], n)
-        j = np.arange(t_rows.size) + np.repeat(first - (np.cumsum(n) - n), n)
-        rest = t_rows - j
-        # A binary row sum of ln h! is one addition of non-negative terms.
-        log_mult = np.repeat(ln_fact(ts[part]), n) - (ln_fact(rest) + ln_fact(j))
-        H = np.empty((j.size, 2))
-        H[:, 0], H[:, 1] = rest, j
+        n, t, lo = sizes[part], ts[part], first[part]
+        if m == 2:  # rows (t - j, j), j from the bit's first row on
+            j = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+            H = np.column_stack((np.repeat(t, n) - j, j))
+        else:
+            H = composition_rows(t, m)
+        log_h = _ln_factorial(H[:, 0])
+        for column in H.T[1:]:
+            log_h += _ln_factorial(column)
+        log_mult = np.repeat(_ln_factorial(t), n) - log_h
         log_v[part], terms, top, starts = _segment_log_sums(H, log_mult, n, log_f)
-        floor = top - WINDOW_CERTIFICATE
-        certified[part] = ((first == 0) | (terms[starts] <= floor)) & (
-            (hi[part] == ts[part]) | (terms[starts + n - 1] <= floor)
-        )
+        if m == 2:
+            floor = top - WINDOW_CERTIFICATE
+            certified[part] = ((lo == 0) | (terms[starts] <= floor)) & (
+                (lo + n - 1 == t) | (terms[starts + n - 1] <= floor)
+            )
     return log_v, certified
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
-    """ln V(t) for distinct counts t >= 1. A bit of more than
-    ``HISTOGRAM_BUDGET`` rows (its window's, for a windowed binary bit) is
-    refused before any row is summed."""
-    m = len(ch.outputs)
-    if m == 2:
-        lo, hi = _binary_windows(ts, ch)
-        rows = int((hi - lo).max()) + 1
-    else:  # rows grow with t; math.comb is exact where int64 is not
-        rows = math.comb(int(ts.max()) + m - 1, m - 1)
-    if rows > HISTOGRAM_BUDGET:
-        raise BudgetExceededError(
-            f"histogram enumeration too large: {rows} exceeds {HISTOGRAM_BUDGET}"
-        )
-    # Counts above the budget are windowed binary bits, read by lgamma.
-    lg = _log_factorials(int(ts[ts <= HISTOGRAM_BUDGET].max(initial=0)))
-    if m == 2:
-        log_v, certified = _binary_log_variances(ts, lo, hi, lg, ch)
-        redo = ~certified
-        if redo.any():  # an uncertified window falls back to the full row sum
-            full = ts[redo]
-            rows = full + 1
-            if rows.max() > HISTOGRAM_BUDGET or rows.sum() > PATTERN_HISTOGRAM_BUDGET:
-                raise BudgetExceededError(
-                    f"histogram enumeration too large: a window of {full.max()} uses is not "
-                    "certified, and summing every row exceeds the histogram budget"
-                )
-            lg = _log_factorials(int(full.max()))
-            log_v[redo] = _binary_log_variances(full, np.zeros_like(full), full, lg, ch)[0]
-        return log_v
-    log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
-    sizes = composition_counts(ts, m)
-    log_v = np.empty(ts.size)
-    for part in _chunks(sizes.tolist()):
-        H = composition_rows(ts[part], m)
-        log_mult = lg[np.repeat(ts[part], sizes[part])] - lg[H].sum(axis=1)
-        log_v[part] = _segment_log_sums(H, log_mult, sizes[part], log_f)[0]
+    """ln V(t) for distinct counts t >= 1 that the gate
+    (``_check_histogram_total``) has passed, each summed over its rows
+    (``_bit_rows``). A binary bit whose window is not certified is summed
+    again over every row 0..t, once the gate passes those rows."""
+    first, rows = _bit_rows(ts, ch)
+    log_v, certified = _row_sums(ts, first, np.array(rows, dtype=np.int64), ch)
+    redo = ~certified
+    if redo.any():
+        full = ts[redo]
+        _check_histogram_total(full.tolist(), ch, windowed=False)
+        log_v[redo] = _row_sums(full, np.zeros_like(full), full + 1, ch)[0]
     return log_v
-
-
-def _log_bit_variances(counts: list[int], ch: ChannelSpec) -> dict[int, float]:
-    """ln V(t) by distinct count, in one batched pass; t = 0 is ln(1/4)."""
-    if min(counts) < 0:
-        raise ValidationError("repetition count must be >= 0")
-    ts = np.array([t for t in counts if t > 0], dtype=np.int64)
-    values = dict.fromkeys(counts, _LN_QUARTER)
-    if ts.size:
-        values.update(zip(ts.tolist(), _log_variance_pass(ts, ch).tolist()))
-    return values
 
 
 class CacheInfo(NamedTuple):
@@ -469,8 +447,7 @@ class CacheInfo(NamedTuple):
 
 
 class _BitVarianceOracle:
-    """The per-bit oracle behind ``exact_bit_variance`` and
-    ``log_bit_variances``, with its cache of ln V per (t_k, channel).
+    """The cache behind ``log_bit_variances``: ln V per (t_k, channel).
 
     ``cache_info`` and ``cache_clear`` behave as those of an ``lru_cache``:
     every count looked up is one hit or one miss, and clearing drops every
@@ -487,9 +464,9 @@ class _BitVarianceOracle:
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self._hits, self._misses, sum(map(len, self._log_v.values())))
 
-    def log_values(self, counts: Iterable[int], ch: ChannelSpec) -> list[float]:
-        """ln V(t) for every count, the uncached ones computed in one pass."""
-        counts = list(counts)
+    def log_values(self, counts: list[int], ch: ChannelSpec) -> list[float]:
+        """ln V(t) for every count, the uncached ones computed in one pass;
+        t = 0 is ln(1/4). The counts must have passed the gate."""
         ch = _merge_tied_outputs(ch)
         known = self._log_v.setdefault(ch, {})
         new: dict[int, None] = {}
@@ -499,57 +476,64 @@ class _BitVarianceOracle:
             else:
                 self._misses += 1
                 new[t] = None
-        if new:
-            known.update(_log_bit_variances(list(new), ch))
+        if 0 in new:
+            known[0] = _LN_QUARTER
+        ts = np.array([t for t in new if t > 0], dtype=np.int64)
+        if ts.size:
+            known.update(zip(ts.tolist(), _log_variance_pass(ts, ch).tolist()))
         return [known[t] for t in counts]
-
-    def __call__(self, t_k: int, ch: ChannelSpec) -> float:
-        """Exact E[Var(X_k | history)] after t_k i.i.d. uses for bit k.
-
-        The exp of ln V(t_k) (see ``log_bit_variances``): below the double
-        range it is 0.0 where ln V is still finite. t_k = 0 is the prior
-        variance 1/4.
-        """
-        return math.exp(self.log_values([t_k], ch)[0])
 
 
 exact_bit_variance = _BitVarianceOracle()
 
 
-def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
-    """Refuse counts whose distinct t_k sum more than
-    ``PATTERN_HISTOGRAM_BUDGET`` histogram rows together: each bit stays
-    under ``HISTOGRAM_BUDGET``, but for a binary channel the full rows of a
-    pattern, the sum of t + 1 over its distinct counts, come to about its
-    budget n. A windowed binary bit counts its window's rows
-    (``_binary_windows``), computed only where the full rows exceed the
-    budget, so the sweep's per-step call stays a plain sum."""
+def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec, windowed: bool = True) -> None:
+    """The oracle's one budget gate: refuse distinct counts of which one bit
+    sums more than ``HISTOGRAM_BUDGET`` histogram rows, or all together
+    more than ``PATTERN_HISTOGRAM_BUDGET``, counted by ``_bit_rows`` on the
+    merged channel (a count of 0 is one row). The t + 1 full rows of a
+    binary bit bound its window's, and where they pass both budgets the
+    window is not computed (``_binary_windows`` costs about 21 us a call,
+    0.1 s over a sweep's per-step calls); ``windowed=False`` counts the full
+    rows, which an uncertified window falls back to. Nothing is computed
+    before a refusal."""
     ch = _merge_tied_outputs(ch)
-    m1 = len(ch.outputs) - 1
     distinct = set(counts)
-    if m1 == 1:
-        total = sum(distinct) + len(distinct)
-        if total > PATTERN_HISTOGRAM_BUDGET:
-            lo, hi = _binary_windows(np.fromiter(distinct, np.int64, len(distinct)), ch)
-            total = int((hi - lo).sum()) + len(distinct)
-    else:
-        total = sum(math.comb(t + m1, m1) for t in distinct)
+    if not distinct:
+        return
+    most, total = max(distinct) + 1, sum(distinct) + len(distinct)  # binary full rows
+    if len(ch.outputs) > 2 or (
+        windowed and (most > HISTOGRAM_BUDGET or total > PATTERN_HISTOGRAM_BUDGET)
+    ):
+        rows = _bit_rows(np.fromiter(distinct, np.int64, len(distinct)), ch)[1]
+        most, total = max(rows), sum(rows)
+    why = "" if windowed else " (every row: a window is not certified)"
+    if most > HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"histogram enumeration too large: a bit of {most} rows exceeds the "
+            f"{HISTOGRAM_BUDGET} budget of one bit{why}"
+        )
     if total > PATTERN_HISTOGRAM_BUDGET:
         raise BudgetExceededError(
             f"exact distortion too large: {total} histograms exceed the "
-            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
+            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern{why}"
         )
 
 
-def log_bit_variances(counts: Sequence[int], ch: ChannelSpec) -> list[float]:
+def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:
     """ln E[Var(X_k | history)] after t_k i.i.d. uses, for each count t_k.
 
     The cached values are looked up and the others computed in one batched
     pass, so the result does not depend on which other counts share the
     call. Counts whose histograms together exceed the pattern budget, or one
     of which exceeds the per-bit budget, are refused with
-    ``BudgetExceededError`` before any is computed.
+    ``BudgetExceededError`` before any is computed. exp of a value below
+    the double range is 0.0 where ln V is still finite; t_k = 0 gives the
+    prior variance 1/4.
     """
+    counts = list(counts)
+    if counts and min(counts) < 0:
+        raise ValidationError("repetition count must be >= 0")
     _check_histogram_total(counts, ch)
     return exact_bit_variance.log_values(counts, ch)
 

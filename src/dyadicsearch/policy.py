@@ -23,7 +23,8 @@ fill, found in numpy passes over the O(sqrt(n C)) bits it can reach: a
 running sum over the sorted first keys gives the level, each count is
 floored at it, and one sort on (key, k) of 2m + 1 keys places the uses left
 over, ties going to the smaller index. A fill that could pass
-``PATTERN_BUDGET`` bits is refused before it is built. Exhaustive
+``PATTERN_BUDGET`` bits, or a budget past 2^53 uses, whose double keys
+would miscount, is refused before it is built. Exhaustive
 enumeration over bounded-depth compositions is an independent route.
 
 The staircase ("Aurelian") policy allocates t_k = (q - k + 1) r with
@@ -49,6 +50,7 @@ from .channel import LN4, InfoConstants
 from .errors import BudgetExceededError, ValidationError
 
 PATTERN_BUDGET = 10_000_000
+MAX_USES = 2**53  # past it the fill's double keys do not count uses exactly
 COMPOSITION_ROWS = 65536
 
 _CHECK_SLACK = 1e-9
@@ -253,6 +255,14 @@ def _check_budget(size: int, what: str) -> None:
         raise BudgetExceededError(f"too many {what}: {size} over the {PATTERN_BUDGET} budget")
 
 
+def _check_uses(n: int) -> None:
+    """Refuse, before anything is built, a budget past ``MAX_USES``."""
+    if n > MAX_USES:
+        raise BudgetExceededError(
+            f"too many uses: {n} over 2^53 = {MAX_USES}, past which counts are not exact in doubles"
+        )
+
+
 def _key_step(C: float) -> float:
     """a = ln4 / C, the key step from one bit to the next."""
     if not 0.0 < C < math.inf:
@@ -333,6 +343,7 @@ def efficient_search(
     if mode == "greedy":
         if max_depth is not None:
             raise ValidationError("greedy mode takes no max_depth (exhaustive mode does)")
+        _check_uses(n)
         return TransmissionPattern(tuple(_water_fill((), n, a).tolist()))
     if mode == "exhaustive":
         if max_depth is None or max_depth < 1:
@@ -394,6 +405,7 @@ def aurelian_steps(
     if not n_values:
         return
     _check_staircase(n_values[0], k)
+    _check_uses(n_values[-1])
     r = k.r
     _check_budget(_staircase_depth(n_values[-1], r), "bits in the pattern")
     counts: tuple[int, ...] = ()

@@ -1,11 +1,12 @@
 import functools
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dyadicsearch import ChannelSpec, TransmissionPattern, chernoff_information
+from dyadicsearch import ChannelSpec, TransmissionPattern, chernoff_information, log_bit_variances
 from dyadicsearch.sim import BLOCK_TRIALS, _bit_table, _block_rng, _draw_llr
 from dyadicsearch.source import BIT_DEPTH_CAP, bits_array
 
@@ -34,6 +35,12 @@ def random_moderate_channel(rng: np.random.Generator, alphabet: int = 2) -> Chan
         ch = random_channel(rng, alphabet=alphabet)
         if 0.02 <= chernoff_information(ch).nats <= 1.3:
             return ch
+
+
+def bit_variance(t: int, ch: ChannelSpec) -> float:
+    """Exact V(t) = E[Var(X_k | history)] after t uses, the exp of the
+    oracle's ln V (0.0 below the double range); V(0) = 1/4."""
+    return math.exp(log_bit_variances([t], ch)[0])
 
 
 def bumped(t: TransmissionPattern, k: int) -> TransmissionPattern:

@@ -22,9 +22,11 @@ Each criterion is one test that prints a PASS/FAIL line (visible with
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,6 @@ from dyadicsearch import (
     depth_bounds,
     efficient_search,
     estimate_distortion,
-    exact_bit_variance,
     exact_distortion,
     info_constants,
     load_channel,
@@ -59,7 +60,7 @@ from dyadicsearch import (
 )
 from dyadicsearch.cli import main
 
-from conftest import random_channel, random_moderate_channel
+from conftest import bit_variance, random_channel, random_moderate_channel
 from test_cli import read_csv
 
 U_SIDE_TOL = 1e-12
@@ -265,7 +266,7 @@ def test_criterion_6_decoder_unit_properties():
     base_ok = (
         conditional_distortion(PosteriorState(())) == 1.0 / 12.0
         and conditional_distortion(PosteriorState((0.5, 0.5, 0.5, 0.5))) == 1.0 / 12.0
-        and exact_bit_variance(0, make_bsc(0.1)) == 0.25
+        and bit_variance(0, make_bsc(0.1)) == 0.25
     )
     report(
         6,
@@ -296,10 +297,15 @@ def test_criterion_8_determinism(tmp_path):
     fig2_args = ["fig2", "--channel", "bac:0.9,0.8", "--trials", "8000", "--seed", "11"]
     assert main(fig2_args + ["--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
     assert main(fig2_args + ["--out", str(tmp_path / "b"), "--jobs", "4"]) == 0
+    # The separate process imports this checkout's src/, whether or not a
+    # copy of the package is installed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "dyadicsearch.cli", *fig2_args, "--out", str(tmp_path / "c"), "--jobs", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     ref = (tmp_path / "a" / "fig2.csv").read_bytes()

@@ -317,6 +317,37 @@ class TestPolicy:
         err = capsys.readouterr().err
         assert err.startswith("error: too many bits in the pattern") and "Traceback" not in err
 
+    @pytest.mark.parametrize("rule", ["greedy", "aurelian"])
+    def test_budget_of_2_to_53_sums_exactly(self, tmp_path, rule):
+        # On a near-pure-noise channel 2^53 uses fill about 1600 bits; every
+        # count stays exact, and the structural checks pass.
+        n = 2**53
+        assert main(["policy", "--channel", "bsc:0.49999", "--n", str(n), "--rule", rule,
+                     "--out", str(tmp_path)]) == 0
+        csv.field_size_limit(10**7)
+        _, header, rows = read_csv(tmp_path / "policy.csv")
+        assert sum(map(int, rows[0][header.index("pattern")].split(","))) == n
+        assert [rows[0][header.index(c)] for c in ("no_gap", "spacing")] == ["1", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["policy", "--channel", "bsc:0.49999", "--rule", "greedy", "--n", str(2**53 + 1)],
+            ["policy", "--channel", "bsc:0.49999", "--rule", "aurelian", "--n", str(2**53 + 1)],
+            ["policy", "--channel", "bsc:0.49999", "--rule", "greedy", "--n", "20000000000000000000"],
+            ["fig3", "--channel", "bsc:0.49999", "--n-max", str(2**53 + 1), "--step", str(2**53 + 1)],
+            ["fig3", "--channel", "bsc:0.1", "--n-max", str(2**60), "--step", str(2**50)],
+        ],
+        ids=["greedy", "aurelian", "greedy-1e19", "fig3-one-budget", "fig3-grid"],
+    )
+    def test_budget_past_2_to_53_exits_3(self, tmp_path, capsys, argv):
+        # Past 2^53 the fill's double keys would place uses that do not sum
+        # to n; such a budget is refused before any pattern is built.
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: too many uses") and "2^53" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_pattern_over_histogram_budget_keeps_bounds(self, tmp_path, capsys, monkeypatch):
         # On a pattern budget of 1e6 rows, aurelian(1e11) (about 1.4e7
         # windowed rows) gets no exact D: the bounds are printed and exact_d

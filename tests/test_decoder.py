@@ -18,7 +18,6 @@ from dyadicsearch import (
     b_functional,
     chernoff_information,
     conditional_distortion,
-    exact_bit_variance,
     exact_distortion,
     log_bit_variances,
     lower_bound,
@@ -32,11 +31,11 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, efficient_search, info_constants, load_channel
-from dyadicsearch.decoder import _bit_offset, _safe_log, _sigmoid
+from dyadicsearch.decoder import _bit_offset, _safe_log, _sigmoid, exact_bit_variance
 from dyadicsearch.policy import composition_rows, compositions
 from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table, _tilt
 
-from conftest import bench_reference, bumped, draw_block, random_channel
+from conftest import Z_CHANNEL, bench_reference, bit_variance, bumped, draw_block, random_channel
 
 
 def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
@@ -195,39 +194,39 @@ class TestConditionalDistortion:
 
 class TestExactBitVariance:
     def test_prior_case(self):
-        assert exact_bit_variance(0, make_bsc(0.1)) == 0.25
+        assert bit_variance(0, make_bsc(0.1)) == 0.25
 
     def test_single_use_bsc(self):
         # One BSC use leaves posterior eps or 1-eps: variance eps (1 - eps).
-        assert exact_bit_variance(1, make_bsc(0.1)) == pytest.approx(0.09, rel=1e-14)
+        assert bit_variance(1, make_bsc(0.1)) == pytest.approx(0.09, rel=1e-14)
 
     def test_one_bit_sandwich(self):
         ch = make_bsc(0.1)
         C = chernoff_information(ch).nats
         B = b_functional(ch)
-        v = exact_bit_variance(1, ch)
+        v = bit_variance(1, ch)
         assert 0.25 * math.exp(-B) <= v <= math.exp(-C)
         assert 0.25 * math.exp(-B) == pytest.approx(0.25 / 9.0, rel=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 5, 8])
     def test_matches_sequence_oracle_binary(self, t):
         ch = make_bac(0.9, 0.8)
-        assert exact_bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
+        assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
 
     @pytest.mark.parametrize("t", [1, 2, 4, 6])
     def test_matches_sequence_oracle_ternary(self, t, rng):
         ch = random_channel(rng, alphabet=3)
-        assert exact_bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
+        assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
 
     def test_budget_refusal(self):
         ch = random_channel(np.random.default_rng(1), alphabet=3)
         with pytest.raises(BudgetExceededError):
-            exact_bit_variance(2000, ch)
+            bit_variance(2000, ch)
 
     def test_budget_refusal_grows_no_table(self, cold_table):
         ch = random_channel(np.random.default_rng(1), alphabet=3)
         with pytest.raises(BudgetExceededError):
-            exact_bit_variance(2000, ch)
+            bit_variance(2000, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_pattern_total_refused_before_any_bit(self, cold_table):
@@ -284,15 +283,14 @@ class TestExactBitVariance:
         # Three bits of 1e7 uses hold 1e7 + 1 rows each, above the per-bit
         # budget, but their certified windows sum about 2.5e4 rows. The
         # value equals the log sum over every row, computed here in segments
-        # of 1e6 rows from a ln i! table of its own, combined by logsumexp.
+        # of 1e6 rows, combined by logsumexp.
         ch, t = make_bsc(0.1), 10**7
         assert t + 1 > decoder.HISTOGRAM_BUDGET
         d = exact_distortion(pattern([t] * 3), ch)
         (log_v,) = log_bit_variances([t], ch)
-        lg = np.fromiter(map(math.lgamma, np.arange(1.0, t + 2.0)), float, count=t + 1)
         lo = np.arange(0, t + 1, 10**6)
-        hi = np.minimum(lo + 10**6 - 1, t)
-        segments, _ = decoder._binary_log_variances(np.full(lo.size, t), lo, hi, lg, ch)
+        sizes = np.minimum(lo + 10**6, t + 1) - lo
+        segments, _ = decoder._row_sums(np.full(lo.size, t), lo, sizes, ch)
         full = float(np.logaddexp.reduce(segments))
         assert log_v == pytest.approx(full, rel=1e-13)
         assert d == pytest.approx(decoder.assemble_distortion([full] * 3), rel=1e-13)
@@ -320,8 +318,55 @@ class TestExactBitVariance:
 
     def test_decreasing_in_uses(self):
         ch = make_bac(0.9, 0.8)
-        values = [exact_bit_variance(t, ch) for t in range(12)]
+        values = [bit_variance(t, ch) for t in range(12)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestBudgetGate:
+    """``_check_histogram_total``, the oracle's one budget gate: rows counted
+    by ``_bit_rows`` (t + 1 a binary bit where those pass both budgets),
+    refused before any row is summed."""
+
+    def test_counts_may_be_an_iterator(self):
+        ch = make_bac(0.9, 0.8)
+        exact_bit_variance.cache_clear()
+        listed = log_bit_variances([3, 5], ch)
+        assert len(listed) == 2
+        for counts in (iter([3, 5]), (t for t in (3, 5))):
+            exact_bit_variance.cache_clear()
+            assert log_bit_variances(counts, ch) == listed
+        exact_bit_variance.cache_clear()
+
+    def test_negative_count_refused(self):
+        for ch in (make_bac(0.9, 0.8), random_channel(np.random.default_rng(3), alphabet=3)):
+            with pytest.raises(ValidationError, match="must be >= 0"):
+                log_bit_variances([4, -5], ch)
+
+    @pytest.mark.parametrize("budget", ["HISTOGRAM_BUDGET", "PATTERN_HISTOGRAM_BUDGET"])
+    @pytest.mark.parametrize(
+        "ch, counts, expected",
+        [
+            (make_bac(0.9, 0.8), [10**9, 2 * 10**9], None),
+            (Z_CHANNEL, [300, 1000], [301, 1001]),
+            (random_channel(np.random.default_rng(3), alphabet=3), [40, 90], [861, 4186]),
+        ],
+        ids=["windowed-binary", "full-row-binary", "ternary"],
+    )
+    def test_exactly_at_each_budget_passes(self, ch, counts, expected, budget, monkeypatch, cold_table):
+        # A windowed bac:0.9,0.8 bit sums at most 53 rows, the Z channel's
+        # zero mass makes a bit sum its t + 1 rows, and a ternary bit sums
+        # C(t + 2, 2). With the budget one row short the counts are refused
+        # and no ln i! is computed; at the budget they pass.
+        rows = decoder._bit_rows(np.array(counts), ch)[1]
+        assert rows == expected if expected else max(rows) <= 53
+        limit = max(rows) if budget == "HISTOGRAM_BUDGET" else sum(rows)
+        monkeypatch.setattr(decoder, budget, limit - 1)
+        what = "one bit" if budget == "HISTOGRAM_BUDGET" else "one pattern"
+        with pytest.raises(BudgetExceededError, match=f"{limit}.* budget of {what}"):
+            log_bit_variances(counts, ch)
+        assert decoder._LOG_FACTORIALS.size == 1
+        monkeypatch.setattr(decoder, budget, limit)
+        assert all(math.isfinite(v) for v in log_bit_variances(counts, ch))
 
 
 class TestSharedTableKernel:
@@ -348,16 +393,16 @@ class TestSharedTableKernel:
         log_v = log_bit_variances(range(t_max + 1), ch)
         for t in range(t_max + 1):
             linear = linear_bit_variance(t, ch, lg)
-            assert close_to_linear(exact_bit_variance(t, ch), linear), t
-            assert exact_bit_variance(t, ch) == math.exp(log_v[t]), t
+            assert close_to_linear(bit_variance(t, ch), linear), t
+            assert bit_variance(t, ch) == math.exp(log_v[t]), t
 
     @pytest.mark.parametrize("ch", [make_bac(0.9, 0.8), make_bsc(0.05)], ids=["bac", "bsc"])
     def test_call_order_independent(self, ch, monkeypatch, cold_table):
-        ascending = [exact_bit_variance(t, ch) for t in [*range(41), 3000]]
+        ascending = [bit_variance(t, ch) for t in [*range(41), 3000]]
         monkeypatch.setattr(decoder, "_LOG_FACTORIALS", np.zeros(1))
         exact_bit_variance.cache_clear()
-        big_first = exact_bit_variance(3000, ch)
-        assert [exact_bit_variance(t, ch) for t in range(41)] + [big_first] == ascending
+        big_first = bit_variance(3000, ch)
+        assert [bit_variance(t, ch) for t in range(41)] + [big_first] == ascending
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_histograms_match_recursive_enumerator(self, m):
@@ -411,7 +456,6 @@ class TestSharedTableKernel:
         assert 0 < len(calls) <= 2 * max(t.t) + 2
 
 
-Z_CHANNEL = ChannelSpec(outputs=(0, 1), f0=(1.0, 0.0), f1=(0.3, 0.7))
 # Symbols 1 and 2 share the ratio f1/f0 = 2: merged, a 3-symbol channel.
 TIED_4 = ChannelSpec(outputs=(0, 1, 2, 3), f0=(0.4, 0.2, 0.1, 0.3), f1=(0.1, 0.4, 0.2, 0.3))
 # Symbols 1 and 2 share the ratio 1.6: merged, a binary channel.
@@ -473,7 +517,7 @@ class TestLogKernel:
         counts = [300, 1000, 2000]
         exact_bit_variance.cache_clear()
         windowed = [math.exp(v) for v in log_bit_variances(counts, ch)]
-        real_windows, real_pass = decoder._binary_windows, decoder._binary_log_variances
+        real_windows, real_sums = decoder._binary_windows, decoder._row_sums
         rows = []
 
         def narrow(ts, ch):
@@ -481,12 +525,12 @@ class TestLogKernel:
             mid = (lo + hi) // 2
             return mid - 2, mid + 2
 
-        def counted(ts, lo, hi, lg, ch):
-            rows.append((hi - lo + 1).tolist())
-            return real_pass(ts, lo, hi, lg, ch)
+        def counted(ts, first, sizes, ch):
+            rows.append(sizes.tolist())
+            return real_sums(ts, first, sizes, ch)
 
         monkeypatch.setattr(decoder, "_binary_windows", narrow)
-        monkeypatch.setattr(decoder, "_binary_log_variances", counted)
+        monkeypatch.setattr(decoder, "_row_sums", counted)
         exact_bit_variance.cache_clear()
         fallback = [math.exp(v) for v in log_bit_variances(counts, ch)]
         exact_bit_variance.cache_clear()
@@ -529,7 +573,7 @@ class TestLogKernel:
         ch = make_bsc(0.1)
         exact_bit_variance.cache_clear()
         log_bit_variances([3, 3, 5], ch)
-        exact_bit_variance(5, ch)
+        bit_variance(5, ch)
         info = exact_bit_variance.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
         exact_bit_variance.cache_clear()
@@ -598,11 +642,10 @@ class TestConstantWindow:
         ) + 1
         assert (rows <= sqrt_rows).all()
         assert (rows <= 2 * h + 1).all()
-        lg = decoder._log_factorials(int(ts[ts <= decoder.HISTOGRAM_BUDGET].max()))
-        log_v, certified = decoder._binary_log_variances(ts, lo, hi, lg, ch)
+        log_v, certified = decoder._row_sums(ts, lo, rows, ch)
         assert certified.all()
         small = ts[ts + 1 <= decoder.HISTOGRAM_BUDGET]
-        full, _ = decoder._binary_log_variances(small, np.zeros_like(small), small, lg, ch)
+        full, _ = decoder._row_sums(small, np.zeros_like(small), small + 1, ch)
         assert log_v[: small.size] == pytest.approx(full, rel=1e-13)
 
     def test_rows_constant_in_t(self):

@@ -34,7 +34,8 @@ from dyadicsearch import (
     uniform_prior,
     upper_bound,
 )
-from dyadicsearch import sim
+from dyadicsearch import decoder, sim
+from dyadicsearch.policy import aurelian_steps
 from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
     BLOCK_TRIALS,
@@ -628,6 +629,42 @@ class TestAurelianSweep:
     def test_increasing_grid_required(self):
         with pytest.raises(ValidationError):
             aurelian_sweep(make_bsc(0.1), [10, 10])
+
+    def test_bit_over_per_bit_budget_refused_at_its_step(self, monkeypatch):
+        # On a per-bit budget of 50 rows, the first bit of bac:0.9,0.8, whose
+        # window grows to 53 rows, passes the budget at one step of the
+        # grid, past the first block. The gate refuses that step's changed
+        # bits, and no oracle pass, of this block or an earlier one, is
+        # given a bit over the budget.
+        ch = make_bac(0.9, 0.8)
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", 50)
+        gated, passed = [], []
+        real_gate, real_pass = sim._check_histogram_total, decoder._log_variance_pass
+
+        def gate(counts, ch):
+            gated.append(list(counts))
+            return real_gate(counts, ch)
+
+        def spy(ts, ch):
+            passed.extend(ts.tolist())
+            return real_pass(ts, ch)
+
+        def rows(counts):
+            return decoder._bit_rows(np.array(counts), ch)[1]
+
+        monkeypatch.setattr(sim, "_check_histogram_total", gate)
+        monkeypatch.setattr(decoder, "_log_variance_pass", spy)
+        k = info_constants(ch)
+        grid = list(range(k.r, 2001))
+        first = next(i for i, n in enumerate(grid) if max(rows(aurelian(n, k).t)) > 50)
+        assert first > sim.SWEEP_BLOCK
+        decoder.exact_bit_variance.cache_clear()
+        with pytest.raises(BudgetExceededError, match="budget of one bit"):
+            aurelian_sweep(ch, grid)
+        decoder.exact_bit_variance.cache_clear()
+        t, changed = list(aurelian_steps(grid[: first + 1], k))[-1]
+        assert len(gated) == first + 1 and gated[-1] == [t[m] for m in changed]
+        assert passed and max(rows(passed)) <= 50
 
 
 class TestSteppedSweepAgainstPerBudget:
