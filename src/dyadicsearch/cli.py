@@ -65,7 +65,7 @@ from .policy import (
     parse_pattern,
     upper_bound,
 )
-from .policy import _check_budget, _check_uses
+from .policy import _check_budget
 from .sim import SimConfig, aurelian_sweep, estimate_distortion, nonuniform_experiment
 from .source import load_prior, uniform_prior
 
@@ -284,7 +284,6 @@ def cmd_fig3(args) -> int:
         raise ValidationError("need n_max >= step >= 1")
     grid = range(args.step, args.n_max + 1, args.step)
     _check_budget(len(grid), "budgets in the fig3 grid")
-    _check_uses(grid[-1])
     n_values = [n for n in grid if n >= consts.r]
     if not n_values:
         raise ValidationError(

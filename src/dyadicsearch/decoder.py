@@ -63,7 +63,7 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   ``PATTERN_HISTOGRAM_BUDGET`` together, in the rows of ``_bit_rows``,
   before any row is summed, so a channel whose h_ch is under
   ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. The sweep in
-  ``sim`` calls it per step, and the fallback on its full rows.
+  ``sim`` calls it per step, the fallback its ``_check_rows`` on t + 1 rows.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
@@ -429,13 +429,13 @@ def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """ln V(t) for distinct counts t >= 1 that the gate
     (``_check_histogram_total``) has passed, each summed over its rows
     (``_bit_rows``). A binary bit whose window is not certified is summed
-    again over every row 0..t, once the gate passes those rows."""
+    again over every row 0..t, once ``_check_rows`` passes those rows."""
     first, rows = _bit_rows(ts, ch)
     log_v, certified = _row_sums(ts, first, np.array(rows, dtype=np.int64), ch)
     redo = ~certified
     if redo.any():
         full = ts[redo]
-        _check_histogram_total(full.tolist(), ch, windowed=False)
+        _check_rows((full + 1).tolist())
         log_v[redo] = _row_sums(full, np.zeros_like(full), full + 1, ch)[0]
     return log_v
 
@@ -487,37 +487,37 @@ class _BitVarianceOracle:
 exact_bit_variance = _BitVarianceOracle()
 
 
-def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec, windowed: bool = True) -> None:
-    """The oracle's one budget gate: refuse distinct counts of which one bit
-    sums more than ``HISTOGRAM_BUDGET`` histogram rows, or all together
-    more than ``PATTERN_HISTOGRAM_BUDGET``, counted by ``_bit_rows`` on the
-    merged channel (a count of 0 is one row). The t + 1 full rows of a
-    binary bit bound its window's, and where they pass both budgets the
-    window is not computed (``_binary_windows`` costs about 21 us a call,
-    0.1 s over a sweep's per-step calls); ``windowed=False`` counts the full
-    rows, which an uncertified window falls back to. Nothing is computed
-    before a refusal."""
-    ch = _merge_tied_outputs(ch)
-    distinct = set(counts)
-    if not distinct:
-        return
-    most, total = max(distinct) + 1, sum(distinct) + len(distinct)  # binary full rows
-    if len(ch.outputs) > 2 or (
-        windowed and (most > HISTOGRAM_BUDGET or total > PATTERN_HISTOGRAM_BUDGET)
-    ):
-        rows = _bit_rows(np.fromiter(distinct, np.int64, len(distinct)), ch)[1]
-        most, total = max(rows), sum(rows)
-    why = "" if windowed else " (every row: a window is not certified)"
+def _check_rows(rows: Sequence[int]) -> None:
+    """Refuse bits of which one sums more than ``HISTOGRAM_BUDGET`` histogram
+    rows, or all together more than ``PATTERN_HISTOGRAM_BUDGET``."""
+    most, total = max(rows), sum(rows)
     if most > HISTOGRAM_BUDGET:
         raise BudgetExceededError(
             f"histogram enumeration too large: a bit of {most} rows exceeds the "
-            f"{HISTOGRAM_BUDGET} budget of one bit{why}"
+            f"{HISTOGRAM_BUDGET} budget of one bit"
         )
     if total > PATTERN_HISTOGRAM_BUDGET:
         raise BudgetExceededError(
             f"exact distortion too large: {total} histograms exceed the "
-            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern{why}"
+            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
         )
+
+
+def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
+    """The oracle's one budget gate: ``_check_rows`` on the rows of the
+    distinct counts, counted by ``_bit_rows`` on the merged channel (a count
+    of 0 is one row). The t + 1 full rows of a binary bit bound its
+    window's, and where they pass both budgets the window is not computed
+    (``_binary_windows`` costs about 21 us a call, 0.1 s over a sweep's
+    per-step calls). Nothing is computed before a refusal."""
+    ch = _merge_tied_outputs(ch)
+    distinct = set(counts)
+    if not distinct:
+        return
+    if len(ch.outputs) > 2 or max(distinct) + 1 > HISTOGRAM_BUDGET or (
+        sum(distinct) + len(distinct) > PATTERN_HISTOGRAM_BUDGET  # binary full rows
+    ):
+        _check_rows(_bit_rows(np.fromiter(distinct, np.int64, len(distinct)), ch)[1])
 
 
 def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:

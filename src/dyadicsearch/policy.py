@@ -50,7 +50,7 @@ from .channel import LN4, InfoConstants
 from .errors import BudgetExceededError, ValidationError
 
 PATTERN_BUDGET = 10_000_000
-MAX_USES = 2**53  # past it the fill's double keys do not count uses exactly
+MAX_USES = 2**53  # up to it a fill's counts sum to n exactly; past it they need not
 COMPOSITION_ROWS = 65536
 
 _CHECK_SLACK = 1e-9
@@ -256,7 +256,8 @@ def _check_budget(size: int, what: str) -> None:
 
 
 def _check_uses(n: int) -> None:
-    """Refuse, before anything is built, a budget past ``MAX_USES``."""
+    """Refuse, before anything is built, a budget past ``MAX_USES``: the cap
+    keeps a fill's sum exact, not always its placement near 2^53."""
     if n > MAX_USES:
         raise BudgetExceededError(
             f"too many uses: {n} over 2^53 = {MAX_USES}, past which counts are not exact in doubles"

@@ -255,42 +255,55 @@ class TestExactBitVariance:
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_budget_totals_count_window_rows(self, cold_table):
-        # The pattern check counts t + 1 rows a bit until that passes the
-        # budget, then each bit's window: the 1000 counts near 1e9 above pass
-        # on bac:0.9,0.8 (at most 53 rows a bit), and one more bit is refused
-        # on a monkeypatched budget they just meet. m-ary bits count
-        # C(t + m - 1, m - 1) rows.
-        counts = list(range(10**9 + 1000, 10**9, -1))
-        ch = make_bac(0.9, 0.8)
-        lo, hi = decoder._binary_windows(np.array([*counts, 2 * 10**9]), ch)
-        rows = (hi - lo + 1).tolist()
-        assert max(rows) <= 53
-        decoder._check_histogram_total(counts, ch)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", sum(rows[:-1]))
+        # The gate counts t + 1 rows a binary bit until that passes a
+        # budget, then each bit's window: the 1000 counts near 1e9 above
+        # pass on bac:0.9,0.8 (at most 53 rows a bit). The Z channel's zero
+        # mass makes a bit sum its t + 1 rows, and a ternary bit sums
+        # C(t + 2, 2). On each budget monkeypatched to the counts' largest
+        # or summed rows they pass, one row fewer refuses them, and no
+        # ln i! is computed before a refusal.
+        near_1e9 = list(range(10**9 + 1000, 10**9, -1))
+        cases = [
+            (make_bac(0.9, 0.8), near_1e9, None),
+            (Z_CHANNEL, [300, 1000], [301, 1001]),
+            (random_channel(np.random.default_rng(3), alphabet=3), [40, 90], [861, 4186]),
+        ]
+        for ch, counts, expected in cases:
+            rows = decoder._bit_rows(np.array(counts), ch)[1]
+            assert rows == expected if expected else max(rows) <= 53
             decoder._check_histogram_total(counts, ch)
-            with pytest.raises(BudgetExceededError, match=f"{sum(rows)} histograms"):
-                decoder._check_histogram_total([*counts, 2 * 10**9], ch)
-        ternary = random_channel(np.random.default_rng(3), alphabet=3)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", math.comb(102, 2) + math.comb(52, 2))
-            decoder._check_histogram_total([100, 50, 100], ternary)
-            with pytest.raises(BudgetExceededError):
-                decoder._check_histogram_total([100, 50, 1], ternary)
-        assert decoder._LOG_FACTORIALS.size == 1
+            for budget, limit, what in [
+                ("HISTOGRAM_BUDGET", max(rows), "one bit"),
+                ("PATTERN_HISTOGRAM_BUDGET", sum(rows), "one pattern"),
+            ]:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(decoder, budget, limit)
+                    decoder._check_histogram_total(counts, ch)
+                    mp.setattr(decoder, budget, limit - 1)
+                    with pytest.raises(BudgetExceededError, match=f"{limit}.* budget of {what}"):
+                        log_bit_variances(counts, ch)
+                assert decoder._LOG_FACTORIALS.size == 1
+        for ch, counts, _ in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decoder, "HISTOGRAM_BUDGET", max(decoder._bit_rows(np.array(counts), ch)[1]))
+                assert all(math.isfinite(v) for v in log_bit_variances(counts, ch))
 
     def test_windowed_bits_over_full_row_budget(self):
         # Three bits of 1e7 uses hold 1e7 + 1 rows each, above the per-bit
         # budget, but their certified windows sum about 2.5e4 rows. The
         # value equals the log sum over every row, computed here in segments
-        # of 1e6 rows, combined by logsumexp.
+        # of 1e6 rows from a ln i! table of its own, combined by logsumexp:
+        # the oracle's entries past its table come from its lgamma path.
         ch, t = make_bsc(0.1), 10**7
-        assert t + 1 > decoder.HISTOGRAM_BUDGET
+        assert t + 1 > decoder.HISTOGRAM_BUDGET and t // 2 > decoder.LOG_FACTORIAL_TABLE
         d = exact_distortion(pattern([t] * 3), ch)
         (log_v,) = log_bit_variances([t], ch)
+        lg = np.fromiter(map(math.lgamma, np.arange(1.0, t + 2.0)), float, count=t + 1)
         lo = np.arange(0, t + 1, 10**6)
         sizes = np.minimum(lo + 10**6, t + 1) - lo
-        segments, _ = decoder._row_sums(np.full(lo.size, t), lo, sizes, ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "_LOG_FACTORIALS", lg)
+            segments, _ = decoder._row_sums(np.full(lo.size, t), lo, sizes, ch)
         full = float(np.logaddexp.reduce(segments))
         assert log_v == pytest.approx(full, rel=1e-13)
         assert d == pytest.approx(decoder.assemble_distortion([full] * 3), rel=1e-13)
@@ -304,7 +317,7 @@ class TestExactBitVariance:
 
         monkeypatch.setattr(decoder, "_binary_windows", narrow)
         exact_bit_variance.cache_clear()
-        with pytest.raises(BudgetExceededError, match="not certified"):
+        with pytest.raises(BudgetExceededError, match="a bit of 2000001 rows"):
             log_bit_variances([2 * 10**6], make_bsc(0.1))
         exact_bit_variance.cache_clear()
 
@@ -341,32 +354,6 @@ class TestBudgetGate:
         for ch in (make_bac(0.9, 0.8), random_channel(np.random.default_rng(3), alphabet=3)):
             with pytest.raises(ValidationError, match="must be >= 0"):
                 log_bit_variances([4, -5], ch)
-
-    @pytest.mark.parametrize("budget", ["HISTOGRAM_BUDGET", "PATTERN_HISTOGRAM_BUDGET"])
-    @pytest.mark.parametrize(
-        "ch, counts, expected",
-        [
-            (make_bac(0.9, 0.8), [10**9, 2 * 10**9], None),
-            (Z_CHANNEL, [300, 1000], [301, 1001]),
-            (random_channel(np.random.default_rng(3), alphabet=3), [40, 90], [861, 4186]),
-        ],
-        ids=["windowed-binary", "full-row-binary", "ternary"],
-    )
-    def test_exactly_at_each_budget_passes(self, ch, counts, expected, budget, monkeypatch, cold_table):
-        # A windowed bac:0.9,0.8 bit sums at most 53 rows, the Z channel's
-        # zero mass makes a bit sum its t + 1 rows, and a ternary bit sums
-        # C(t + 2, 2). With the budget one row short the counts are refused
-        # and no ln i! is computed; at the budget they pass.
-        rows = decoder._bit_rows(np.array(counts), ch)[1]
-        assert rows == expected if expected else max(rows) <= 53
-        limit = max(rows) if budget == "HISTOGRAM_BUDGET" else sum(rows)
-        monkeypatch.setattr(decoder, budget, limit - 1)
-        what = "one bit" if budget == "HISTOGRAM_BUDGET" else "one pattern"
-        with pytest.raises(BudgetExceededError, match=f"{limit}.* budget of {what}"):
-            log_bit_variances(counts, ch)
-        assert decoder._LOG_FACTORIALS.size == 1
-        monkeypatch.setattr(decoder, budget, limit)
-        assert all(math.isfinite(v) for v in log_bit_variances(counts, ch))
 
 
 class TestSharedTableKernel:
