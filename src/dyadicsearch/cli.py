@@ -33,6 +33,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .channel import (
@@ -90,6 +91,7 @@ class RunManifest:
     seed: int | None
     version: str
     wall_time_s: float = 0.0
+    phase_s: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     findings: dict = field(default_factory=dict)
 
@@ -103,7 +105,7 @@ def _write_csv(
     channel: ChannelSpec,
     manifest_name: str,
     header: list[str],
-    rows: list[list],
+    rows: list[Sequence],
 ) -> None:
     with path.open("w", newline="", encoding="utf-8") as f:
         f.write(f"# schema: dyadicsearch/{schema}-{SCHEMA_VERSION}\n")
@@ -135,23 +137,28 @@ def _emit(
     name: str,
     channel: ChannelSpec,
     header: list[str],
-    rows: list[list],
+    rows: list[Sequence],
     start: float,
     config: dict,
     seed: int | None,
     findings: dict,
+    phase_s: dict | None = None,
 ) -> Path:
     """Write ``<name>.csv`` and ``manifest-<name>.json`` under --out.
 
     ``config`` holds the command's settings besides --channel; the wall time
-    runs from ``start`` to the manifest write. Returns the CSV path.
+    runs from ``start`` to the manifest write. The manifest's ``phase_s``
+    holds the command's own ``phase_s`` and ``write``, the seconds the CSV
+    took. Returns the CSV path.
     """
     out = Path(args.out)
     csv_path = out / f"{name}.csv"
     manifest_name = f"manifest-{name}.json"
     try:
         out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
         _write_csv(csv_path, name, channel, manifest_name, header, rows)
+        phase_s = {**(phase_s or {}), "write": time.perf_counter() - t0}
         RunManifest(
             command=args.argv_echo,
             config={"channel": args.channel, **config},
@@ -160,6 +167,7 @@ def _emit(
             outputs=[csv_path.name],
             findings=findings,
             wall_time_s=time.perf_counter() - start,
+            phase_s=phase_s,
         ).write(out / manifest_name)
     except OSError as exc:
         raise ValidationError(f"cannot write output under --out {str(out)!r}: {exc}") from exc
@@ -289,6 +297,7 @@ def cmd_fig3(args) -> int:
         raise ValidationError(
             f"no sweep points: need a budget of at least r={consts.r} (step {args.step})"
         )
+    t0 = time.perf_counter()
     result = aurelian_sweep(
         ch,
         n_values,
@@ -297,18 +306,15 @@ def cmd_fig3(args) -> int:
         seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
     )
+    phase_s = {"sweep": time.perf_counter() - t0}
     header = [
         "n", "q", "t1", "d", "d_stderr", "u", "l",
         "log_d_over_sqrt_n", "log_u_over_sqrt_n", "d_over_d0", "neg_a1", "neg_a2",
     ]
-    table = [
-        [
-            r.n, r.q, r.t1, r.distortion, r.std_error, r.upper, r.lower,
-            r.log_d_over_sqrt_n, r.log_u_over_sqrt_n, r.d_over_d0,
-            -consts.A1, -consts.A2,
-        ]
-        for r in result.rows
-    ]
+    # A SweepRow is the first ten cells; the two constant cells are their
+    # floats' repr, what csv writes for a float, made once.
+    neg_a1, neg_a2 = repr(-consts.A1), repr(-consts.A2)
+    table = [(*r, neg_a1, neg_a2) for r in result.rows]
     last = result.rows[-1]
     config = {"n_max": args.n_max, "step": args.step, "mode": args.mode}
     findings = {
@@ -320,7 +326,7 @@ def cmd_fig3(args) -> int:
     }
     if args.mode == "exact":
         findings["oracle_cache"] = _oracle_cache_since(cache_before)
-    csv_path = _emit(args, "fig3", ch, header, table, start, config, args.seed, findings)
+    csv_path = _emit(args, "fig3", ch, header, table, start, config, args.seed, findings, phase_s)
     print(
         f"swept {len(result.rows)} budgets up to n={last.n}: "
         f"ln(D_n)/sqrt(n)={last.log_d_over_sqrt_n:.4f}, "

@@ -63,7 +63,8 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   ``PATTERN_HISTOGRAM_BUDGET`` together, in the rows of ``_bit_rows``,
   before any row is summed, so a channel whose h_ch is under
   ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. The sweep in
-  ``sim`` calls it per step, the fallback its ``_check_rows`` on t + 1 rows.
+  ``sim`` calls it on each block of steps, and on each step of a block
+  that fails, the fallback its ``_check_rows`` on t + 1 rows.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
@@ -508,8 +509,8 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     distinct counts, counted by ``_bit_rows`` on the merged channel (a count
     of 0 is one row). The t + 1 full rows of a binary bit bound its
     window's, and where they pass both budgets the window is not computed
-    (``_binary_windows`` costs about 21 us a call, 0.1 s over a sweep's
-    per-step calls). Nothing is computed before a refusal."""
+    (``_binary_windows`` costs about 21 us a call, 0.1 s over a 4998-step
+    sweep gated step by step). Nothing is computed before a refusal."""
     ch = _merge_tied_outputs(ch)
     distinct = set(counts)
     if not distinct:

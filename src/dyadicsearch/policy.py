@@ -32,14 +32,16 @@ r = floor(ln4 / C) and q the largest depth whose staircase fits the budget,
 then places the remainder with the same threshold fill. Its upper bound
 decays like exp(-A2 sqrt(n)) with A2 = sqrt(2 r) C. At a fixed q the
 remainder fill is nested: the fill of R + 1 uses is the fill of R plus the
-next key in (key, k) order. ``aurelian_steps`` uses this to walk a budget
+next key in (key, k) order. ``_staircase_walk`` uses this to walk a budget
 grid: one fill and one sort of its units per run of budgets sharing q, then
-one unit per extra use, reporting the bits each step changes.
+one unit per extra use, reporting the bits each step changes and their new
+counts, never the whole pattern. ``aurelian`` and ``aurelian_steps`` are
+thin wrappers over it.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -375,30 +377,51 @@ def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     (refused past ``PATTERN_BUDGET``); the leftover uses go to the largest
     decreases of U on top of the staircase, placed by the same threshold
     fill as ``efficient_search``, which keeps the pattern non-increasing.
-    This is the one-budget grid of ``aurelian_steps``, the only
-    construction of the staircase.
+    This is the first step of ``_staircase_walk``, the only construction of
+    the staircase, on a one-budget grid: every bit changes there.
     """
-    return TransmissionPattern(next(aurelian_steps([n], k))[0])
+    *_, counts = next(_staircase_walk([n], k))
+    return TransmissionPattern(tuple(counts))
 
 
 def aurelian_steps(
     n_values: Sequence[int], k: InfoConstants
 ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """``aurelian(n)`` for each budget of a strictly increasing grid, stepped.
+    """``aurelian(n)`` for each budget of a strictly increasing grid: per
+    budget, the whole pattern (trailing zeros trimmed, so its length is q)
+    and the 0-based indices whose count changed since the previous budget
+    (every index at the first), ascending. The steps of ``_staircase_walk``
+    applied to one count list."""
+    counts: list[int] = []
+    for _, q, _, bits, new in _staircase_walk(n_values, k):
+        del counts[q:]
+        counts.extend([0] * (q - len(counts)))
+        for m, c in zip(bits, new):
+            counts[m] = c
+        yield tuple(counts), bits
 
-    Yields, per budget, the counts of ``aurelian(n)`` (trailing zeros
-    trimmed, so their length is the pattern's q) and the 0-based indices
-    whose count changed since the previous budget (every index at the
-    first).
 
-    At a fixed staircase depth q the remainder fill is nested: the fill of
-    R + 1 uses is the fill of R plus the next key in (key, k) order, with
-    the keys (k+1) ln4/C + c of the threshold fill and its ties to the
-    smaller index. So for a run of budgets that share q, one fill of the
+def _staircase_walk(
+    n_values: Sequence[int], k: InfoConstants
+) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
+    """``aurelian(n)`` for each budget of a strictly increasing grid, as
+    steps of one live count list.
+
+    Yields, per budget, (n, q, t1, bits, counts): the pattern's length q
+    (trailing zeros trimmed) and first count, the 0-based indices whose
+    count changed since the previous budget, ascending (every index at the
+    first), and their new counts. The whole pattern is built once per run
+    of budgets sharing q, never per budget.
+
+    The budgets of staircase depth q are the run [r q(q+1)/2,
+    r (q+1)(q+2)/2), whose end ``bisect`` finds in the grid. In a run the
+    remainder fill is nested: the fill of R + 1 uses is the fill of R plus
+    the next key in (key, k) order, with the keys (k+1) ln4/C + c of the
+    threshold fill and its ties to the smaller index. So one fill of the
     run's largest remainder gives every unit the run places, and those
     units, ordered by one ``np.lexsort`` on (key, k), give each budget's
-    pattern as a prefix. The fill may open bit q+1. A budget that changes
-    q starts a new run; a q past ``PATTERN_BUDGET`` is refused up front.
+    pattern as a prefix: a step adds the units between two budgets. The
+    fill may open bit q+1. A q past ``PATTERN_BUDGET`` is refused up front.
     """
     a = _key_step(k.C)
     if any(y <= x for x, y in zip(n_values, n_values[1:])):
@@ -409,34 +432,42 @@ def aurelian_steps(
     _check_uses(n_values[-1])
     r = k.r
     _check_budget(_staircase_depth(n_values[-1], r), "bits in the pattern")
-    counts: tuple[int, ...] = ()
-    for q, run in itertools.groupby(n_values, key=lambda n: _staircase_depth(n, r)):
-        run = list(run)
+    cur: list[int] = []
+    i = 0
+    while i < len(n_values):
+        q = _staircase_depth(n_values[i], r)
         floor_n = r * q * (q + 1) // 2
+        end = bisect.bisect_left(n_values, r * (q + 1) * (q + 2) // 2, i)
+        run = n_values[i:end]
+        i = end
         stairs = np.arange(q, 0, -1) * r
-        last = _water_fill(stairs, run[-1] - floor_n, a)
-        cur = last
+        first = _water_fill(stairs, run[-1] - floor_n, a)
         if len(run) > 1:
-            base = np.zeros_like(last)
+            base = np.zeros_like(first)
             base[:q] = stairs
             # The fill's units as keys f + e: f = (m+1) a + base count, e uses on top.
-            extra = last - base
-            bit = np.repeat(np.arange(last.size), extra)
+            extra = first - base
+            bit = np.repeat(np.arange(first.size), extra)
             e = np.arange(bit.size) - np.repeat(np.cumsum(extra) - extra, extra)
             units = bit[np.lexsort((bit, ((bit + 1) * a + base[bit]) + e))]
-            cur = base + np.bincount(units[: run[0] - floor_n], minlength=base.size)
+            first = base + np.bincount(units[: run[0] - floor_n], minlength=base.size)
             units = units.tolist()
-        cur = cur[: np.flatnonzero(cur)[-1] + 1].tolist()
-        prev, counts = counts, tuple(cur)
-        yield counts, [m for m, c in enumerate(counts) if m >= len(prev) or prev[m] != c]
+        new = first[: np.flatnonzero(first)[-1] + 1].tolist()
+        if cur:
+            bits = [m for m, c in enumerate(new) if m >= len(cur) or cur[m] != c]
+            counts = [new[m] for m in bits]
+        else:
+            bits, counts = list(range(len(new))), new.copy()
+        cur = new
+        yield run[0], len(cur), cur[0], bits, counts
         for lo, n in zip(run, run[1:]):
             step = units[lo - floor_n : n - floor_n]
             for m in step:
                 if m == len(cur):
                     cur.append(0)
                 cur[m] += 1
-            counts = tuple(cur)
-            yield counts, sorted(set(step))
+            bits = step if len(step) == 1 else sorted(set(step))
+            yield n, len(cur), cur[0], bits, [cur[m] for m in bits]
 
 
 @dataclass(frozen=True)

@@ -60,16 +60,21 @@ inner one, each block continuing its own stream, so each bit's table is
 looked up, and its per-index terms evaluated, once per estimate. The
 tables are cached across estimates, up to ``TABLE_CACHE_ENTRIES`` entries.
 
-The staircase sweep ``aurelian_sweep`` takes its patterns stepped from
-``policy.aurelian_steps``, which yields each budget's pattern with the bits
-that changed since the previous budget. It keeps the per-bit terms of D, U
-and L and recomputes only the changed ones, so a step of one use costs a
-term or two, not a rebuilt pattern and q oracle lookups; the changed bits
-of ``SWEEP_BLOCK`` budgets share one oracle pass and one call per series of
-``policy._series_terms``. Each row is re-summed with ``math.fsum``, which
-is correctly rounded and so independent of the order of the terms, plus
-the closed-form tail: the rows equal, float for float, those computed one
-budget at a time.
+The staircase sweep ``aurelian_sweep`` takes its steps from
+``policy._staircase_walk``, which yields for each budget the bits that
+changed since the previous budget and their new counts, never the whole
+pattern. It keeps the per-bit terms of D, U and L and recomputes only the
+changed ones, so a step of one use costs a term or two, three
+``math.fsum`` calls, two ``math.log`` calls and one row tuple, not a rebuilt
+pattern and q oracle lookups. The changed bits of up to ``SWEEP_BLOCK``
+budgets share one oracle pass and one call per series of
+``policy._series_terms``; a block closes early where its distinct counts
+would pass the oracle's pattern budget, so no pass sums more rows than one
+pattern may. Each row is re-summed with ``math.fsum``, which is correctly
+rounded and so independent of the order of the terms, plus the closed-form
+tail: the rows equal, float for float, those computed one budget at a
+time. The whole pattern is built only for Monte-Carlo rows and for rows
+whose D or U underflows, where the log-domain sums need it.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ from .decoder import (
     exact_bit_variance,
 )
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, aurelian_steps, log_upper_bound
-from .policy import _BOUND_TAIL, _series_sum, _series_terms
+from .policy import TransmissionPattern, log_upper_bound
+from .policy import _BOUND_TAIL, _series_terms, _staircase_walk
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
 BLOCK_TRIALS = 4096
@@ -646,8 +651,7 @@ def estimate_distortion(cfg: SimConfig, jobs: int = 1) -> DistortionEstimate:
     return DistortionEstimate(mean=mean, std_error=se, trials=cfg.trials)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     q: int
     t1: int
@@ -664,6 +668,36 @@ class SweepRow:
 class SweepResult:
     constants: InfoConstants
     rows: tuple[SweepRow, ...]
+
+
+def _gated_prefix(block: list, channel: ChannelSpec) -> int:
+    """How many of a block's steps, from the first, share one oracle pass.
+
+    Each step's changed counts pass the oracle's gate as one pattern's
+    would, and the first that does not is refused with
+    ``BudgetExceededError`` before any of the block is summed. The pass
+    takes the longest prefix whose distinct counts, cached or not, pass the
+    gate together, so it never sums more than ``PATTERN_HISTOGRAM_BUDGET``
+    rows. The gate decides on the rows of the distinct counts alone, so a
+    set that passes passes with every subset: where the whole block passes,
+    as it does but for huge m-ary or near-pure-noise rows, one call covers
+    every step.
+    """
+    try:
+        _check_histogram_total({c for *_, counts in block for c in counts}, channel)
+        return len(block)
+    except BudgetExceededError:
+        pass
+    for *_, counts in block:
+        _check_histogram_total(counts, channel)
+    together: set[int] = set()
+    for i, (*_, counts) in enumerate(block):
+        together.update(counts)
+        try:
+            _check_histogram_total(together, channel)
+        except BudgetExceededError:  # never at i = 0, whose counts passed alone
+            return i
+    return len(block)
 
 
 def aurelian_sweep(
@@ -684,56 +718,64 @@ def aurelian_sweep(
     D_n / D_0 with D_0 = 1/12; the channel constants ride along for the
     -A1 / -A2 reference lines.
 
-    The patterns come stepped from ``aurelian_steps``. The per-bit terms of
-    D, U and L are kept in three lists, and only the bits a budget step
-    changed are recomputed, by the series kernel that ``exact_distortion``,
-    ``upper_bound`` and ``lower_bound`` use. Each row is re-summed with
-    ``math.fsum``, which is correctly rounded whatever the order, plus the
-    same closed-form tail, so every value equals the one those functions
-    give for ``aurelian(n)``. Where an exact D or a U is below the smallest
-    normal double, its log column comes from the log-domain sum
-    (``assemble_log_distortion``, ``log_upper_bound``) instead of the log
-    of the double. A row whose changed bits exceed the oracle's histogram
+    The steps come from ``policy._staircase_walk``: per budget, the bits
+    that changed and their new counts. The per-bit terms of D, U and L are
+    kept in lists, and only the changed bits are recomputed, by the series
+    kernel that ``exact_distortion``, ``upper_bound`` and ``lower_bound``
+    use, for up to ``SWEEP_BLOCK`` steps at a time (``_gated_prefix``). Each
+    row is re-summed with ``math.fsum``, which is correctly rounded whatever
+    the order, plus the same closed-form tail, so every value equals the one
+    those functions give for ``aurelian(n)``. The whole pattern is built
+    only for a Monte-Carlo row, and where an exact D or a U is below the
+    smallest normal double, whose log column comes from the log-domain sum
+    (``assemble_log_distortion``, ``log_upper_bound``) instead of the log of
+    the double. A step whose changed bits exceed the oracle's histogram
     budget is refused with ``BudgetExceededError``.
     """
     _check_jobs(jobs)
     consts = info_constants(channel)
     rows = []
+    t: list[int] = []
     d_terms: list[float] = []
     log_v: list[float] = []
     u_terms: list[float] = []
     l_terms: list[float] = []
-    steps = zip(n_values, aurelian_steps(n_values, consts))
+    q = -1
+    steps = _staircase_walk(n_values, consts)
     while block := list(itertools.islice(steps, SWEEP_BLOCK)):
+        if exact and (cut := _gated_prefix(block, channel)) < len(block):
+            steps = itertools.chain(block[cut:], steps)
+            del block[cut:]
         # The terms of every bit the block's steps change, in step order.
-        changes = [(k, t[k]) for _, (t, changed) in block for k in changed]
-        bits, counts = np.array(changes, dtype=np.int64).reshape(-1, 2).T
+        bits = np.fromiter(itertools.chain.from_iterable(s[3] for s in block), np.int64)
+        new_t = list(itertools.chain.from_iterable(s[4] for s in block))
+        counts = np.array(new_t, dtype=np.int64)
         new_u = _series_terms(bits, (-counts * consts.C).tolist())
         new_l = _series_terms(bits, (-counts * consts.B).tolist())
-        if exact:  # each step's bits are held to the pattern histogram budget, as one pattern's are
-            for _, (t, changed) in block:
-                _check_histogram_total([t[k] for k in changed], channel)
-            new_log_v = exact_bit_variance.log_values(counts.tolist(), channel)
+        if exact:
+            new_log_v = exact_bit_variance.log_values(new_t, channel)
             new_d = _series_terms(bits, new_log_v)
         i = 0
-        for n, (t, changed) in block:
-            q = len(t)
-            if q != len(u_terms):  # every index from the old q on is in ``changed``
-                for terms in (d_terms, log_v, u_terms, l_terms):
+        for n, q_n, t1, changed, _ in block:
+            if q_n != q:  # every index from the old q on is in ``changed``
+                q = q_n
+                for terms in (t, d_terms, log_v, u_terms, l_terms):
                     del terms[q:]
-                    terms.extend([0.0] * (q - len(terms)))
+                    terms.extend([0] * (q - len(terms)))
+                # The tails c 4^-q of ``_series_sum``.
+                tail_d, tail_u = 4.0**-q * PRIOR_DISTORTION, 4.0**-q * _BOUND_TAIL
             for k in changed:
-                u_terms[k], l_terms[k] = new_u[i], new_l[i]
+                t[k], u_terms[k], l_terms[k] = new_t[i], new_u[i], new_l[i]
                 if exact:
                     log_v[k], d_terms[k] = new_log_v[i], new_d[i]
                 i += 1
             if exact:
-                d, se = _series_sum(d_terms, PRIOR_DISTORTION), 0.0
+                d, se = math.fsum(d_terms) + tail_d, 0.0
                 log_d = math.log(d) if d >= _SMALLEST_NORMAL else assemble_log_distortion(log_v)
             else:
                 cfg = SimConfig(
                     channel=channel,
-                    pattern=TransmissionPattern(t),
+                    pattern=TransmissionPattern(tuple(t)),
                     prior=uniform_prior(),
                     trials=trials,
                     seed=seed,
@@ -746,23 +788,16 @@ def aurelian_sweep(
                         "use the exact oracle (--mode exact), whose log columns stay finite"
                     )
                 log_d = math.log(d)
-            u = _series_sum(u_terms, _BOUND_TAIL)
+            u = math.fsum(u_terms) + tail_u
             if u >= _SMALLEST_NORMAL:
                 log_u = math.log(u)
             else:
-                log_u = log_upper_bound(TransmissionPattern(t), consts.C)
+                log_u = log_upper_bound(TransmissionPattern(tuple(t)), consts.C)
+            root = math.sqrt(n)
             rows.append(
                 SweepRow(
-                    n=n,
-                    q=q,
-                    t1=t[0],
-                    distortion=d,
-                    std_error=se,
-                    upper=u,
-                    lower=0.25 * _series_sum(l_terms, _BOUND_TAIL),
-                    log_d_over_sqrt_n=log_d / math.sqrt(n),
-                    log_u_over_sqrt_n=log_u / math.sqrt(n),
-                    d_over_d0=d / PRIOR_DISTORTION,
+                    n, q, t1, d, se, u, 0.25 * (math.fsum(l_terms) + tail_u),
+                    log_d / root, log_u / root, d / PRIOR_DISTORTION,
                 )
             )
     return SweepResult(constants=consts, rows=tuple(rows))

@@ -20,6 +20,9 @@ from dyadicsearch.decoder import exact_bit_variance
 from dyadicsearch.policy import aurelian_steps, pattern
 
 from conftest import bench_reference
+from test_sim import per_budget_sweep
+
+CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
 
 def read_csv(path: Path):
@@ -166,6 +169,66 @@ class TestFig3:
         assert stats[0]["hits"] + stats[0]["misses"] == lookups
         assert stats[1] == {"hits": lookups, "misses": 0}
         assert (tmp_path / "first" / "fig3.csv").read_bytes() == (tmp_path / "second" / "fig3.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "channel, step, n_max",
+        [("bac:0.9,0.8", 1, 600), (str(CHANNEL3), 250, 2000)],
+        ids=["bac-step-1", "channel3-step-250"],
+    )
+    def test_exact_rows_are_the_per_budget_rows(self, tmp_path, channel, step, n_max):
+        # Each CSV row is a per-budget row, rebuilt from scratch at its
+        # budget, and the floats -A1 and -A2, as csv.writer writes them.
+        assert main(["fig3", "--channel", channel, "--n-max", str(n_max), "--step", str(step),
+                     "--out", str(tmp_path)]) == 0
+        ch = load_channel(channel)
+        k = info_constants(ch)
+        grid = [n for n in range(step, n_max + 1, step) if n >= k.r]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["n", "q", "t1", "d", "d_stderr", "u", "l", "log_d_over_sqrt_n",
+                         "log_u_over_sqrt_n", "d_over_d0", "neg_a1", "neg_a2"])
+        writer.writerows([*row, -k.A1, -k.A2] for row in per_budget_sweep(ch, grid))
+        lines = (tmp_path / "fig3.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "".join(l for l in lines if not l.startswith("#")) == want.getvalue()
+
+    def test_manifest_records_phase_times(self, tmp_path):
+        assert main(["fig3", "--channel", "bsc:0.25", "--n-max", "200", "--step", "20",
+                     "--out", str(tmp_path)]) == 0
+        phases = json.loads((tmp_path / "manifest-fig3.json").read_text())["phase_s"]
+        assert sorted(phases) == ["sweep", "write"]
+        assert all(isinstance(v, float) and v >= 0.0 for v in phases.values())
+
+    def test_oracle_passes_stay_within_the_pattern_budget(self, tmp_path, monkeypatch):
+        # The 8 budgets of channel3.json to 2000 share one block, whose
+        # distinct counts sum 366 533 histograms; each step's own sum at most
+        # 125 070. Under a pattern budget of 130 000 the block closes early
+        # wherever its counts would pass the budget together, so each oracle
+        # pass stays within it, and the CSV and the cache counts stay the same.
+        argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "2000", "--step", "250"]
+        exact_bit_variance.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
+        passes = []
+        real_sums = decoder._row_sums
+
+        def counted(ts, first, sizes, ch):
+            passes.append(int(sizes.sum()))
+            return real_sums(ts, first, sizes, ch)
+
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 130_000)
+        monkeypatch.setattr(decoder, "_row_sums", counted)
+        exact_bit_variance.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "split")]) == 0
+        assert len(passes) > 1 and max(passes) <= 130_000
+        assert sum(passes) == 366_533  # every distinct count summed once
+        whole, split = (tmp_path / run for run in ("whole", "split"))
+        assert (split / "fig3.csv").read_bytes() == (whole / "fig3.csv").read_bytes()
+        cache = [json.loads((run / "manifest-fig3.json").read_text())["findings"]["oracle_cache"]
+                 for run in (whole, split)]
+        assert cache[0] == cache[1]
+        # A budget below one step's own histograms still refuses that step.
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
+        exact_bit_variance.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
 
     def test_mc_mode_requires_seed(self, tmp_path, capsys):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from dyadicsearch import (
     efficient_search,
     enumerate_patterns,
     info_constants,
+    load_channel,
     log_lower_bound,
     log_upper_bound,
     lower_bound,
@@ -33,11 +35,12 @@ from dyadicsearch import (
     upper_bound,
 )
 
-from dyadicsearch.policy import COMPOSITION_ROWS, compositions
+from dyadicsearch.policy import COMPOSITION_ROWS, _staircase_walk, compositions
 
 from conftest import bumped, random_moderate_channel
 
 LN4 = math.log(4.0)
+CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
 
 def tuple_compositions(n: int, depth: int):
@@ -121,6 +124,26 @@ def assert_steps_match_aurelian(grid, k):
     for n, (t, changed) in zip(grid, aurelian_steps(grid, k), strict=True):
         assert t == aurelian(n, k).t, n
         assert changed == [m for m, c in enumerate(t) if m >= len(prev) or prev[m] != c], n
+        prev = t
+
+
+def assert_walk_matches_aurelian(grid, k):
+    """``_staircase_walk``, ``aurelian_steps`` and ``aurelian(n)`` against
+    each other and the heap oracle at every budget of the grid: the walk's
+    steps, applied to one count list, give the pattern, and its bits are
+    exactly the indices whose count differs from the previous budget's."""
+    grid = list(grid)
+    prev, live = (), []
+    walk = zip(grid, _staircase_walk(grid, k), aurelian_steps(grid, k), strict=True)
+    for n, (m, q, t1, bits, counts), (t, changed) in walk:
+        live[q:] = []
+        live += [0] * (q - len(live))
+        for b, c in zip(bits, counts):
+            live[b] = c
+        assert m == n
+        assert tuple(live) == t == aurelian(n, k).t == staircase_oracle(n, k), n
+        assert (q, t1) == (len(t), t[0]), n
+        assert bits == changed == [i for i, c in enumerate(t) if i >= len(prev) or prev[i] != c], n
         prev = t
 
 
@@ -455,6 +478,19 @@ class TestAurelian:
             k = info_constants(random_moderate_channel(rng))
             grid = k.r + np.cumsum(rng.integers(0, 40, size=60) * rng.integers(0, 2, size=60) + 1)
             assert_steps_match_aurelian(grid.tolist(), k)
+
+    @pytest.mark.parametrize("name", ["bsc:0.1", "bac:0.9,0.8", str(CHANNEL3)],
+                             ids=["bsc-0.1", "bac-0.9-0.8", "channel3"])
+    def test_walk_at_depth_edges(self, name):
+        # The depth q changes at n = r q (q+1) / 2, where the walk closes one
+        # run and starts the next: the budget before it, it and the one after,
+        # for q up to 40, then non-unit steps from a start inside depth 5's run.
+        k = info_constants(load_channel(name))
+        floors = [k.r * q * (q + 1) // 2 for q in range(1, 42)]
+        edges = sorted({f + d for f in floors[:40] for d in (-1, 0, 1) if f + d >= k.r})
+        assert_walk_matches_aurelian(edges, k)
+        for start, step in ((floors[4] + 2, 3), (floors[4] + 5, 11), (floors[4] + 1, k.r * 6 + 1)):
+            assert_walk_matches_aurelian(range(start, floors[40] + 2, step), k)
 
     def test_steps_refuse_bad_grids(self):
         k = info_constants(make_bsc(0.25))

@@ -633,9 +633,11 @@ class TestAurelianSweep:
     def test_bit_over_per_bit_budget_refused_at_its_step(self, monkeypatch):
         # On a per-bit budget of 50 rows, the first bit of bac:0.9,0.8, whose
         # window grows to 53 rows, passes the budget at one step of the
-        # grid, past the first block. The gate refuses that step's changed
-        # bits, and no oracle pass, of this block or an earlier one, is
-        # given a bit over the budget.
+        # grid, in the second block. The gate passes the first block's
+        # counts in one call; the second block's fail together, so its steps
+        # are gated one by one, and the gate refuses that step's changed
+        # bits before the block is summed. No oracle pass, of this block or
+        # an earlier one, is given a bit over the budget.
         ch = make_bac(0.9, 0.8)
         monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", 50)
         gated, passed = [], []
@@ -657,13 +659,14 @@ class TestAurelianSweep:
         k = info_constants(ch)
         grid = list(range(k.r, 2001))
         first = next(i for i, n in enumerate(grid) if max(rows(aurelian(n, k).t)) > 50)
-        assert first > sim.SWEEP_BLOCK
+        assert sim.SWEEP_BLOCK < first < 2 * sim.SWEEP_BLOCK
         decoder.exact_bit_variance.cache_clear()
         with pytest.raises(BudgetExceededError, match="budget of one bit"):
             aurelian_sweep(ch, grid)
         decoder.exact_bit_variance.cache_clear()
         t, changed = list(aurelian_steps(grid[: first + 1], k))[-1]
-        assert len(gated) == first + 1 and gated[-1] == [t[m] for m in changed]
+        assert len(gated) == 2 + (first - sim.SWEEP_BLOCK + 1)
+        assert gated[-1] == [t[m] for m in changed]
         assert passed and max(rows(passed)) <= 50
 
 
