@@ -48,7 +48,6 @@ from .policy import (
     EfficiencyReport,
     TransmissionPattern,
     aurelian,
-    aurelian_steps,
     check_efficient_properties,
     depth_bounds,
     efficient_search,
@@ -110,7 +109,6 @@ __all__ = [
     "EfficiencyReport",
     "TransmissionPattern",
     "aurelian",
-    "aurelian_steps",
     "check_efficient_properties",
     "depth_bounds",
     "efficient_search",

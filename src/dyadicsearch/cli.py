@@ -27,13 +27,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .channel import (
@@ -82,6 +87,19 @@ _REFERENCE_OPTIMUM_N10_D3 = "6,3,1"
 _SHOWN_COUNTS = 5
 
 
+@functools.cache
+def _environment() -> dict:
+    """Python and numpy versions, machine type and CPU count, once per
+    process. ``platform.platform()`` is left out: its first call takes
+    about 9 ms, more than a small ``policy`` run."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+
+
 @dataclass
 class RunManifest:
     """Provenance record written next to every command's CSV outputs."""
@@ -94,6 +112,7 @@ class RunManifest:
     phase_s: dict = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     findings: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=_environment)
 
     def write(self, path: Path) -> None:
         path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -62,9 +62,11 @@ because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
   ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
   ``PATTERN_HISTOGRAM_BUDGET`` together, in the rows of ``_bit_rows``,
   before any row is summed, so a channel whose h_ch is under
-  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. The sweep in
-  ``sim`` calls it on each block of steps, and on each step of a block
-  that fails, the fallback its ``_check_rows`` on t + 1 rows.
+  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. ``log_bit_variances``
+  runs it on every lookup; the sweep in ``sim`` looks up a block of steps at
+  a time and, where a block fails, gates each step alone before it looks
+  the steps up one by one; the fallback runs its ``_check_rows`` on t + 1
+  rows.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
@@ -508,9 +510,11 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     """The oracle's one budget gate: ``_check_rows`` on the rows of the
     distinct counts, counted by ``_bit_rows`` on the merged channel (a count
     of 0 is one row). The t + 1 full rows of a binary bit bound its
-    window's, and where they pass both budgets the window is not computed
-    (``_binary_windows`` costs about 21 us a call, 0.1 s over a 4998-step
-    sweep gated step by step). Nothing is computed before a refusal."""
+    window's, and where they pass both budgets the windows are not computed:
+    on bac:0.9,0.8 a call on ``aurelian(10**6)`` (815 distinct counts) takes
+    47 us against 107 us with them, and on ``aurelian(10**5)`` 15 against
+    50 us (2-core x86_64 host), and every ``policy`` run makes one. Nothing
+    is computed before a refusal."""
     ch = _merge_tied_outputs(ch)
     distinct = set(counts)
     if not distinct:

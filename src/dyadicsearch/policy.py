@@ -35,8 +35,8 @@ remainder fill is nested: the fill of R + 1 uses is the fill of R plus the
 next key in (key, k) order. ``_staircase_walk`` uses this to walk a budget
 grid: one fill and one sort of its units per run of budgets sharing q, then
 one unit per extra use, reporting the bits each step changes and their new
-counts, never the whole pattern. ``aurelian`` and ``aurelian_steps`` are
-thin wrappers over it.
+counts, never the whole pattern. ``aurelian`` is its first step, and the
+staircase sweep of ``sim`` takes every step.
 """
 
 from __future__ import annotations
@@ -382,23 +382,6 @@ def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     """
     *_, counts = next(_staircase_walk([n], k))
     return TransmissionPattern(tuple(counts))
-
-
-def aurelian_steps(
-    n_values: Sequence[int], k: InfoConstants
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """``aurelian(n)`` for each budget of a strictly increasing grid: per
-    budget, the whole pattern (trailing zeros trimmed, so its length is q)
-    and the 0-based indices whose count changed since the previous budget
-    (every index at the first), ascending. The steps of ``_staircase_walk``
-    applied to one count list."""
-    counts: list[int] = []
-    for _, q, _, bits, new in _staircase_walk(n_values, k):
-        del counts[q:]
-        counts.extend([0] * (q - len(counts)))
-        for m, c in zip(bits, new):
-            counts[m] = c
-        yield tuple(counts), bits
 
 
 def _staircase_walk(

@@ -67,13 +67,14 @@ pattern. It keeps the per-bit terms of D, U and L and recomputes only the
 changed ones, so a step of one use costs a term or two, three
 ``math.fsum`` calls, two ``math.log`` calls and one row tuple, not a rebuilt
 pattern and q oracle lookups. The changed bits of up to ``SWEEP_BLOCK``
-budgets share one oracle pass and one call per series of
-``policy._series_terms``; a block closes early where its distinct counts
-would pass the oracle's pattern budget, so no pass sums more rows than one
-pattern may. Each row is re-summed with ``math.fsum``, which is correctly
-rounded and so independent of the order of the terms, plus the closed-form
-tail: the rows equal, float for float, those computed one budget at a
-time. The whole pattern is built only for Monte-Carlo rows and for rows
+budgets share one lookup through ``decoder.log_bit_variances``, the oracle's
+gated entry, and one call per series of ``policy._series_terms``. Where the
+gate refuses a block's counts together, every step's counts are gated alone
+before any is summed, and each step is looked up as its own pattern, so no
+oracle pass sums more rows than one pattern may. Each row is summed by
+``policy._series_sum``: ``math.fsum``, which is correctly rounded and so
+independent of the order of the terms, plus the closed-form tail. The rows
+equal, float for float, those computed one budget at a time. The whole pattern is built only for Monte-Carlo rows and for rows
 whose D or U underflows, where the log-domain sums need it.
 """
 
@@ -94,11 +95,11 @@ from .decoder import (
     _bit_offset,
     _check_histogram_total,
     assemble_log_distortion,
-    exact_bit_variance,
+    log_bit_variances,
 )
 from .errors import BudgetExceededError, ValidationError
 from .policy import TransmissionPattern, log_upper_bound
-from .policy import _BOUND_TAIL, _series_terms, _staircase_walk
+from .policy import _BOUND_TAIL, _series_sum, _series_terms, _staircase_walk
 from .source import BIT_DEPTH_CAP, PriorSpec, bits_array, from_uniform, uniform_prior
 
 BLOCK_TRIALS = 4096
@@ -670,36 +671,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
 
-def _gated_prefix(block: list, channel: ChannelSpec) -> int:
-    """How many of a block's steps, from the first, share one oracle pass.
-
-    Each step's changed counts pass the oracle's gate as one pattern's
-    would, and the first that does not is refused with
-    ``BudgetExceededError`` before any of the block is summed. The pass
-    takes the longest prefix whose distinct counts, cached or not, pass the
-    gate together, so it never sums more than ``PATTERN_HISTOGRAM_BUDGET``
-    rows. The gate decides on the rows of the distinct counts alone, so a
-    set that passes passes with every subset: where the whole block passes,
-    as it does but for huge m-ary or near-pure-noise rows, one call covers
-    every step.
-    """
-    try:
-        _check_histogram_total({c for *_, counts in block for c in counts}, channel)
-        return len(block)
-    except BudgetExceededError:
-        pass
-    for *_, counts in block:
-        _check_histogram_total(counts, channel)
-    together: set[int] = set()
-    for i, (*_, counts) in enumerate(block):
-        together.update(counts)
-        try:
-            _check_histogram_total(together, channel)
-        except BudgetExceededError:  # never at i = 0, whose counts passed alone
-            return i
-    return len(block)
-
-
 def aurelian_sweep(
     channel: ChannelSpec,
     n_values: list[int],
@@ -722,14 +693,14 @@ def aurelian_sweep(
     that changed and their new counts. The per-bit terms of D, U and L are
     kept in lists, and only the changed bits are recomputed, by the series
     kernel that ``exact_distortion``, ``upper_bound`` and ``lower_bound``
-    use, for up to ``SWEEP_BLOCK`` steps at a time (``_gated_prefix``). Each
-    row is re-summed with ``math.fsum``, which is correctly rounded whatever
-    the order, plus the same closed-form tail, so every value equals the one
-    those functions give for ``aurelian(n)``. The whole pattern is built
-    only for a Monte-Carlo row, and where an exact D or a U is below the
-    smallest normal double, whose log column comes from the log-domain sum
-    (``assemble_log_distortion``, ``log_upper_bound``) instead of the log of
-    the double. A step whose changed bits exceed the oracle's histogram
+    use, for up to ``SWEEP_BLOCK`` steps at a time, with ln V looked up
+    through ``log_bit_variances``. Each row is summed by the same
+    ``_series_sum``, which is correctly rounded whatever the order, so every
+    value equals the one those functions give for ``aurelian(n)``. The
+    whole pattern is built only for a Monte-Carlo row, and where an exact D
+    or a U is below the smallest normal double, whose log column comes from
+    the log-domain sum (``assemble_log_distortion``, ``log_upper_bound``)
+    instead of the log of the double. A step whose changed bits exceed the oracle's histogram
     budget is refused with ``BudgetExceededError``.
     """
     _check_jobs(jobs)
@@ -743,9 +714,6 @@ def aurelian_sweep(
     q = -1
     steps = _staircase_walk(n_values, consts)
     while block := list(itertools.islice(steps, SWEEP_BLOCK)):
-        if exact and (cut := _gated_prefix(block, channel)) < len(block):
-            steps = itertools.chain(block[cut:], steps)
-            del block[cut:]
         # The terms of every bit the block's steps change, in step order.
         bits = np.fromiter(itertools.chain.from_iterable(s[3] for s in block), np.int64)
         new_t = list(itertools.chain.from_iterable(s[4] for s in block))
@@ -753,7 +721,14 @@ def aurelian_sweep(
         new_u = _series_terms(bits, (-counts * consts.C).tolist())
         new_l = _series_terms(bits, (-counts * consts.B).tolist())
         if exact:
-            new_log_v = exact_bit_variance.log_values(new_t, channel)
+            try:
+                new_log_v = log_bit_variances(new_t, channel)
+            except BudgetExceededError:
+                # Gate every step before any is summed: a refused step leaves
+                # none of its block computed.
+                for *_, step_t in block:
+                    _check_histogram_total(step_t, channel)
+                new_log_v = [v for *_, step_t in block for v in log_bit_variances(step_t, channel)]
             new_d = _series_terms(bits, new_log_v)
         i = 0
         for n, q_n, t1, changed, _ in block:
@@ -762,15 +737,13 @@ def aurelian_sweep(
                 for terms in (t, d_terms, log_v, u_terms, l_terms):
                     del terms[q:]
                     terms.extend([0] * (q - len(terms)))
-                # The tails c 4^-q of ``_series_sum``.
-                tail_d, tail_u = 4.0**-q * PRIOR_DISTORTION, 4.0**-q * _BOUND_TAIL
             for k in changed:
                 t[k], u_terms[k], l_terms[k] = new_t[i], new_u[i], new_l[i]
                 if exact:
                     log_v[k], d_terms[k] = new_log_v[i], new_d[i]
                 i += 1
             if exact:
-                d, se = math.fsum(d_terms) + tail_d, 0.0
+                d, se = _series_sum(d_terms, PRIOR_DISTORTION), 0.0
                 log_d = math.log(d) if d >= _SMALLEST_NORMAL else assemble_log_distortion(log_v)
             else:
                 cfg = SimConfig(
@@ -788,7 +761,7 @@ def aurelian_sweep(
                         "use the exact oracle (--mode exact), whose log columns stay finite"
                     )
                 log_d = math.log(d)
-            u = math.fsum(u_terms) + tail_u
+            u = _series_sum(u_terms, _BOUND_TAIL)
             if u >= _SMALLEST_NORMAL:
                 log_u = math.log(u)
             else:
@@ -796,7 +769,7 @@ def aurelian_sweep(
             root = math.sqrt(n)
             rows.append(
                 SweepRow(
-                    n, q, t1, d, se, u, 0.25 * (math.fsum(l_terms) + tail_u),
+                    n, q, t1, d, se, u, 0.25 * _series_sum(l_terms, _BOUND_TAIL),
                     log_d / root, log_u / root, d / PRIOR_DISTORTION,
                 )
             )

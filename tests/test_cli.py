@@ -6,10 +6,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import platform
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 from dyadicsearch import aurelian, decoder, info_constants, load_channel, make_bac, policy
 from dyadicsearch.cli import _pattern_summary, main
 from dyadicsearch.decoder import exact_bit_variance
-from dyadicsearch.policy import aurelian_steps, pattern
+from dyadicsearch.policy import _staircase_walk, pattern
 
 from conftest import bench_reference
 from test_sim import per_budget_sweep
@@ -164,7 +167,7 @@ class TestFig3:
             stats.append(manifest["findings"]["oracle_cache"])
         # The sweep looks up only the bits each budget step changes.
         k = info_constants(make_bac(0.9, 0.8))
-        lookups = sum(len(changed) for _, changed in aurelian_steps(range(10, 401, 10), k))
+        lookups = sum(len(changed) for *_, changed, _ in _staircase_walk(range(10, 401, 10), k))
         assert stats[0]["misses"] > 0
         assert stats[0]["hits"] + stats[0]["misses"] == lookups
         assert stats[1] == {"hits": lookups, "misses": 0}
@@ -201,9 +204,10 @@ class TestFig3:
     def test_oracle_passes_stay_within_the_pattern_budget(self, tmp_path, monkeypatch):
         # The 8 budgets of channel3.json to 2000 share one block, whose
         # distinct counts sum 366 533 histograms; each step's own sum at most
-        # 125 070. Under a pattern budget of 130 000 the block closes early
-        # wherever its counts would pass the budget together, so each oracle
-        # pass stays within it, and the CSV and the cache counts stay the same.
+        # 125 070. Under a pattern budget of 130 000 the gate refuses the
+        # block's counts together, so each step is looked up as its own
+        # pattern: each oracle pass stays within the budget, and the CSV and
+        # the cache counts stay the same.
         argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "2000", "--step", "250"]
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
@@ -225,10 +229,13 @@ class TestFig3:
         cache = [json.loads((run / "manifest-fig3.json").read_text())["findings"]["oracle_cache"]
                  for run in (whole, split)]
         assert cache[0] == cache[1]
-        # A budget below one step's own histograms still refuses that step.
+        # A budget below one step's own histograms still refuses that step,
+        # before any of the block is summed.
         monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
         exact_bit_variance.cache_clear()
+        passes.clear()
         assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
+        assert passes == []
 
     def test_mc_mode_requires_seed(self, tmp_path, capsys):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",
@@ -550,6 +557,25 @@ def test_jobs_below_one_exits_2(tmp_path, capsys, argv, jobs):
     rc = main(argv + ["--channel", "bac:0.9,0.8", "--jobs", jobs, "--out", str(tmp_path)])
     assert rc == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info"],
+        ["fig2", "--n", "3", "--depth", "2", "--trials", "50", "--seed", "1"],
+        ["fig3", "--n-max", "20", "--step", "10"],
+        ["policy", "--n", "10", "--rule", "aurelian"],
+        ["nonuniform", "--prior", "power:2", "--pattern", "2,1", "--trials", "50", "--seed", "1"],
+    ],
+    ids=["info", "fig2", "fig3", "policy", "nonuniform"],
+)
+def test_manifest_records_the_environment(tmp_path, argv):
+    assert main(argv + ["--channel", "bac:0.9,0.8", "--out", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("manifest-*.json")
+    env = json.loads(path.read_text())["environment"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "machine": platform.machine(), "cpus": os.cpu_count()}
 
 
 class TestDeterminism:

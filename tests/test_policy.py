@@ -16,7 +16,6 @@ from dyadicsearch import (
     assemble_distortion,
     assemble_log_distortion,
     aurelian,
-    aurelian_steps,
     b_functional,
     check_efficient_properties,
     chernoff_information,
@@ -116,34 +115,23 @@ def staircase_by_integer_keys(n, j):
     return pattern(counts).t
 
 
-def assert_steps_match_aurelian(grid, k):
-    """``aurelian_steps`` against ``aurelian(n)`` at every budget of the grid;
-    the changed indices are exactly those whose count differs."""
-    grid = list(grid)
-    prev = ()
-    for n, (t, changed) in zip(grid, aurelian_steps(grid, k), strict=True):
-        assert t == aurelian(n, k).t, n
-        assert changed == [m for m, c in enumerate(t) if m >= len(prev) or prev[m] != c], n
-        prev = t
-
-
-def assert_walk_matches_aurelian(grid, k):
-    """``_staircase_walk``, ``aurelian_steps`` and ``aurelian(n)`` against
-    each other and the heap oracle at every budget of the grid: the walk's
+def assert_walk_matches_aurelian(grid, k, oracle=staircase_oracle):
+    """``_staircase_walk`` against ``aurelian(n)`` and an independent oracle
+    (the heap one unless given) at every budget of the grid: the walk's
     steps, applied to one count list, give the pattern, and its bits are
     exactly the indices whose count differs from the previous budget's."""
     grid = list(grid)
     prev, live = (), []
-    walk = zip(grid, _staircase_walk(grid, k), aurelian_steps(grid, k), strict=True)
-    for n, (m, q, t1, bits, counts), (t, changed) in walk:
+    for n, (m, q, t1, bits, counts) in zip(grid, _staircase_walk(grid, k), strict=True):
         live[q:] = []
         live += [0] * (q - len(live))
         for b, c in zip(bits, counts):
             live[b] = c
+        t = tuple(live)
         assert m == n
-        assert tuple(live) == t == aurelian(n, k).t == staircase_oracle(n, k), n
+        assert t == aurelian(n, k).t == oracle(n, k), n
         assert (q, t1) == (len(t), t[0]), n
-        assert bits == changed == [i for i, c in enumerate(t) if i >= len(prev) or prev[i] != c], n
+        assert bits == [i for i, c in enumerate(t) if i >= len(prev) or prev[i] != c], n
         prev = t
 
 
@@ -371,7 +359,7 @@ class TestEfficientSearch:
             lambda: efficient_search(10, C),
             lambda: efficient_search(10, C, mode="exhaustive", max_depth=3),
             lambda: aurelian(10, k),
-            lambda: list(aurelian_steps([10, 20], k)),
+            lambda: list(_staircase_walk([10, 20], k)),
         ]
         for call in calls:
             with pytest.raises(ValidationError, match="finite and > 0"):
@@ -384,7 +372,7 @@ class TestEfficientSearch:
             efficient_search(10**15, k.C)
         for grid in ([10**15], [10, 10**15]):
             with pytest.raises(BudgetExceededError, match="bits in the pattern"):
-                list(aurelian_steps(grid, k))
+                list(_staircase_walk(grid, k))
 
     def test_exhaustive_requires_depth(self):
         with pytest.raises(ValidationError):
@@ -453,17 +441,21 @@ class TestAurelian:
     )
     def test_steps_match_aurelian_every_budget(self, ch):
         k = info_constants(ch)
-        assert_steps_match_aurelian(range(k.r, 5001), k)
+        assert_walk_matches_aurelian(range(k.r, 5001), k)
         for step in (7, 10, 333):
-            assert_steps_match_aurelian(range(k.r, 5001, step), k)
+            assert_walk_matches_aurelian(range(k.r, 5001, step), k)
 
     def test_steps_at_exact_ties(self):
         # C = ln4 / j makes the fill keys (k+1) j + c integers, so they tie
         # exactly and the smaller index must go first, as in the fill.
+        # The heap oracle's float keys need not tie exactly; the integer keys do.
+        def oracle(n, k):
+            return staircase_by_integer_keys(n, k.r)
+
         for j in (1, 2, 3, 4, 8):
             k = InfoConstants(C=LN4 / j, B=1.0, r=j, r_real=float(j), A1=0.0, A2=0.0)
-            assert_steps_match_aurelian(range(j, 2001), k)
-            assert_steps_match_aurelian(range(j, 2001, 7), k)
+            assert_walk_matches_aurelian(range(j, 2001), k, oracle)
+            assert_walk_matches_aurelian(range(j, 2001, 7), k, oracle)
 
     def test_exact_ties_match_integer_keys(self):
         # Every first key of the staircase ties (a = r = j), so the remainder
@@ -477,7 +469,7 @@ class TestAurelian:
         for _ in range(100):
             k = info_constants(random_moderate_channel(rng))
             grid = k.r + np.cumsum(rng.integers(0, 40, size=60) * rng.integers(0, 2, size=60) + 1)
-            assert_steps_match_aurelian(grid.tolist(), k)
+            assert_walk_matches_aurelian(grid.tolist(), k)
 
     @pytest.mark.parametrize("name", ["bsc:0.1", "bac:0.9,0.8", str(CHANNEL3)],
                              ids=["bsc-0.1", "bac-0.9-0.8", "channel3"])
@@ -496,7 +488,7 @@ class TestAurelian:
         k = info_constants(make_bsc(0.25))
         for grid in ([20, 20], [30, 20], [k.r - 1, 20]):
             with pytest.raises(ValidationError):
-                list(aurelian_steps(grid, k))
+                list(_staircase_walk(grid, k))
 
     def test_too_small_budget_rejected(self):
         k = info_constants(make_bsc(0.25))

@@ -35,7 +35,7 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, sim
-from dyadicsearch.policy import aurelian_steps
+from dyadicsearch.policy import _staircase_walk
 from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
     BLOCK_TRIALS,
@@ -633,27 +633,29 @@ class TestAurelianSweep:
     def test_bit_over_per_bit_budget_refused_at_its_step(self, monkeypatch):
         # On a per-bit budget of 50 rows, the first bit of bac:0.9,0.8, whose
         # window grows to 53 rows, passes the budget at one step of the
-        # grid, in the second block. The gate passes the first block's
-        # counts in one call; the second block's fail together, so its steps
-        # are gated one by one, and the gate refuses that step's changed
-        # bits before the block is summed. No oracle pass, of this block or
-        # an earlier one, is given a bit over the budget.
+        # grid, in the second block. The lookup of the first block's counts
+        # gates them in one call; the second block's fail together, so its
+        # steps are gated one by one, and the gate refuses that step's
+        # changed bits before any of the block is summed. No oracle pass, of
+        # this block or an earlier one, is given a bit over the budget.
         ch = make_bac(0.9, 0.8)
         monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", 50)
         gated, passed = [], []
-        real_gate, real_pass = sim._check_histogram_total, decoder._log_variance_pass
+        real_gate, real_pass = decoder._check_histogram_total, decoder._log_variance_pass
 
         def gate(counts, ch):
             gated.append(list(counts))
             return real_gate(counts, ch)
 
         def spy(ts, ch):
-            passed.extend(ts.tolist())
+            passed.append(ts.tolist())
             return real_pass(ts, ch)
 
         def rows(counts):
             return decoder._bit_rows(np.array(counts), ch)[1]
 
+        # The block's gate runs in ``log_bit_variances``, the per-step one in the sweep.
+        monkeypatch.setattr(decoder, "_check_histogram_total", gate)
         monkeypatch.setattr(sim, "_check_histogram_total", gate)
         monkeypatch.setattr(decoder, "_log_variance_pass", spy)
         k = info_constants(ch)
@@ -664,10 +666,11 @@ class TestAurelianSweep:
         with pytest.raises(BudgetExceededError, match="budget of one bit"):
             aurelian_sweep(ch, grid)
         decoder.exact_bit_variance.cache_clear()
-        t, changed = list(aurelian_steps(grid[: first + 1], k))[-1]
+        *_, counts = list(_staircase_walk(grid[: first + 1], k))[-1]
         assert len(gated) == 2 + (first - sim.SWEEP_BLOCK + 1)
-        assert gated[-1] == [t[m] for m in changed]
-        assert passed and max(rows(passed)) <= 50
+        assert gated[-1] == counts
+        assert len(passed) == 1  # the first block's pass; none of the second's
+        assert max(rows(passed[0])) <= 50
 
 
 class TestSteppedSweepAgainstPerBudget:
