@@ -17,6 +17,7 @@ For reference, the alternative form E[exp(-|ln(f1/f0)(Y)|)] is exposed as
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -186,6 +187,37 @@ def chernoff_information(ch: ChannelSpec) -> ChernoffInfo:
     if val == -math.inf:
         return ChernoffInfo(math.inf, s)
     return ChernoffInfo(max(0.0, -val), s)
+
+
+class ChernoffTilt(NamedTuple):
+    """The tilted law f_s = f0^(1-s) f1^s / M(s) at the Chernoff exponent s."""
+
+    s: float
+    log_m: float  # ln M(s); -inf where no output has mass under both inputs
+    f: np.ndarray | None  # f_s over every output; None where no output is charged
+    kappa: float  # min(s, 1 - s), the decay rate of a term in |L_h| (``decoder``)
+    spread: float  # largest |ln f0(y)| + |ln f1(y)| over the outputs f_s charges
+
+
+@functools.lru_cache(maxsize=16)
+def chernoff_tilt(ch: ChannelSpec) -> ChernoffTilt:
+    """f_s at s = s* (1/2 on a pure-noise channel, where f_s = f0 = f1): the
+    law the sampler draws from and the exact oracle's window is centred on.
+    An output with zero mass under f0 or f1 gets none under f_s."""
+    s = chernoff_information(ch).s_star if ch.informative else 0.5
+    kappa = min(s, 1.0 - s)
+    both = [a > 0.0 and b > 0.0 for a, b in zip(ch.f0, ch.f1)]
+    if not any(both):
+        return ChernoffTilt(s, -math.inf, None, kappa, 0.0)
+    la, lb = (np.log(np.where(both, f, 1.0)) for f in (ch.f0, ch.f1))
+    log_w = np.where(both, (1.0 - s) * la + s * lb, -np.inf)
+    top = float(log_w.max())
+    w = np.exp(log_w - top)
+    total = math.fsum(w.tolist())
+    spread = float(np.max(np.abs(la) + np.abs(lb)))
+    f = w / total
+    f.flags.writeable = False
+    return ChernoffTilt(s, top + math.log(total), f, kappa, spread)
 
 
 def _mixture_weights(ch: ChannelSpec) -> list[float]:

@@ -22,56 +22,54 @@ the independent oracles the kernel is tested against.
 The exact oracle exploits exchangeability: t i.i.d. outputs enter the
 posterior only through their histogram, so V(t) = E[p(1-p)] after t uses is
 an exact finite sum over the C(t+m-1, m-1) histograms of an m-symbol
-alphabet (t+1 terms for binary channels). The sum is kept in log space,
-because V(t) ~ e^(-C t) leaves the double range near t = 708 / C:
+alphabet. The sum is kept in log space, because V(t) ~ e^(-C t) leaves the
+double range near t = 708 / C:
 
 * merge: output symbols of equal ratio f1/f0 are merged first, their
   masses summed (``_merge_tied_outputs``). V(t) is unchanged; the rows, the
-  cache and the budgets are the merged channel's, and a channel that merges
-  to two symbols takes the binary window below;
+  cache and the budgets are the merged channel's;
 * identity: a histogram h weighs (P(h|0) + P(h|1))/2, and times its
   posterior variance that is P(h|0) sigmoid(L_h) / 2 with
-  L_h = ln P(h|1)/P(h|0), so its log term is
-  ln(1/2) + lp0 - softplus(-L_h), and ln V(t) the logsumexp of the terms;
-* window: for a binary channel with four positive masses the terms are
-  log-concave in the row j and peak where L_h changes sign, at
-  t theta*, theta* the output-1 mass of the tilted law at the Chernoff
-  exponent s*. Only rows j in t theta* +- min(4 sqrt(t) + 50, h_ch) are
-  summed, h_ch a per-channel number of rows past which the terms lie more
-  than 38 nats below the largest at every t (``_binary_windows`` derives
-  it: the terms decay at least min(s*, 1 - s*) |lam1 - lam0| nats per
-  row);
-* certificate: each edge of that window other than 0 and t must lie at
-  least ``WINDOW_CERTIFICATE`` = 38 nats below the bit's largest term; by
-  log-concavity the rows left out then fall off at least geometrically from
-  below e^-38 times it. A bit whose edge fails is summed over every row.
-  m-ary channels, and binary ones with a zero mass, always sum every row;
-* rows and batching: ``_bit_rows`` gives each bit's first row and exact
-  row count (its window's, or C(t+m-1, m-1) by ``math.comb``), and one
-  chunk loop (``_row_sums``) sums the uncached bits of one lookup together,
-  the uncertified fallback over rows 0..t included. Their rows, (t - j, j)
-  or ``policy.composition_rows``, are concatenated in chunks of about
-  ``CHUNK_ROWS`` rows, ln t! - sum_i ln h_i! is added column by column, and
-  each bit's segment is reduced with ``np.maximum.reduceat`` and
-  ``np.add.reduceat``; the chunking bounds the temporaries, and a bit's
-  value does not depend on the bits it shares a chunk with;
-* cost: a windowed binary bit costs O(min(sqrt t, h_ch)) rows, O(1) in t:
-  53 rows on bac:0.9,0.8, so the greedy pattern at n = 1e8 sums 3.7e5
-  rows in place of 1e8; an m-ary bit costs its C(t+m-1, m-1) rows;
+  L_h = ln P(h|1)/P(h|0) = sum_i h_i lambda_i, so its log term is
+  ln(1/2) + lp0 - softplus(-L_h), and ln V(t) the logsumexp of the terms.
+  A row with a count on an output of zero mass under one input is 0, so
+  only the m' outputs with mass under both are enumerated (with none,
+  V = 0, returned as ``_LOG_ZERO`` = -1e30 times ceil(t/2));
+* window: with f_s the Chernoff-tilted law (``channel.chernoff_tilt``, the
+  sampler's), M = M(s*) and kappa = min(s*, 1 - s*), a term is at most
+  (1/2) M^t P_s(h) e^(-kappa |L_h|). A bit sums the box
+  |h_i - t f_s(i)| <= w, w^2 = t rho / 2, on the free parts, cut by the slab
+  |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2 m' - 1); by Hoeffding
+  (JASA 58, 1963) the rows outside sum to at most
+  (1/2) M^t (2 m' - 1) e^-rho;
+* certificate: that bound lies ``WINDOW_CERTIFICATE`` = 38 nats below the
+  in-window sum, or the window is every row. A bit that misses by delta
+  (bsc:0.001 at odd t, by about 1) is summed once more with
+  rho + delta + 1: its sum cannot shrink and the bound drops by delta + 1;
+* rows: ``policy.composition_rows`` enumerates the charged outputs last
+  first, so a binary bit's rows are (t - j, j) with j ascending, the order
+  its sums round in: the free parts before the last within the box, the
+  last as the slab's interval after each prefix. ``_window_rows`` counts
+  them from the prefixes alone, and ``_row_sums`` sums the uncached bits
+  of a lookup in chunks of about ``CHUNK_ROWS`` rows, each bit's segment
+  reduced by ``np.maximum.reduceat`` and ``np.add.reduceat``, its value
+  independent of its chunk;
+* cost: a binary bit sums about 2 rho / (kappa |lambda_1 - lambda_0|)
+  rows: 53 on bac:0.9,0.8 at t = 3000 and 68 at 1e15, so the greedy
+  pattern at n = 1e8 sums 3.8e5 rows in place of 1e8; a near-pure-noise
+  one its box, sqrt(2 t rho) rows (13 907 on bsc:0.4999 at t = 2e6); a
+  channel3.json bit 196 713 of 5.0e9 at t = 1e5;
 * budgets: one gate (``_check_histogram_total``) holds each bit to
   ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
-  ``PATTERN_HISTOGRAM_BUDGET`` together, in the rows of ``_bit_rows``,
-  before any row is summed, so a channel whose h_ch is under
-  ``HISTOGRAM_BUDGET`` / 2 has no per-bit ceiling in t. ``log_bit_variances``
-  runs it on every lookup; the sweep in ``sim`` looks up a block of steps at
-  a time and, where a block fails, gates each step alone before it looks
-  the steps up one by one; the fallback runs its ``_check_rows`` on t + 1
-  rows.
+  ``PATTERN_HISTOGRAM_BUDGET`` together before any row is summed, and a
+  box of more prefixes than ``HISTOGRAM_BUDGET`` before they are built.
+  The sweep in ``sim`` looks up a block of steps at a time and, where a
+  block fails, gates each step alone; a retry's rows are held alone.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
 call shares and grows on demand up to ``LOG_FACTORIAL_TABLE`` entries: a
-pattern costs O(max t_k) ``lgamma`` calls, and windowed rows past the table
+pattern costs O(max t_k) ``lgamma`` calls, and window rows past the table
 call ``math.lgamma`` for their own entries, the same values. ln V is cached
 per (t_k, channel) by ``log_bit_variances``, the batched lookup;
 ``exact_bit_variance`` holds that cache (``cache_info``, ``cache_clear``).
@@ -82,22 +80,23 @@ ln D, finite at any budget, by ``assemble_log_distortion``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, chernoff_tilt
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, composition_rows
+from .policy import TransmissionPattern, composition_counts, composition_rows, composition_sizes
 from .policy import _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
 CHUNK_ROWS = 8192  # histogram rows per numpy pass: bounds the batch's temporaries
-WINDOW_CERTIFICATE = 38.0  # nats an inner window edge lies below the bit's largest term
+WINDOW_CERTIFICATE = 38.0  # nats the bound on the rows left out lies below the bit's sum
 LOG_FACTORIAL_TABLE = 1_000_001  # most entries of the shared ln i! table (8 MB)
 
 _LOG_ZERO = -1e30  # stand-in for log 0; exp underflows to exactly 0.0
@@ -106,9 +105,9 @@ _LOG_ODDS_SWITCH = 1e-12
 # of every sum it enters (each holds a term near 1), and exp near and below
 # the subnormal range takes a slow path.
 _EXP_FLOOR = -700.0
+_RHO_BASE = WINDOW_CERTIFICATE + 2.0  # the window's exponent at t = 1 and m' = 1
 _LN_QUARTER = math.log(0.25)
-_LN2 = math.log(2.0)
-_EPS = sys.float_info.epsilon
+_LN_HALF = math.log(0.5)
 _LN_12 = math.log(12.0)
 
 
@@ -198,8 +197,8 @@ def _ln_factorial(i: np.ndarray) -> np.ndarray:
     """ln i! for each entry of the integer array ``i``, from the shared
     table where it reaches and by ``math.lgamma``, the same values, past its
     end. An entry past the table first grows it (at least doubling) to hold
-    the largest entry below ``LOG_FACTORIAL_TABLE``; only the windowed rows
-    of binary bits with t past that call ``math.lgamma``."""
+    the largest entry below ``LOG_FACTORIAL_TABLE``; only rows with entries
+    past that call ``math.lgamma``."""
     global _LOG_FACTORIALS
     try:
         return _LOG_FACTORIALS[i]
@@ -214,10 +213,6 @@ def _ln_factorial(i: np.ndarray) -> np.ndarray:
     out = table[np.where(beyond, 0, i)]
     out[beyond] = [math.lgamma(x + 1.0) for x in i[beyond].tolist()]
     return out
-
-
-def _safe_log(masses: tuple[float, ...]) -> np.ndarray:
-    return np.array([math.log(p) if p > 0.0 else _LOG_ZERO for p in masses])
 
 
 def _merge_tied_outputs(ch: ChannelSpec) -> ChannelSpec:
@@ -251,195 +246,157 @@ def _merge_tied_outputs(ch: ChannelSpec) -> ChannelSpec:
     return ch
 
 
-def _chunks(sizes: list[int]) -> Iterator[slice]:
-    """Runs of consecutive bits whose rows add up to about ``CHUNK_ROWS``;
-    a bit with more rows than that is a run of its own."""
-    start = rows = 0
-    for i, size in enumerate(sizes):
-        if rows and rows + size > CHUNK_ROWS:
-            yield slice(start, i)
-            start, rows = i, 0
-        rows += size
-    if rows:
-        yield slice(start, len(sizes))
+def _chunks(sizes: np.ndarray) -> Iterator[slice]:
+    """Runs of consecutive bits of about ``CHUNK_ROWS`` rows: a run ends
+    with the bit whose last row passes the next multiple of it, so a run
+    holds fewer than ``CHUNK_ROWS`` rows besides those of its first bit."""
+    if sizes.size:
+        block = (np.cumsum(sizes) - 1) // CHUNK_ROWS
+        edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), sizes.size]
+        yield from itertools.starmap(slice, zip(edges, edges[1:]))
 
 
 def _segment_log_sums(
     H: np.ndarray, log_mult: np.ndarray, sizes: np.ndarray, log_f: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """ln V of each segment of consecutive histogram rows, ``sizes`` rows each.
-
-    ``log_mult`` holds each row's log multinomial coefficient and ``log_f``
-    the log masses under 0 and 1. Each row's term is
-    ln(1/2) + lp0 - softplus(-L_h) (the module docstring's identity), and a
-    segment's sum is its largest term plus the log of the summed
-    exponentials of the differences. Returns ln V per segment, each row's
-    term without the ln(1/2), each segment's largest such term and its
-    first row.
-    """
+) -> np.ndarray:
+    """ln V of each segment of ``sizes`` consecutive histogram rows ``H``
+    (doubles), with ``log_mult`` each row's log multinomial coefficient and
+    ``log_f`` the log masses under 0 and 1: each row's term is
+    ln(1/2) + lp0 - softplus(-L_h), and a segment's sum its largest term
+    plus the log of the summed exponentials of the differences."""
     starts = np.cumsum(sizes) - sizes
-    H = H.astype(np.float64)  # once: an integer operand is cast in each product
     lp0 = log_mult + H @ log_f[0]
     lp1 = log_mult + H @ log_f[1]
     neg_l = lp0 - lp1
     softplus = np.maximum(neg_l, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(neg_l), _EXP_FLOOR)))
-    terms = lp0 - softplus
-    top = np.maximum.reduceat(terms, starts)
+    top = np.maximum.reduceat(lp0 - softplus, starts)
     # Shifting lp0 before subtracting the softplus, and halving the sum
     # (exact) rather than adding ln(1/2), rounds ln V once at its magnitude.
     shifted = (lp0 - np.repeat(top, sizes)) - softplus
     sums = np.add.reduceat(np.exp(np.maximum(shifted, _EXP_FLOOR)), starts)
-    return top + np.log(0.5 * sums), terms, top, starts
+    return top + np.log(0.5 * sums)
 
 
-def _window_centre(ch: ChannelSpec) -> float | None:
-    """theta* of a binary channel with four positive masses and distinct
-    ratios, whose bits are summed over a window; None where every row is."""
-    if len(ch.outputs) == 2 and min(ch.f0 + ch.f1) > 0.0:
-        lam0, lam1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
-        if lam0 != lam1:
-            return min(max(lam0 / (lam0 - lam1), 0.0), 1.0)
-    return None
+class _Law(NamedTuple):
+    """A merged channel's charged outputs and the tilt its windows are centred on."""
+
+    parts: int  # m', the outputs with mass under both inputs
+    log_f: tuple[np.ndarray, np.ndarray]  # ln f0, ln f1 of the charged outputs, in output order
+    centre: np.ndarray  # f_s* of the free parts, in enumeration order
+    slope: np.ndarray  # lambda_i = ln f1(i)/f0(i) of every part, in enumeration order
+    log_m: float
+    kappa: float
 
 
-def _decay_half_width(theta: float, ch: ChannelSpec) -> float:
-    """h_ch: the rows on each side of t theta* past which every term of a
-    binary bit lies more than ``WINDOW_CERTIFICATE`` nats below its largest,
-    at any t (see ``_binary_windows``); inf where the decay rate is not
-    positive or not resolved in doubles."""
-    if not 0.0 < theta < 1.0:
-        return math.inf
-    (a0, a1), (b0, b1) = ch.f0, ch.f1
-    odds = theta / (1.0 - theta)
-    # s* |lam1 - lam0| and (1 - s*) |lam1 - lam0|, read off theta*.
-    r_s, r_rest = abs(math.log(a1 / (a0 * odds))), abs(math.log(odds * b0 / b1))
-    rate = min(r_s, r_rest)
-    # Each lam_y is rounded by about eps (1 + |lam_y|), which moves theta*
-    # by up to 2 eps (1 + gap)/gap, gap = |lam1 - lam0| = |lam0| + |lam1|,
-    # and so ln odds, and each rate, by that over theta* (1 - theta*); the
-    # logs above add about 3 eps + eps r. Near f0 = f1 the error reaches the
-    # rates themselves: f0 = (1/3, 2/3) against f1 one ulp away reads
-    # theta* = 0.8 and a rate of ln 2 where the true one is near 1e-15. A
-    # rate not 2^10 times its error bound is not trusted, which keeps the
-    # rate's share of the spare nat under 2^-10 (39 + c).
-    lam0, lam1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
-    gap = abs(lam1 - lam0)
-    err = 4.0 * _EPS * (
-        (1.0 + gap) / (gap * theta * (1.0 - theta)) + 1.0 + max(r_s, r_rest)
-    )
-    if rate <= 1024.0 * err:
-        return math.inf
-    # The quotient is inf for a rate near the smallest double; np.ceil keeps it.
-    return float(np.ceil((WINDOW_CERTIFICATE + _LN2 + max(r_s, r_rest) + 1.0) / rate)) + 1.0
+@functools.lru_cache(maxsize=16)
+def _window_law(ch: ChannelSpec) -> _Law:
+    """``_Law`` of the merged ``ch``, enumerated last output first: a binary
+    bit's rows are (t - j, j) with j ascending, the order its sums round in."""
+    tilt = chernoff_tilt(ch)
+    charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
+    log_f = tuple(np.array([math.log(f[i]) for i in charged]) for f in (ch.f0, ch.f1))
+    order = charged[::-1]
+    centre = tilt.f[order][:-1] if charged else np.zeros(0)
+    return _Law(len(charged), log_f, centre, (log_f[1] - log_f[0])[::-1], tilt.log_m, tilt.kappa)
 
 
-def _binary_windows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """First and last row j of each binary bit's sum over histograms (t - j, j).
-
-    With all four masses positive these are the integers in
-    t theta* +- min(4 sqrt(t) + 50, h_ch), clipped to [0, t]; otherwise every
-    row 0..t. theta* = lam0 / (lam0 - lam1), lam_y = ln(f1(y)/f0(y)), is the
-    output-1 mass of the tilted law f_s = f0^(1-s) f1^s / M(s) at the
-    Chernoff exponent s*, where the tilted mean of the log-likelihood ratio
-    is 0: the row where L_j = (j - t theta*)(lam1 - lam0) changes sign. The
-    4 sqrt(t) + 50 rows span the tilted law's sqrt(t) width (Bahadur and
-    Rao; Dembo and Zeitouni, Large Deviations Techniques and Applications,
-    2nd ed., section 3.7).
-
-    h_ch (``_decay_half_width``) does not grow with t. Since
-    P(j|0) = M(s)^t b_s(j) e^(-s L_j), b_s the Binomial(t, f_s(1)) pmf,
-    row j's term is
-
-        T_j = t ln M(s*) + ln b(j) + u(L_j) + ln(1/2),
-        u(L) = -s* L - softplus(-L),
-
-    b = b_s* with f_s*(1) = theta*. For L >= 0, u(L) <= -s* L; for L < 0,
-    u(L) = (1 - s*) L - softplus(L) <= -(1 - s*) |L|. With
-    r0 = s* |lam1 - lam0| = |ln((1 - theta*)/theta* f0(1)/f0(0))| and
-    r1 = (1 - s*) |lam1 - lam0| = |ln(theta*/(1 - theta*) f1(0)/f1(1))|
-    (the odds of f_s* against those of f0 and of f1),
-    u(L_j) <= -r |j - t theta*| with r = min(r0, r1): the terms decay at
-    least linearly, r nats per row. For a lower bound on the largest term
-    take the mode k of b, which lies within 1 of t theta*: the same two
-    cases give u(L_k) >= -ln 2 - max(r0, r1). Since b(j) <= b(k),
-
-        T_j <= T_k - r |j - t theta*| + c,   c = ln 2 + max(r0, r1):
-
-    c covers the softplus's kink at L = 0 and the mode's distance from
-    t theta*. So every row farther than (38 + c)/r from t theta* lies more
-    than 38 nats below the largest term. h_ch = ceil((38 + c + 1)/r) + 1:
-    the spare nat absorbs the rounding of the terms (about 0.01 nat at
-    t = 1e12, where ln t! is near 2.7e13) and of t theta*, and the extra row
-    the ceiling of the lower edge. Rows outside the window then lie below
-    e^-(38 + 1 + r i) times the largest term, i rows past t theta* +- h_ch,
-    so that cut leaves out less than 2 e^-39 / (1 - e^-r) of V. A bsc:0.1
-    bit sums at most 43 rows, a bac:0.9,0.8 bit 53; a near-pure-noise
-    channel, with r near 0, keeps the sqrt(t) window.
-    """
-    theta = _window_centre(ch)
-    if theta is None:
-        return np.zeros_like(ts), ts
-    half = np.minimum(4.0 * np.sqrt(ts) + 50.0, _decay_half_width(theta, ch))
-    lo = np.maximum(np.ceil(ts * theta - half), 0.0).astype(np.int64)
-    hi = np.minimum((ts * theta + half).astype(np.int64), ts)
-    return lo, hi
+def _rho(ts: np.ndarray, parts: int) -> np.ndarray:
+    """The window's exponent rho = 40 + ln(t)/2 + ln(2 m' - 1) of each count."""
+    return _RHO_BASE + 0.5 * np.log(ts) + math.log(2 * parts - 1)
 
 
-def _bit_rows(ts: np.ndarray, ch: ChannelSpec) -> tuple[np.ndarray, list[int]]:
-    """Each bit's first row and exact number of rows: a binary bit's window
-    of rows (t - j, j) from j = lo to hi (``_binary_windows``), an m-ary
-    bit's C(t + m - 1, m - 1) compositions from the first, counted by
-    ``math.comb``, exact where int64 is not."""
-    m = len(ch.outputs)
-    if m == 2:
-        lo, hi = _binary_windows(ts, ch)
-        return lo, (hi - lo + 1).tolist()
-    return np.zeros_like(ts), [math.comb(t + m - 1, m - 1) for t in ts.tolist()]
+def _window(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple:
+    """Each bit's box (lower, upper) |h_i - t f_s*(i)| <= w, w^2 = t rho / 2,
+    on the free parts and slab (lambda, rho / kappa), |L_h| <= rho / kappa,
+    as ``policy.composition_rows`` takes them."""
+    w = np.sqrt(ts * rho / 2.0)[:, None]
+    centre, t = np.outer(ts, law.centre), ts[:, None]
+    lower = np.clip(np.ceil(centre - w), 0, t).astype(np.int64)
+    upper = np.clip(np.floor(centre + w), -1, t).astype(np.int64)
+    return (lower, upper), (law.slope, rho / law.kappa)
 
 
-def _row_sums(
-    ts: np.ndarray, first: np.ndarray, sizes: np.ndarray, ch: ChannelSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """ln V of each bit summed over its ``sizes`` rows from row ``first`` on,
-    and whether its window is certified: each edge of a binary bit's rows
-    other than j = 0 and j = t lies at least ``WINDOW_CERTIFICATE`` nats
-    below the bit's largest term. An m-ary bit sums every row."""
-    m = len(ch.outputs)
-    log_f = (_safe_log(ch.f0), _safe_log(ch.f1))
-    log_v = np.empty(ts.size)
-    certified = np.ones(ts.size, dtype=bool)
-    for part in _chunks(sizes.tolist()):
-        n, t, lo = sizes[part], ts[part], first[part]
-        if m == 2:  # rows (t - j, j), j from the bit's first row on
-            j = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-            H = np.column_stack((np.repeat(t, n) - j, j))
-        else:
-            H = composition_rows(t, m)
-        log_h = _ln_factorial(H[:, 0])
-        for column in H.T[1:]:
+def _part(window: tuple, bits) -> tuple:
+    """The box and slab of the ``bits`` of ``window``."""
+    (lower, upper), (slope, half) = window
+    return (lower[bits], upper[bits]), (slope, half[bits])
+
+
+def _window_rows(ts: np.ndarray, law: _Law, window: tuple) -> np.ndarray:
+    """The rows of each bit's window, counted from its prefixes (the values
+    of the free parts before the last) and refused at the chunk where a bit
+    passes ``HISTOGRAM_BUDGET`` or all together ``PATTERN_HISTOGRAM_BUDGET``;
+    a box of more prefixes than ``HISTOGRAM_BUDGET`` before any is built."""
+    lower, upper = window[0]
+    prefixes = np.maximum(upper[:, :-1] - lower[:, :-1] + 1, 0).astype(np.float64).prod(axis=1)
+    if prefixes.max(initial=0.0) > HISTOGRAM_BUDGET:
+        i = int(prefixes.argmax())
+        raise BudgetExceededError(
+            f"histogram enumeration too large: a bit of {ts[i]} uses has a window of "
+            f"{prefixes[i]:.4g} prefixes, over the {HISTOGRAM_BUDGET} budget of one bit"
+        )
+    sizes = np.empty(ts.size, dtype=np.int64)
+    total = 0
+    for part in _chunks(prefixes.astype(np.int64)):
+        rows = sizes[part] = composition_sizes(ts[part], law.parts, *_part(window, part))
+        total += int(rows.sum())
+        if rows.max() > HISTOGRAM_BUDGET:
+            raise BudgetExceededError(
+                f"histogram enumeration too large: a bit of {rows.max()} rows exceeds the "
+                f"{HISTOGRAM_BUDGET} budget of one bit"
+            )
+        if total > PATTERN_HISTOGRAM_BUDGET:
+            raise BudgetExceededError(
+                f"exact distortion too large: {total} histograms exceed the "
+                f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
+            )
+    return sizes
+
+
+def _row_sums(ts: np.ndarray, law: _Law, window: tuple, sizes: np.ndarray) -> np.ndarray:
+    """ln V of each bit summed over the ``sizes`` rows of its window; -inf
+    for an empty window."""
+    log_v = np.full(ts.size, -np.inf)
+    summed = np.flatnonzero(sizes)
+    for part in _chunks(sizes[summed]):
+        bits = summed[part]
+        n, t = sizes[bits], ts[bits]
+        rows = composition_rows(t, law.parts, *_part(window, bits))
+        H = np.empty(rows.shape)  # doubles in output order, cast column by column
+        log_h = np.zeros(len(rows))
+        for i, column in enumerate(rows.T[::-1]):
+            H[:, i] = column
             log_h += _ln_factorial(column)
         log_mult = np.repeat(_ln_factorial(t), n) - log_h
-        log_v[part], terms, top, starts = _segment_log_sums(H, log_mult, n, log_f)
-        if m == 2:
-            floor = top - WINDOW_CERTIFICATE
-            certified[part] = ((lo == 0) | (terms[starts] <= floor)) & (
-                (lo + n - 1 == t) | (terms[starts + n - 1] <= floor)
-            )
-    return log_v, certified
+        log_v[bits] = _segment_log_sums(H, log_mult, n, law.log_f)
+    return log_v
+
+
+def _window_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bit's window rows and its ln V over them."""
+    window = _window(ts, law, rho)
+    sizes = _window_rows(ts, law, window)
+    return sizes, _row_sums(ts, law, window, sizes)
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
-    """ln V(t) for distinct counts t >= 1 that the gate
-    (``_check_histogram_total``) has passed, each summed over its rows
-    (``_bit_rows``). A binary bit whose window is not certified is summed
-    again over every row 0..t, once ``_check_rows`` passes those rows."""
-    first, rows = _bit_rows(ts, ch)
-    log_v, certified = _row_sums(ts, first, np.array(rows, dtype=np.int64), ch)
-    redo = ~certified
-    if redo.any():
-        full = ts[redo]
-        _check_rows((full + 1).tolist())
-        log_v[redo] = _row_sums(full, np.zeros_like(full), full + 1, ch)[0]
+    """ln V(t) for distinct counts t >= 1 of the merged channel ``ch`` that
+    the gate (``_check_histogram_total``) has passed, each summed over its
+    window. A bit whose certificate misses by delta nats is summed again
+    with rho + delta + 1, its rows held to the budgets as the gate's are:
+    its in-window sum cannot shrink and its bound drops by delta + 1 nats."""
+    law = _window_law(ch)
+    if law.parts == 0:  # V = 0: -1e30 for each count on a row's larger side
+        return _LOG_ZERO * ((ts + 1) // 2)
+    rho = _rho(ts, law.parts)
+    sizes, log_v = _window_sums(ts, law, rho)
+    bound = _LN_HALF + ts * law.log_m + math.log(2 * law.parts - 1) - rho
+    miss = bound - (log_v - WINDOW_CERTIFICATE)
+    redo = np.flatnonzero(miss > 0.0)
+    full = composition_counts(ts[redo].astype(np.float64), law.parts)
+    redo = redo[sizes[redo] < full]  # a window of every row leaves nothing out
+    if redo.size:
+        log_v[redo] = _window_sums(ts[redo], law, rho[redo] + miss[redo] + 1.0)[1]
     return log_v
 
 
@@ -490,39 +447,22 @@ class _BitVarianceOracle:
 exact_bit_variance = _BitVarianceOracle()
 
 
-def _check_rows(rows: Sequence[int]) -> None:
-    """Refuse bits of which one sums more than ``HISTOGRAM_BUDGET`` histogram
-    rows, or all together more than ``PATTERN_HISTOGRAM_BUDGET``."""
-    most, total = max(rows), sum(rows)
-    if most > HISTOGRAM_BUDGET:
-        raise BudgetExceededError(
-            f"histogram enumeration too large: a bit of {most} rows exceeds the "
-            f"{HISTOGRAM_BUDGET} budget of one bit"
-        )
-    if total > PATTERN_HISTOGRAM_BUDGET:
-        raise BudgetExceededError(
-            f"exact distortion too large: {total} histograms exceed the "
-            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
-        )
-
-
 def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
-    """The oracle's one budget gate: ``_check_rows`` on the rows of the
-    distinct counts, counted by ``_bit_rows`` on the merged channel (a count
-    of 0 is one row). The t + 1 full rows of a binary bit bound its
-    window's, and where they pass both budgets the windows are not computed:
-    on bac:0.9,0.8 a call on ``aurelian(10**6)`` (815 distinct counts) takes
-    47 us against 107 us with them, and on ``aurelian(10**5)`` 15 against
-    50 us (2-core x86_64 host), and every ``policy`` run makes one. Nothing
-    is computed before a refusal."""
-    ch = _merge_tied_outputs(ch)
-    distinct = set(counts)
-    if not distinct:
+    """The oracle's one budget gate, on the rows the pass sums for the
+    distinct counts t >= 1 of the merged channel (t = 0 sums none). The full
+    rows C(t + m' - 1, m' - 1) bound the windows', and where they pass both
+    budgets the windows are not counted (55 us on the 815 distinct counts of
+    ``aurelian(10**6)`` on bac:0.9,0.8; every ``policy`` run makes one).
+    Otherwise ``_window_rows`` counts them and refuses at the first chunk
+    past a budget (about 0.6 ms on the 7 079 of the greedy pattern at
+    n = 1e8, 2-core x86_64 host). Nothing is summed before a refusal."""
+    law = _window_law(_merge_tied_outputs(ch))
+    ts = np.fromiter({t for t in counts if t > 0}, np.int64)
+    if not ts.size or not law.parts:
         return
-    if len(ch.outputs) > 2 or max(distinct) + 1 > HISTOGRAM_BUDGET or (
-        sum(distinct) + len(distinct) > PATTERN_HISTOGRAM_BUDGET  # binary full rows
-    ):
-        _check_rows(_bit_rows(np.fromiter(distinct, np.int64, len(distinct)), ch)[1])
+    full = composition_counts(ts.astype(np.float64), law.parts)  # exact to 2^53
+    if full.max() > HISTOGRAM_BUDGET or full.sum() > PATTERN_HISTOGRAM_BUDGET:
+        _window_rows(ts, law, _window(ts, law, _rho(ts, law.parts)))
 
 
 def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:

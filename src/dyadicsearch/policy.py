@@ -172,30 +172,76 @@ def composition_counts(totals: np.ndarray, parts: int) -> np.ndarray:
     return count
 
 
-def composition_rows(totals: Sequence[int] | np.ndarray, parts: int) -> np.ndarray:
-    """Every composition of each total into ``parts`` non-negative parts, one
-    per int64 row: lexicographic within a total, the totals' blocks
-    concatenated in input order.
-
-    Part 0 of a total t runs over 0..t, and the rows whose part 0 is a go on
-    with the (parts - 1)-part compositions of t - a. So each level turns
-    every total left into the values of its next part, an ``np.repeat`` of
-    the totals minus ``arange`` offsets, and the last part is what is left
-    after the others. A value of part j stands once for every composition
-    of what is left after it, and is repeated that many times.
+def _composition_prefixes(totals, parts: int, box, slab):
+    """The levels of ``composition_rows`` above its last free part (each
+    level's values and the index of their prefix one level up), and per
+    prefix that part's first value and width, what is left before it and
+    the index of its total. Each level turns every prefix into the values of
+    its next part within ``box`` and what is left; the last free part is one
+    interval per prefix, since the ``slab`` form L is linear in it.
     """
     left = np.asarray(totals, dtype=np.int64)
+    owner = np.arange(left.size)
+    form = np.zeros(left.size)  # sum_i c_i h_i over the parts fixed so far
     levels = []
-    for _ in range(parts - 1):
-        width = left + 1
-        part = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-        left = np.repeat(left, width) - part
-        levels.append((part, left))
-    rows = np.empty((left.size, parts), dtype=np.int64)
-    rows[:, -1] = left
-    for j, (part, after) in enumerate(levels):
-        rows[:, j] = np.repeat(part, composition_counts(after, parts - 1 - j))
+    for j in range(parts - 1):
+        lo, hi = np.zeros_like(left), left
+        if box is not None:
+            lo, hi = np.maximum(box[0][owner, j], 0), np.minimum(box[1][owner, j], left)
+        if j == parts - 2:
+            break
+        width = np.maximum(hi - lo + 1, 0)
+        up = np.repeat(np.arange(left.size), width)
+        part = np.arange(up.size) - (np.cumsum(width) - width)[up] + lo[up]
+        left, owner, form = left[up] - part, owner[up], form[up]
+        if slab is not None:
+            form += slab[0][j] * part
+        levels.append((part, up))
+    if slab is not None:
+        # L = base + d x at value x of part parts - 2; |L| <= half is one
+        # interval of x, all or none where d = 0.
+        coef, half = slab
+        base, half, d = form + coef[-1] * left, half[owner], coef[-2] - coef[-1]
+        if d == 0.0:
+            hi = np.where(np.abs(base) <= half, hi, lo - 1)
+        else:
+            a, b = (-half - base) / d, (half - base) / d
+            a, b = (a, b) if d > 0.0 else (b, a)
+            lo = np.maximum(lo, np.ceil(np.clip(a, lo - 1, hi + 1)).astype(np.int64))
+            hi = np.minimum(hi, np.floor(np.clip(b, lo - 1, hi + 1)).astype(np.int64))
+    return levels, lo, np.maximum(hi - lo + 1, 0), left, owner
+
+
+def composition_rows(totals, parts: int, box=None, slab=None) -> np.ndarray:
+    """Every composition of each total into ``parts`` non-negative parts, one
+    per int64 row: lexicographic within a total, the totals' blocks
+    concatenated in input order. ``box`` = (lower, upper), one row per total
+    and one column per free part 0..parts - 2, and ``slab`` = (c, half),
+    ``parts`` coefficients and one half-width per total, keep only the rows
+    within those bounds and with |sum_i c_i h_i| <= half.
+    """
+    if parts == 1:
+        return np.asarray(totals, dtype=np.int64).reshape(-1, 1)
+    levels, first, width, left, _ = _composition_prefixes(totals, parts, box, slab)
+    last = np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
+    rows = np.empty((last.size, parts), dtype=np.int64)
+    rows[:, -2] = last
+    rows[:, -1] = np.repeat(left, width) - last
+    count = width  # rows below each value of the level
+    for j in range(parts - 3, -1, -1):
+        part, up = levels[j]
+        rows[:, j] = np.repeat(part, count)
+        if j:
+            count = np.bincount(up, weights=count, minlength=levels[j - 1][0].size).astype(np.int64)
     return rows
+
+
+def composition_sizes(totals, parts: int, box=None, slab=None) -> np.ndarray:
+    """How many rows ``composition_rows`` gives each total, from its prefixes."""
+    if parts == 1:
+        return np.ones(len(totals), dtype=np.int64)
+    *_, width, _, owner = _composition_prefixes(totals, parts, box, slab)
+    return np.bincount(owner, weights=width, minlength=len(totals)).astype(np.int64)
 
 
 def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:

@@ -89,7 +89,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import LN4, ChannelSpec, InfoConstants, chernoff_information, info_constants
+from .channel import LN4, ChannelSpec, ChernoffTilt, InfoConstants, chernoff_tilt, info_constants
 from .decoder import (
     HISTOGRAM_BUDGET,
     _bit_offset,
@@ -175,33 +175,6 @@ def _histogram_chain(ch: ChannelSpec) -> tuple[np.ndarray, tuple[float, ...]]:
     return _conditional_masses(f), tuple(llr.tolist())
 
 
-class _Tilt(NamedTuple):
-    """The tilted law f_s = f0^(1-s) f1^s / M(s) that ``_tilted_values`` draws from."""
-
-    cond: np.ndarray | None  # (1, m - 1) conditional masses of f_s
-    s: float
-    log_m: float  # ln M(s); -inf where no output has mass under both inputs
-    spread: float  # largest |ln f0(y)| + |ln f1(y)| over the outputs f_s charges
-
-
-@functools.lru_cache(maxsize=16)
-def _tilt(ch: ChannelSpec) -> _Tilt:
-    """f_s at the Chernoff exponent s = s* (1/2 on a pure-noise channel,
-    where f_s = f0 = f1). M(s) = sum_y f0(y)^(1-s) f1(y)^s is computed at
-    that s; an output with zero mass under f0 or f1 gets none under f_s."""
-    s = chernoff_information(ch).s_star if ch.informative else 0.5
-    both = [a > 0.0 and b > 0.0 for a, b in zip(ch.f0, ch.f1)]
-    if not any(both):
-        return _Tilt(None, s, -math.inf, 0.0)
-    la, lb = (np.log(np.where(both, f, 1.0)) for f in (ch.f0, ch.f1))
-    log_w = np.where(both, (1.0 - s) * la + s * lb, -np.inf)
-    top = float(log_w.max())
-    w = np.exp(log_w - top)
-    total = math.fsum(w.tolist())
-    spread = float(np.max(np.abs(la) + np.abs(lb)))
-    return _Tilt(_conditional_masses(w[None, :] / total), s, top + math.log(total), spread)
-
-
 def _window_cdf(t: int, p: float) -> tuple[int, np.ndarray]:
     """Smallest count and 53-bit CDF thresholds of Binomial(t, p) over its
     Hoeffding window.
@@ -269,7 +242,7 @@ def _build_first_link_table(ch: ChannelSpec, t: int, tilted: bool) -> _FirstLink
 
     One row per law: the laws of both inputs (rows b = 0, 1 of
     ``_histogram_chain``), or with ``tilted`` the one tilted law of
-    ``_tilt``. Row r holds ``_window_cdf(t, p_r)``'s thresholds, p_r the
+    ``channel.chernoff_tilt``. Row r holds ``_window_cdf(t, p_r)``'s thresholds, p_r the
     law's first conditional mass, shifted up by r 2^53 and closed by the key
     (r + 1) 2^53; the rows are concatenated into one sorted int64 array.
     A uniform integer w on [0, 2^53) keyed as w + r 2^53 then has exactly
@@ -299,7 +272,7 @@ def _build_first_link_table(ch: ChannelSpec, t: int, tilted: bool) -> _FirstLink
     ``HISTOGRAM_BUDGET`` thresholds, and the arrays are read-only.
     """
     if tilted:
-        cond = _tilt(ch).cond
+        cond = _conditional_masses(chernoff_tilt(ch).f[None, :])
         ratios = _histogram_chain(ch)[1]
     else:
         cond, ratios = _histogram_chain(ch)
@@ -489,7 +462,7 @@ def _add_bit_values(
                 part += value(k, t_k, _draw_llr(rng, part.size, table, row))
 
 
-def _tilted_value(tilt: _Tilt, k: int, t_k: int, L: np.ndarray) -> np.ndarray:
+def _tilted_value(tilt: ChernoffTilt, k: int, t_k: int, L: np.ndarray) -> np.ndarray:
     """Bit k's importance-sampling value exp(ln 1/2 + t_k ln M(s) - s L -
     softplus(-L) - k ln 4) at log-likelihood ratio L (``_tilted_values``)."""
     shift = _LN_HALF + t_k * tilt.log_m - k * LN4
@@ -504,7 +477,7 @@ def _tilted_values(cfg: SimConfig) -> np.ndarray:
     Bit k contributes 4^-k V(t_k), V(t) = 1/2 E_0[sigma(L)], L the
     log-likelihood ratio of the bit's t outputs (the identity of
     ``decoder``). The histogram is drawn from the tilted law f_s^(x t) of
-    ``_tilt`` and weighted by P_0(h) / P_s(h) = M(s)^t e^(-s L), so the
+    ``channel.chernoff_tilt`` and weighted by P_0(h) / P_s(h) = M(s)^t e^(-s L), so the
     bit's value is ``_tilted_value``, which is unbiased for every s and at
     most 4^-k M(s)^t / 2. At s = s* the
     tilted mean of L is 0, the histograms that carry V(t) are typical, and
@@ -524,10 +497,10 @@ def _tilted_values(cfg: SimConfig) -> np.ndarray:
     block.
     """
     ch, t = cfg.channel, cfg.pattern.t
-    tilt = _tilt(ch)
+    tilt = chernoff_tilt(ch)
     shared = [0.25 * 4.0**-k for k, t_k in enumerate(t, 1) if t_k == 0]
     values = np.full(cfg.trials, math.fsum(shared + [4.0 ** -len(t) / 12.0]))
-    if tilt.cond is not None:
+    if tilt.f is not None:
         _add_bit_values(cfg, values, _block_rngs(cfg), functools.partial(_tilted_value, tilt))
     return values
 
@@ -537,7 +510,7 @@ def _rounding_bound(cfg: SimConfig) -> float:
     ``_tilted_values``; ``estimate_distortion`` floors its standard error
     at this times the mean.
 
-    With u = 2^-53 and G = ``_Tilt.spread``: each ln f carries an error of
+    With u = 2^-53 and G = ``ChernoffTilt.spread``: each ln f carries an error of
     at most u |ln f|, so a ratio ln f1/f0 and each exponent of M(s) one of
     at most 2 u G, and ln M(s), a log of m positive terms, one of at most
     (2 G + m + 2) u; |ln M(s)| <= G, since M(s) >= min(f0(y), f1(y)) on any
@@ -563,7 +536,7 @@ def _rounding_bound(cfg: SimConfig) -> float:
     deterministic (a Z channel, or a pure-noise one), where the sample
     deviation is 0 but the mean still carries rounding.
     """
-    tilt = _tilt(cfg.channel)
+    tilt = chernoff_tilt(cfg.channel)
     m = len(cfg.channel.outputs)
     eta = max(
         ((3 * m + 26) * _U * (t_k * (tilt.spread + 1.0) + k * LN4 + 1.0)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadicsearch import aurelian, decoder, info_constants, load_channel, make_bac, policy
+from dyadicsearch import aurelian, cli, decoder, info_constants, load_channel, make_bac, policy
 from dyadicsearch.cli import _pattern_summary, main
 from dyadicsearch.decoder import exact_bit_variance
 from dyadicsearch.policy import _staircase_walk, pattern
@@ -203,27 +203,27 @@ class TestFig3:
 
     def test_oracle_passes_stay_within_the_pattern_budget(self, tmp_path, monkeypatch):
         # The 8 budgets of channel3.json to 2000 share one block, whose
-        # distinct counts sum 366 533 histograms; each step's own sum at most
-        # 125 070. Under a pattern budget of 130 000 the gate refuses the
-        # block's counts together, so each step is looked up as its own
-        # pattern: each oracle pass stays within the budget, and the CSV and
-        # the cache counts stay the same.
+        # distinct counts' windows sum 252 030 histograms; each step's own
+        # sum at most 78 177. Under a pattern budget of 100 000 the gate
+        # refuses the block's counts together, so each step is looked up as
+        # its own pattern: each oracle pass stays within the budget, and the
+        # CSV and the cache counts stay the same.
         argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "2000", "--step", "250"]
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
         passes = []
         real_sums = decoder._row_sums
 
-        def counted(ts, first, sizes, ch):
+        def counted(ts, law, window, sizes):
             passes.append(int(sizes.sum()))
-            return real_sums(ts, first, sizes, ch)
+            return real_sums(ts, law, window, sizes)
 
-        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 130_000)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
         monkeypatch.setattr(decoder, "_row_sums", counted)
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "split")]) == 0
-        assert len(passes) > 1 and max(passes) <= 130_000
-        assert sum(passes) == 366_533  # every distinct count summed once
+        assert len(passes) > 1 and max(passes) <= 100_000
+        assert sum(passes) == 252_030  # every distinct count summed once
         whole, split = (tmp_path / run for run in ("whole", "split"))
         assert (split / "fig3.csv").read_bytes() == (whole / "fig3.csv").read_bytes()
         cache = [json.loads((run / "manifest-fig3.json").read_text())["findings"]["oracle_cache"]
@@ -231,11 +231,39 @@ class TestFig3:
         assert cache[0] == cache[1]
         # A budget below one step's own histograms still refuses that step,
         # before any of the block is summed.
-        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 50_000)
         exact_bit_variance.cache_clear()
         passes.clear()
         assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
         assert passes == []
+
+    def test_channel3_past_the_full_row_budget(self, tmp_path):
+        # The sweep's bits reach t = 1460, whose 1 069 453 ternary rows pass
+        # the per-bit budget; their windows hold at most 196 713.
+        argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "200000", "--step", "10000",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, _, rows = read_csv(tmp_path / "fig3.csv")
+        assert len(rows) == 20 and all(float(r[3]) > 0.0 for r in rows)
+
+    def test_six_symbol_window_refused_before_its_prefixes(self, tmp_path, monkeypatch, capsys):
+        # A 6-symbol bit's box holds the product of four part widths as
+        # prefixes, 1.4e7 at t = 93: refused from that bound alone, before
+        # any prefix is enumerated.
+        ch = tmp_path / "six.json"
+        ch.write_text(json.dumps({"outputs": list(range(6)),
+                                  "f0": [0.3, 0.2, 0.15, 0.15, 0.1, 0.1],
+                                  "f1": [0.1, 0.1, 0.15, 0.2, 0.2, 0.25]}))
+        enumerated = []
+        real = policy._composition_prefixes
+        monkeypatch.setattr(policy, "_composition_prefixes",
+                            lambda *a: enumerated.append(a) or real(*a))
+        start = time.perf_counter()
+        rc = main(["fig3", "--channel", str(ch), "--n-max", "2000", "--step", "250",
+                   "--out", str(tmp_path)])
+        assert rc == 3 and time.perf_counter() - start < 1.0
+        assert "prefixes, over the 1000000 budget of one bit" in capsys.readouterr().err
+        assert enumerated == []
 
     def test_mc_mode_requires_seed(self, tmp_path, capsys):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",
@@ -495,6 +523,38 @@ class TestNonuniform:
         assert float(rows[0][header.index("lipschitz_sq")]) == 4.0
         assert rows[0][header.index("inequality_ok")] == "1"
 
+    @pytest.mark.parametrize("pattern, flagged", [("50,30,20", False), ("50,30,21", True)])
+    def test_flags_patterns_past_the_checked_range(self, tmp_path, capsys, pattern, flagged):
+        # Past 100 uses a non-uniform estimate has not been checked against
+        # the exact oracle: the manifest and stderr say so; the CSV, stdout
+        # and exit code are those of the run without the flag.
+        argv = ["nonuniform", "--channel", "bac:0.9,0.8", "--pattern", pattern,
+                "--trials", "2000", "--seed", "3"]
+        runs = {}
+        for prior in ("power:2", "uniform"):
+            out = tmp_path / prior.replace(":", "")
+            assert main([*argv, "--prior", prior, "--out", str(out)]) == 0
+            std = capsys.readouterr()
+            findings = json.loads((out / "manifest-nonuniform.json").read_text())["findings"]
+            runs[prior] = std, findings, (out / "nonuniform.csv").read_bytes()
+        (out, err), findings, _ = runs["power:2"]
+        warnings = [line for line in err.splitlines() if line.startswith("warning: ")]
+        assert len(warnings) == int(flagged) and err == "".join(w + "\n" for w in warnings)
+        if flagged:
+            assert findings["outside_checked_range"] == {"uses": 101, "checked_up_to": 100}
+            assert "101 uses" in warnings[0]
+        else:
+            assert "outside_checked_range" not in findings
+        assert "outside_checked_range" not in runs["uniform"][1] and runs["uniform"][0].err == ""
+        monkeypatched = tmp_path / "unflagged"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_NONUNIFORM_CHECKED_USES", 10**6)
+            assert main([*argv, "--prior", "power:2", "--out", str(monkeypatched)]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        assert out.replace(str(tmp_path / "power2"), "OUT") == plain.out.replace(str(monkeypatched), "OUT")
+        assert runs["power:2"][2] == (monkeypatched / "nonuniform.csv").read_bytes()
+
     def test_count_over_sampler_budget_exits_3(self, tmp_path, capsys):
         # 1e11 uses of bit 1 need a first-link window of about 3.2e6 counts.
         rc = main(["nonuniform", "--channel", "bac:0.9,0.8", "--prior", "uniform",
@@ -618,6 +678,61 @@ trials_arg = mostly(st.integers(1, 40), st.integers(-2, 0) | malformed).map(str)
 seed_arg = mostly(
     st.integers(0, 3) | st.just(2**64 - 1), st.sampled_from([-1, 2**64]) | malformed
 ).map(str)
+
+
+def dirichlet_masses(rng: np.random.Generator, m: int) -> list[float]:
+    return rng.dirichlet(np.ones(m)).tolist()
+
+
+_EDGE_RNG = np.random.default_rng(22)
+EDGE_CHANNEL_FILES = {
+    "zero-mass-symbol": {"outputs": [0, 1, 2], "f0": [0.5, 0.5, 0.0], "f1": [0.2, 0.3, 0.5]},
+    "z-channel": {"outputs": [0, 1], "f0": [1.0, 0.0], "f1": [0.3, 0.7]},
+    "disjoint-2": {"outputs": [0, 1], "f0": [1.0, 0.0], "f1": [0.0, 1.0]},
+    "disjoint-3": {"outputs": [0, 1, 2], "f0": [0.5, 0.5, 0.0], "f1": [0.0, 0.0, 1.0]},
+    "near-noiseless": {"outputs": [0, 1], "f0": [1 - 1e-12, 1e-12], "f1": [1e-12, 1 - 1e-12]},
+    "near-noiseless-1e-300": {"outputs": [0, 1], "f0": [1.0, 1e-300], "f1": [1e-300, 1.0]},
+    "tiny-masses-3": {"outputs": [0, 1, 2], "f0": [1e-300, 0.5, 0.5], "f1": [0.5, 1e-300, 0.5]},
+    "pure-noise": {"outputs": [0, 1], "f0": [0.5, 0.5], "f1": [0.5, 0.5]},
+    "near-pure-noise-2": {"outputs": [0, 1], "f0": [0.5, 0.5], "f1": [0.5 + 1e-9, 0.5 - 1e-9]},
+    "near-pure-noise-3": {"outputs": [0, 1, 2], "f0": [0.33, 0.33, 0.34], "f1": [0.3301, 0.3299, 0.34]},
+    **{
+        f"random-{m}": {"outputs": list(range(m)), "f0": dirichlet_masses(_EDGE_RNG, m),
+                        "f1": dirichlet_masses(_EDGE_RNG, m)}
+        for m in range(2, 9)
+    },
+    "invalid-json": "{not json",
+    "empty-file": "",
+    "json-list": "[]",
+    "nan-mass": '{"outputs": [0, 1], "f0": [NaN, 0.5], "f1": [0.2, 0.8]}',
+    "short-masses": {"outputs": [0, 1], "f0": [0.5], "f1": [0.5, 0.5]},
+    "masses-not-summing-to-1": {"outputs": [0, 1], "f0": [0.6, 0.6], "f1": [0.2, 0.8]},
+    "one-symbol": {"outputs": [0], "f0": [1.0], "f1": [1.0]},
+    "unhashable-symbols": {"outputs": [[0], [1]], "f0": [0.5, 0.5], "f1": [0.2, 0.8]},
+}
+EDGE_COMMANDS = [
+    ["info"],
+    ["fig3", "--mode", "exact", "--n-max", "2000", "--step", "250"],
+    ["fig3", "--mode", "exact", "--n-max", "1000000", "--step", "100000"],
+    ["policy", "--n", "1000", "--rule", "greedy"],
+    ["policy", "--n", "1000000", "--rule", "aurelian"],
+]
+
+
+@pytest.mark.parametrize("name", EDGE_CHANNEL_FILES)
+def test_edge_channel_files_exit_cleanly(tmp_path, name):
+    # Zero masses, disjoint supports, near-noiseless and near-pure-noise
+    # masses, 2 to 8 symbols and malformed files, through every command
+    # that reads a channel, at n up to 1e6: each run exits 0, 2 or 3 within
+    # 30 s, never with a traceback.
+    spec = EDGE_CHANNEL_FILES[name]
+    path = tmp_path / "channel.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec), encoding="utf-8")
+    for command in EDGE_COMMANDS:
+        rc, err, seconds = run_cli([*command, "--channel", str(path), "--out", str(tmp_path / "out")])
+        assert rc in (0, 2, 3), (command, rc, err)
+        assert "Traceback" not in err
+        assert seconds < 30.0, (command, seconds)
 
 
 class TestMonteCarloCommandContract:

@@ -31,9 +31,10 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, efficient_search, info_constants, load_channel
-from dyadicsearch.decoder import _bit_offset, _safe_log, _sigmoid, exact_bit_variance
-from dyadicsearch.policy import composition_rows, compositions
-from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table, _tilt
+from dyadicsearch.channel import chernoff_tilt
+from dyadicsearch.decoder import _bit_offset, _sigmoid, exact_bit_variance
+from dyadicsearch.policy import composition_rows, composition_sizes, compositions
+from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table
 
 from conftest import Z_CHANNEL, bench_reference, bit_variance, bumped, draw_block, random_channel
 
@@ -68,6 +69,68 @@ def recursive_histograms(t: int, m: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+def safe_log(masses: tuple[float, ...]) -> np.ndarray:
+    """ln of each mass, -1e30 standing in for ln 0."""
+    return np.array([math.log(p) if p > 0.0 else -1e30 for p in masses])
+
+
+def window_law(ch: ChannelSpec):
+    """The oracle's window law of the merged ``ch``."""
+    return decoder._window_law(decoder._merge_tied_outputs(ch))
+
+
+def window_rows(counts, ch: ChannelSpec, rho=None) -> list[int]:
+    """Rows of each count's window on the merged channel, as the gate and
+    the pass count them, whatever the budgets; ``rho`` defaults to the first
+    pass's."""
+    law, ts = window_law(ch), np.array(counts, dtype=np.int64)
+    rho = decoder._rho(ts, law.parts) if rho is None else rho
+    with pytest.MonkeyPatch.context() as mp:  # count past the budgets
+        mp.setattr(decoder, "HISTOGRAM_BUDGET", math.inf)
+        mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", math.inf)
+        return decoder._window_rows(ts, law, decoder._window(ts, law, rho)).tolist()
+
+
+# Near pure noise: the window is the box, sqrt(2 t rho) values a side.
+NEAR_NOISE_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.33, 0.33, 0.34), f1=(0.3301, 0.3299, 0.34))
+
+
+def brute_window(t: int, ch: ChannelSpec) -> list[tuple[int, ...]]:
+    """The window's rows by its definition, over every composition of t
+    into ch's outputs (no tie among them, all charged): outputs 1..m-1 are
+    the free parts, each within w of t f_s*(i), w^2 = t rho / 2, and
+    |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2m - 1)."""
+    tilt, m = chernoff_tilt(ch), len(ch.outputs)
+    rho = 40.0 + 0.5 * math.log(t) + math.log(2 * m - 1)
+    w = math.sqrt(t * rho / 2.0)
+    lam = np.log(ch.f1) - np.log(ch.f0)
+    return [
+        tuple(h)
+        for h in recursive_histograms(t, m).tolist()
+        if all(abs(h[i] - t * tilt.f[i]) <= w for i in range(1, m))
+        and abs(float(np.dot(h, lam))) <= rho / tilt.kappa
+    ]
+
+
+def lgamma_table(t: int) -> np.ndarray:
+    """ln i! for i = 0..t, by math.lgamma."""
+    return np.fromiter(map(math.lgamma, np.arange(1.0, t + 2.0)), float, count=t + 1)
+
+
+def full_row_log_v(t: int, ch: ChannelSpec, lg: np.ndarray) -> float:
+    """ln V(t) of a binary bit over every row (t - j, j), j = 0..t, from the
+    ln i! table ``lg``: segments of 1e6 rows, each reduced by the oracle's
+    row kernel, combined by logsumexp."""
+    log_f = (safe_log(ch.f0), safe_log(ch.f1))
+    segments = []
+    for lo in range(0, t + 1, 10**6):
+        j = np.arange(lo, min(lo + 10**6, t + 1))
+        H = np.column_stack((t - j, j)).astype(np.float64)
+        log_mult = lg[t] - (lg[t - j] + lg[j])
+        segments.append(decoder._segment_log_sums(H, log_mult, np.array([j.size]), log_f)[0])
+    return float(np.logaddexp.reduce(segments))
+
+
 def stable_pq(s: np.ndarray) -> np.ndarray:
     """p (1 - p) for p = sigmoid(s), as e^-|s| / (1 + e^-|s|)^2."""
     e = np.exp(-np.abs(s))
@@ -87,8 +150,8 @@ def linear_bit_variance(t: int, ch: ChannelSpec, lg: np.ndarray) -> float:
     else:
         H = recursive_histograms(t, len(ch.outputs))
     log_mult = lg[t] - lg[H].sum(axis=1)
-    lp0 = log_mult + H @ _safe_log(ch.f0)
-    lp1 = log_mult + H @ _safe_log(ch.f1)
+    lp0 = log_mult + H @ safe_log(ch.f0)
+    lp1 = log_mult + H @ safe_log(ch.f1)
     weight = 0.5 * np.exp(lp0) + 0.5 * np.exp(lp1)
     return float(np.sum(weight * stable_pq(lp1 - lp0)))
 
@@ -219,58 +282,64 @@ class TestExactBitVariance:
         assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
 
     def test_budget_refusal(self):
+        # At 1e5 uses this ternary bit's window holds 6.5e6 rows.
         ch = random_channel(np.random.default_rng(1), alphabet=3)
         with pytest.raises(BudgetExceededError):
-            bit_variance(2000, ch)
+            bit_variance(10**5, ch)
 
     def test_budget_refusal_grows_no_table(self, cold_table):
         ch = random_channel(np.random.default_rng(1), alphabet=3)
         with pytest.raises(BudgetExceededError):
-            bit_variance(2000, ch)
+            bit_variance(10**5, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_pattern_total_refused_before_any_bit(self, cold_table):
-        # 600 distinct counts near 5e5: each bit is under the per-bit budget,
-        # together they pass the pattern's, and nothing is enumerated. The
-        # Z channel's zero mass makes every bit sum all its rows.
-        ch = Z_CHANNEL
-        t = pattern(list(range(500_600, 500_000, -1)))
-        assert max(t.t) + 1 <= decoder.HISTOGRAM_BUDGET
-        with pytest.raises(BudgetExceededError):
-            exact_distortion(t, ch)
+        # 300 distinct counts from 1e4 on a near-pure-noise ternary channel,
+        # whose windows are boxes of sqrt(2 t rho), about 970, values a
+        # side: each bit's window is under the per-bit budget, together they
+        # pass the pattern's, and nothing is enumerated.
+        counts = list(range(10_300, 10_000, -1))
+        rows = window_rows(counts, NEAR_NOISE_3)
+        assert max(rows) <= decoder.HISTOGRAM_BUDGET < math.comb(10_002, 2)
+        assert sum(rows) > decoder.PATTERN_HISTOGRAM_BUDGET
+        with pytest.raises(BudgetExceededError, match="budget of one pattern"):
+            exact_distortion(pattern(counts), NEAR_NOISE_3)
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_window_total_refused_before_any_bit(self, cold_table):
         # 1000 distinct counts near 1e9 on a near-pure-noise channel, whose
-        # decay half-width (about 9.9e5 rows) keeps the sqrt(t) window: each
-        # bit's window of about 2.5e5 rows is under the per-bit budget, and
-        # the windows together pass the pattern's.
+        # slab is wider than its box of about 3.2e5 rows: each bit's window
+        # is under the per-bit budget, and the windows together pass the
+        # pattern's.
         ch = make_bsc(0.49999)
         t = pattern(list(range(10**9 + 1000, 10**9, -1)))
-        lo, hi = decoder._binary_windows(np.array(t.t), ch)
-        assert (hi - lo + 1).max() <= decoder.HISTOGRAM_BUDGET
-        assert (hi - lo + 1).sum() > decoder.PATTERN_HISTOGRAM_BUDGET
+        rows = window_rows(t.t, ch)
+        assert max(rows) <= decoder.HISTOGRAM_BUDGET
+        assert sum(rows) > decoder.PATTERN_HISTOGRAM_BUDGET
         with pytest.raises(BudgetExceededError):
             exact_distortion(t, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
     def test_budget_totals_count_window_rows(self, cold_table):
-        # The gate counts t + 1 rows a binary bit until that passes a
-        # budget, then each bit's window: the 1000 counts near 1e9 above
-        # pass on bac:0.9,0.8 (at most 53 rows a bit). The Z channel's zero
-        # mass makes a bit sum its t + 1 rows, and a ternary bit sums
-        # C(t + 2, 2). On each budget monkeypatched to the counts' largest
-        # or summed rows they pass, one row fewer refuses them, and no
-        # ln i! is computed before a refusal.
+        # The gate counts a bit's full rows C(t + m' - 1, m' - 1) until
+        # they pass a budget, then each bit's window: the 1000 counts near
+        # 1e9 above pass on bac:0.9,0.8 (at most 64 rows a bit). The Z
+        # channel's one-sided output leaves one row a bit, and a ternary
+        # bit's window is the compositions in its box and slab, counted here
+        # over every composition. On each budget monkeypatched to the
+        # counts' largest or summed rows they pass, one row fewer refuses
+        # them, and no ln i! is computed before a refusal.
         near_1e9 = list(range(10**9 + 1000, 10**9, -1))
+        ternary = random_channel(np.random.default_rng(3), alphabet=3)
         cases = [
             (make_bac(0.9, 0.8), near_1e9, None),
-            (Z_CHANNEL, [300, 1000], [301, 1001]),
-            (random_channel(np.random.default_rng(3), alphabet=3), [40, 90], [861, 4186]),
+            (Z_CHANNEL, [300, 1000], [1, 1]),
+            (ternary, [40, 90], [len(brute_window(t, ternary)) for t in (40, 90)]),
         ]
+        assert cases[2][2] < [math.comb(42, 2), math.comb(92, 2)]
         for ch, counts, expected in cases:
-            rows = decoder._bit_rows(np.array(counts), ch)[1]
-            assert rows == expected if expected else max(rows) <= 53
+            rows = window_rows(counts, ch)
+            assert rows == expected if expected else max(rows) <= 64
             decoder._check_histogram_total(counts, ch)
             for budget, limit, what in [
                 ("HISTOGRAM_BUDGET", max(rows), "one bit"),
@@ -285,40 +354,44 @@ class TestExactBitVariance:
                 assert decoder._LOG_FACTORIALS.size == 1
         for ch, counts, _ in cases:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(decoder, "HISTOGRAM_BUDGET", max(decoder._bit_rows(np.array(counts), ch)[1]))
+                mp.setattr(decoder, "HISTOGRAM_BUDGET", max(window_rows(counts, ch)))
                 assert all(math.isfinite(v) for v in log_bit_variances(counts, ch))
 
     def test_windowed_bits_over_full_row_budget(self):
         # Three bits of 1e7 uses hold 1e7 + 1 rows each, above the per-bit
-        # budget, but their certified windows sum about 2.5e4 rows. The
-        # value equals the log sum over every row, computed here in segments
-        # of 1e6 rows from a ln i! table of its own, combined by logsumexp:
-        # the oracle's entries past its table come from its lgamma path.
+        # budget, but their certified windows sum 135 rows. The value equals
+        # the log sum over every row from a ln i! table of its own: the
+        # oracle's entries past its table come from its lgamma path.
         ch, t = make_bsc(0.1), 10**7
         assert t + 1 > decoder.HISTOGRAM_BUDGET and t // 2 > decoder.LOG_FACTORIAL_TABLE
         d = exact_distortion(pattern([t] * 3), ch)
         (log_v,) = log_bit_variances([t], ch)
-        lg = np.fromiter(map(math.lgamma, np.arange(1.0, t + 2.0)), float, count=t + 1)
-        lo = np.arange(0, t + 1, 10**6)
-        sizes = np.minimum(lo + 10**6, t + 1) - lo
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decoder, "_LOG_FACTORIALS", lg)
-            segments, _ = decoder._row_sums(np.full(lo.size, t), lo, sizes, ch)
-        full = float(np.logaddexp.reduce(segments))
+        full = full_row_log_v(t, ch, lgamma_table(t))
         assert log_v == pytest.approx(full, rel=1e-13)
         assert d == pytest.approx(decoder.assemble_distortion([full] * 3), rel=1e-13)
 
-    def test_uncertified_window_over_full_row_budget_refused(self, monkeypatch):
-        # A window that fails its certificate falls back to every row, which
-        # stays under the full-row budget: at 2e6 uses that is a refusal.
-        def narrow(ts, ch):
-            mid = (ts // 2).astype(np.int64)
-            return mid - 2, mid + 2
-
-        monkeypatch.setattr(decoder, "_binary_windows", narrow)
+    def test_near_pure_noise_bit_past_full_row_budget(self):
+        # bsc:0.4999 at 2e6 uses: 2e6 + 1 rows, twice the per-bit budget,
+        # where the box of about 1.4e4 rows is the window.
+        ch, t = make_bsc(0.4999), 2 * 10**6
+        (rows,) = window_rows([t], ch)
+        assert rows < decoder.HISTOGRAM_BUDGET < t + 1
         exact_bit_variance.cache_clear()
-        with pytest.raises(BudgetExceededError, match="a bit of 2000001 rows"):
-            log_bit_variances([2 * 10**6], make_bsc(0.1))
+        (log_v,) = log_bit_variances([t], ch)
+        assert log_v == pytest.approx(full_row_log_v(t, ch, lgamma_table(t)), rel=1e-13)
+
+    def test_uncertified_window_over_full_row_budget_refused(self, monkeypatch):
+        # A window that misses its certificate is summed again, wider, and
+        # that pass is gated like any other: with rho lowered by 30 nats the
+        # first window of 2e6 uses on bac:0.9,0.8 misses, and under a
+        # per-bit budget of its rows the wider one is refused.
+        ch, counts = make_bac(0.9, 0.8), [2 * 10**6]
+        monkeypatch.setattr(decoder, "_RHO_BASE", decoder._RHO_BASE - 30.0)
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", max(window_rows(counts, ch)))
+        exact_bit_variance.cache_clear()
+        with pytest.raises(BudgetExceededError, match="budget of one bit"):
+            log_bit_variances(counts, ch)
+        assert exact_bit_variance.cache_info().currsize == 0
         exact_bit_variance.cache_clear()
 
     def test_pattern_total_admits_greedy_at_1e8(self):
@@ -337,7 +410,7 @@ class TestExactBitVariance:
 
 class TestBudgetGate:
     """``_check_histogram_total``, the oracle's one budget gate: rows counted
-    by ``_bit_rows`` (t + 1 a binary bit where those pass both budgets),
+    by ``_window_rows`` (the full rows where those pass both budgets),
     refused before any row is summed."""
 
     def test_counts_may_be_an_iterator(self):
@@ -409,6 +482,31 @@ class TestSharedTableKernel:
         assert H.dtype == np.int64
         assert np.array_equal(H, np.concatenate([recursive_histograms(t, m) for t in totals]))
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_bounded_rows_match_filtered_enumerator(self, m):
+        # A box on the free parts and a slab |sum_i c_i h_i| <= half keep
+        # the rows of the recursive enumeration that satisfy both, in its
+        # order; a zero slope difference of the last two parts included.
+        rng = np.random.default_rng(m)
+        for trial in range(40):
+            totals = rng.integers(0, 12, size=3)
+            lower = rng.integers(-2, 8, size=(3, m - 1))
+            upper = lower + rng.integers(-1, 8, size=(3, m - 1))
+            coef, half = rng.normal(size=m), rng.uniform(0.0, 5.0, size=3)
+            if trial % 5 == 0:
+                coef[-2] = coef[-1]
+            H = composition_rows(totals, m, (lower, upper), (coef, half))
+            kept = [
+                [h for h in recursive_histograms(t, m).tolist()
+                 if all(lower[i, j] <= h[j] <= upper[i, j] for j in range(m - 1))
+                 and abs(float(np.dot(h, coef))) <= half[i]]
+                for i, t in enumerate(totals.tolist())
+            ]
+            expected = np.array([h for rows in kept for h in rows], dtype=np.int64).reshape(-1, m)
+            assert np.array_equal(H, expected), trial
+            sizes = composition_sizes(totals, m, (lower, upper), (coef, half))
+            assert sizes.tolist() == [len(rows) for rows in kept]
+
     def test_ternary_call_order_independent(self, cold_table):
         # The m-ary twin of test_call_order_independent: a count's ln V is
         # the same alone, in one call with every other count, and in that
@@ -459,7 +557,7 @@ class TestTiedOutputMerge:
         assert merged.f0 == (0.4, 0.2 + 0.1, 0.3) and merged.f1 == (0.1, 0.4 + 0.2, 0.3)
         binary = decoder._merge_tied_outputs(TIED_3)
         assert binary.outputs == (0, 1) and binary.f0 == (0.5, 0.5) and binary.f1 == (0.2, 0.8)
-        assert decoder._window_centre(binary) is not None  # the windowed binary path
+        assert window_law(TIED_3).parts == 2  # its rows are (t - j, j)
         noise = ChannelSpec(outputs=(0, 1, 2), f0=(0.2, 0.3, 0.5), f1=(0.2, 0.3, 0.5))
         ternary = random_channel(np.random.default_rng(1), alphabet=3)
         near = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.25, 0.25), f1=(0.2, 0.4 - 1e-12, 0.4 + 1e-12))
@@ -470,9 +568,12 @@ class TestTiedOutputMerge:
     # rounding above 1e-13 relative in either sum (3e-13 against a 40-digit
     # reference at t = 900 on TIED_3), so the comparison stops below it.
     @pytest.mark.parametrize("ch, t_max", [(TIED_4, 120), (TIED_3, 250)], ids=["4-to-3", "3-to-2"])
-    def test_equals_unmerged_full_sum(self, ch, t_max, cold_table):
+    def test_equals_unmerged_full_sum(self, ch, t_max, cold_table, monkeypatch):
+        # An infinite rho makes every window every row.
         ts = np.arange(1, t_max + 1)
-        unmerged = decoder._log_variance_pass(ts, ch)
+        with monkeypatch.context() as mp:
+            mp.setattr(decoder, "_RHO_BASE", math.inf)
+            unmerged = decoder._log_variance_pass(ts, ch)
         merged = np.array(log_bit_variances(ts.tolist(), ch))
         assert np.abs(np.expm1(merged - unmerged)).max() <= 1e-13
 
@@ -499,39 +600,69 @@ class TestLogKernel:
         (log_v,) = log_bit_variances([t], ch)
         assert log_v == pytest.approx(bench_reference(ch).log_bit_variance(t), rel=1e-12)
 
-    def test_uncertified_window_falls_back_to_full_rows(self, monkeypatch):
+    def test_uncertified_window_is_summed_again_wider(self, monkeypatch):
+        # With rho lowered by 30 nats every window misses its certificate
+        # and is summed once more, with rho + delta + 1: wider, yet far
+        # short of every row, and the same value.
         ch = make_bac(0.9, 0.8)
         counts = [300, 1000, 2000]
         exact_bit_variance.cache_clear()
-        windowed = [math.exp(v) for v in log_bit_variances(counts, ch)]
-        real_windows, real_sums = decoder._binary_windows, decoder._row_sums
-        rows = []
+        certified = log_bit_variances(counts, ch)
+        real_sums, rows = decoder._row_sums, []
 
-        def narrow(ts, ch):
-            lo, hi = real_windows(ts, ch)
-            mid = (lo + hi) // 2
-            return mid - 2, mid + 2
-
-        def counted(ts, first, sizes, ch):
+        def counted(ts, law, window, sizes):
             rows.append(sizes.tolist())
-            return real_sums(ts, first, sizes, ch)
+            return real_sums(ts, law, window, sizes)
 
-        monkeypatch.setattr(decoder, "_binary_windows", narrow)
+        monkeypatch.setattr(decoder, "_RHO_BASE", decoder._RHO_BASE - 30.0)
         monkeypatch.setattr(decoder, "_row_sums", counted)
         exact_bit_variance.cache_clear()
-        fallback = [math.exp(v) for v in log_bit_variances(counts, ch)]
+        retried = log_bit_variances(counts, ch)
         exact_bit_variance.cache_clear()
-        assert rows == [[5, 5, 5], [t + 1 for t in counts]]
-        assert fallback == pytest.approx(windowed, rel=1e-13)
+        assert len(rows) == 2
+        assert all(a < b < t // 4 for a, b, t in zip(*rows, counts))
+        assert retried == pytest.approx(certified, rel=1e-13)
 
-    def test_zero_mass_channel_sums_full_rows(self):
-        ts = np.array([1, 5, 400, 3000], dtype=np.int64)
-        lo, hi = decoder._binary_windows(ts, Z_CHANNEL)
-        assert lo.tolist() == [0] * 4 and hi.tolist() == ts.tolist()
-        # Any output 1 reveals the bit; t zeros leave V = 0.3^t / (2 (1 + 0.3^t)).
-        for t, log_v in zip(ts.tolist(), log_bit_variances(ts.tolist(), Z_CHANNEL)):
+    def test_odd_counts_near_noiseless_retry_once(self, monkeypatch):
+        # On bsc:0.001 the L_h nearest 0 of an odd count lies half a lattice
+        # step (6.9 nats) away, so the first window misses its certificate
+        # by about 1 nat. One retry certifies it on about 15 rows, not
+        # t + 1, and gives the full-row sum.
+        ch, counts = make_bsc(0.001), [1001, 1003, 4001]
+        real_sums, rows = decoder._row_sums, []
+
+        def counted(ts, law, window, sizes):
+            rows.append(sizes.tolist())
+            return real_sums(ts, law, window, sizes)
+
+        monkeypatch.setattr(decoder, "_row_sums", counted)
+        exact_bit_variance.cache_clear()
+        log_v = log_bit_variances(counts, ch)
+        exact_bit_variance.cache_clear()
+        assert len(rows) == 2 and max(rows[1]) <= 20
+        lg = lgamma_table(max(counts))
+        for t, v in zip(counts, log_v):
+            assert v == pytest.approx(full_row_log_v(t, ch, lg), rel=1e-13)
+
+    def test_rows_on_one_sided_outputs_dropped(self):
+        # A row with a count on an output of zero mass under one input has a
+        # term of exactly 0 and is not enumerated: a Z channel bit is one
+        # row, whose t zeros leave V = 0.3^t / (2 (1 + 0.3^t)).
+        counts = [1, 5, 400, 3000]
+        assert window_rows(counts, Z_CHANNEL) == [1] * 4
+        for t, log_v in zip(counts, log_bit_variances(counts, Z_CHANNEL)):
             closed = math.log(0.5) + t * math.log(0.3) - math.log1p(0.3**t)
             assert log_v == pytest.approx(closed, rel=1e-13, abs=1e-13), t
+        # Two charged outputs of three: the rows of a binary bit, against
+        # every output sequence.
+        ch = ChannelSpec(outputs=(0, 1, 2), f0=(0.6, 0.4, 0.0), f1=(0.2, 0.5, 0.3))
+        assert window_rows([8], ch) == [9]
+        for t in range(1, 9):
+            assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
+        # No output charged: every output reveals the bit, and ln V is the
+        # stand-in log 0 of the rows' -1e30 log masses.
+        disjoint = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.5, 0.0), f1=(0.0, 0.0, 1.0))
+        assert log_bit_variances([1, 2, 3, 10], disjoint) == [-1e30, -1e30, -2e30, -5e30]
 
     @pytest.mark.parametrize(
         "ch",
@@ -600,7 +731,7 @@ def mp_log_bit_variance(t: int, ch: ChannelSpec):
             p1 = mpmath.exp(ln_c + (t - j) * mpmath.log(b0) + j * mpmath.log(b1))
             return p0 * p1 / (2 * (p0 + p1))
 
-        centre = min(max(round(t * decoder._window_centre(ch)), 0), t)
+        centre = min(max(round(t * chernoff_tilt(ch).f[1]), 0), t)
         peak = row(centre)
         total = peak
         for step in (1, -1):
@@ -612,36 +743,38 @@ def mp_log_bit_variance(t: int, ch: ChannelSpec):
 
 
 class TestConstantWindow:
-    """The binary window t theta* +- min(4 sqrt(t) + 50, h_ch): certified at
-    every t, never wider than the sqrt(t) window, equal to the full sum."""
+    """The one window, box and slab about the Chernoff tilt, on binary
+    channels: certified at every t, its rows growing like ln t and not like
+    sqrt t, equal to the full sum."""
 
     @pytest.mark.parametrize("name", WINDOW_GRID_CHANNELS)
     def test_grid_certified_and_no_wider(self, name, cold_table):
+        # Each bit's bound on the rows left out lies 38 nats below its
+        # in-window sum, or its window is every row; the window is no wider
+        # than its box or its slab, and equals the full sum where that is
+        # admitted.
         ch = load_channel(name)
-        ts = WINDOW_GRID_USES
-        theta = decoder._window_centre(ch)
-        h = decoder._decay_half_width(theta, ch)
-        lo, hi = decoder._binary_windows(ts, ch)
-        rows = hi - lo + 1
-        half = 4.0 * np.sqrt(ts) + 50.0
-        sqrt_rows = np.minimum((ts * theta + half).astype(np.int64), ts) - np.maximum(
-            np.ceil(ts * theta - half), 0
-        ) + 1
-        assert (rows <= sqrt_rows).all()
-        assert (rows <= 2 * h + 1).all()
-        log_v, certified = decoder._row_sums(ts, lo, rows, ch)
-        assert certified.all()
+        law, ts = window_law(ch), WINDOW_GRID_USES
+        rho = decoder._rho(ts, 2)
+        sizes, log_v = decoder._window_sums(ts, law, rho)
+        bound = math.log(0.5) + ts * law.log_m + math.log(3.0) - rho
+        assert ((bound <= log_v - decoder.WINDOW_CERTIFICATE) | (sizes == ts + 1)).all()
+        box = 2.0 * np.sqrt(ts * rho / 2.0) + 1.0
+        slab = 2.0 * rho / (law.kappa * abs(law.slope[0] - law.slope[1])) + 1.0
+        assert (sizes <= np.minimum(box, slab)).all()
+        assert log_v.tolist() == log_bit_variances(ts.tolist(), ch)
         small = ts[ts + 1 <= decoder.HISTOGRAM_BUDGET]
-        full, _ = decoder._row_sums(small, np.zeros_like(small), small + 1, ch)
+        full_sizes, full = decoder._window_sums(small, law, np.full(small.size, math.inf))
+        assert (full_sizes == small + 1).all()
         assert log_v[: small.size] == pytest.approx(full, rel=1e-13)
 
-    def test_rows_constant_in_t(self):
-        # From t = 3000 on a bac:0.9,0.8 bit sums 52 or 53 rows, whatever t.
+    def test_rows_grow_like_log_t(self):
+        # The slab's 2 rho / (kappa |lambda1 - lambda0|) rows bound a
+        # bac:0.9,0.8 bit, rho growing like ln(t) / 2: 53 rows at t = 3000,
+        # 68 at 1e15.
         ts = np.array([3000, 10**5, 10**8 + 7, 10**12, 10**15])
-        lo, hi = decoder._binary_windows(ts, make_bac(0.9, 0.8))
-        assert set((hi - lo + 1).tolist()) <= {52, 53}
-        for ch in (Z_CHANNEL, random_channel(np.random.default_rng(3), alphabet=3)):
-            assert decoder._window_centre(ch) is None
+        rows = window_rows(ts, make_bac(0.9, 0.8))
+        assert rows == sorted(rows) and 50 <= rows[0] and rows[-1] <= 70
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -649,23 +782,26 @@ class TestConstantWindow:
         p11=st.floats(1e-4, 1.0 - 1e-4),
         t=st.integers(1, 20_000),
     )
-    # f0 and f1 differ only by rounding: theta* clips to 0, or its rates are
-    # below their rounding error; h_ch is inf either way.
     @example(p00=0.9999, p11=0.0001, t=1)
     @example(p00=0.3333333333333333, p11=0.666666666666667, t=112)
+    @example(p00=0.999, p11=0.999, t=1001)
     def test_derived_edges_clear_certificate(self, p00, p11, t):
-        # Every row at or past t theta* +- h_ch lies at least 38 nats below
-        # the bit's largest term, on any binary channel with positive masses.
-        # The edges stay floats: an infinite h_ch leaves no row outside.
+        # The rows outside a bit's window sum to at most
+        # (1/2) M^t (2 m' - 1) e^-rho (Hoeffding in the box, e^(-kappa |L|)
+        # in the slab), on any binary channel with positive masses; the rows
+        # come from math.lgamma and the masses alone.
         ch = ChannelSpec(outputs=(0, 1), f0=(p00, 1.0 - p00), f1=(1.0 - p11, p11))
-        theta = decoder._window_centre(ch)
-        if theta is None:
+        law, ts = window_law(ch), np.array([t])
+        if law.parts < 2:
             return
-        h = decoder._decay_half_width(theta, ch)
-        terms = full_row_terms(t, ch)
-        j = np.arange(t + 1)
-        outside = (j <= np.ceil(t * theta - h)) | (j >= np.floor(t * theta + h))
-        assert (terms[outside] <= terms.max() - decoder.WINDOW_CERTIFICATE).all()
+        rho = decoder._rho(ts, 2)
+        window = decoder._window(ts, law, rho)
+        inside = composition_rows(ts, 2, *decoder._part(window, [0]))[:, 0]  # j ascending
+        outside = np.setdiff1d(np.arange(t + 1), inside)
+        if outside.size:
+            left_out = math.log(0.5) + float(np.logaddexp.reduce(full_row_terms(t, ch)[outside]))
+            bound = math.log(0.5) + t * law.log_m + math.log(3.0) - float(rho[0])
+            assert left_out <= bound + 1e-9 * abs(bound)
 
     @pytest.mark.parametrize("t", [10**4, 10**6])
     @pytest.mark.parametrize("name", ["bac:0.9,0.8", "bsc:0.05", "bac:0.999,0.51"])
@@ -748,7 +884,7 @@ class TestArrayKernelAgainstScalarOracle:
         cfg = SimConfig(channel=ch, pattern=pattern(counts), prior=uniform_prior(), trials=300, seed=21)
         values = trial_values(cfg)
         llr0, llr1 = (math.log(b / a) for a, b in zip(ch.f0, ch.f1))
-        tilt = _tilt(ch)
+        tilt = chernoff_tilt(ch)
         f_s = [a ** (1.0 - tilt.s) * b**tilt.s for a, b in zip(ch.f0, ch.f1)]
         f_s = [x / math.fsum(f_s) for x in f_s]
         shared = math.fsum([0.25 * 4.0**-k for k, t_k in enumerate(counts, 1) if t_k == 0])

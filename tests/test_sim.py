@@ -35,6 +35,7 @@ from dyadicsearch import (
     upper_bound,
 )
 from dyadicsearch import decoder, sim
+from dyadicsearch.channel import chernoff_tilt
 from dyadicsearch.policy import _staircase_walk
 from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
@@ -50,7 +51,6 @@ from dyadicsearch.sim import (
     _rounding_bound,
     _squared_errors,
     _table_index,
-    _tilt,
     _tilted_value,
     _window_cdf,
 )
@@ -504,11 +504,11 @@ class TestTableKernel:
         # on channel3 and binary elsewhere.
         counts, trials, seed = [6, 0, 3, 20, 1], BLOCK_TRIALS + 1000, 17
         cfg = rb_config(ch, pattern(counts), trials, seed)
-        tilt = _tilt(ch)
+        tilt = chernoff_tilt(ch)
         expected = np.full(trials, math.fsum([0.25 * 4.0**-2, 4.0**-5 / 12.0]))
         rngs = [_block_rng(seed, 0), _block_rng(seed, 1)]
         for k, t_k in enumerate(counts, 1):
-            if t_k and tilt.cond is not None:
+            if t_k and tilt.f is not None:
                 table = _first_link_table(ch, t_k, True)
                 for lo, rng in zip((0, BLOCK_TRIALS), rngs):
                     part = expected[lo : lo + BLOCK_TRIALS]
@@ -532,7 +532,7 @@ class TestTableKernel:
         # The table holds every count of the window, also those of zero
         # mass, whose +-inf log-likelihood ratio gives inf - inf in the
         # tilted value. Their bins are empty: no key lands on them.
-        tilt = _tilt(ch)
+        tilt = chernoff_tilt(ch)
         for tilted in (False, True):
             table = _first_link_table(ch, t, tilted)
             with np.errstate(invalid="ignore"):
@@ -632,7 +632,7 @@ class TestAurelianSweep:
 
     def test_bit_over_per_bit_budget_refused_at_its_step(self, monkeypatch):
         # On a per-bit budget of 50 rows, the first bit of bac:0.9,0.8, whose
-        # window grows to 53 rows, passes the budget at one step of the
+        # window grows to 51 rows, passes the budget at one step of the
         # grid, in the second block. The lookup of the first block's counts
         # gates them in one call; the second block's fail together, so its
         # steps are gated one by one, and the gate refuses that step's
@@ -651,8 +651,13 @@ class TestAurelianSweep:
             passed.append(ts.tolist())
             return real_pass(ts, ch)
 
+        law = decoder._window_law(ch)
+
         def rows(counts):
-            return decoder._bit_rows(np.array(counts), ch)[1]
+            ts = np.array(counts)
+            with pytest.MonkeyPatch.context() as mp:  # count past the budget
+                mp.setattr(decoder, "HISTOGRAM_BUDGET", math.inf)
+                return decoder._window_rows(ts, law, decoder._window(ts, law, decoder._rho(ts, 2))).tolist()
 
         # The block's gate runs in ``log_bit_variances``, the per-step one in the sweep.
         monkeypatch.setattr(decoder, "_check_histogram_total", gate)
