@@ -41,7 +41,7 @@ double range near t = 708 / C:
   |h_i - t f_s(i)| <= w, w^2 = t rho / 2, on the free parts, cut by the slab
   |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2 m' - 1); by Hoeffding
   (JASA 58, 1963) the rows outside sum to at most
-  (1/2) M^t (2 m' - 1) e^-rho;
+  (1/2) M^t (2 m' - 1) e^-rho, on any wider slab too;
 * certificate: that bound lies ``WINDOW_CERTIFICATE`` = 38 nats below the
   in-window sum, or the window is every row. A bit that misses by delta
   (bsc:0.001 at odd t, by about 1) is summed once more with
@@ -49,22 +49,20 @@ double range near t = 708 / C:
 * rows: ``policy.composition_rows`` enumerates the charged outputs last
   first, so a binary bit's rows are (t - j, j) with j ascending, the order
   its sums round in: the free parts before the last within the box, the
-  last as the slab's interval after each prefix. ``_window_rows`` counts
-  them from the prefixes alone, and ``_row_sums`` sums the uncached bits
-  of a lookup in chunks of about ``CHUNK_ROWS`` rows, each bit's segment
-  reduced by ``np.maximum.reduceat`` and ``np.add.reduceat``, its value
-  independent of its chunk;
+  last as the slab's interval after each prefix. ``_window_sums`` sums the
+  uncached bits of a lookup in chunks of about ``CHUNK_ROWS`` rows, each
+  bit's segment reduced by ``np.maximum.reduceat`` and ``np.add.reduceat``,
+  its value independent of its chunk;
 * cost: a binary bit sums about 2 rho / (kappa |lambda_1 - lambda_0|)
-  rows: 53 on bac:0.9,0.8 at t = 3000 and 68 at 1e15, so the greedy
-  pattern at n = 1e8 sums 3.8e5 rows in place of 1e8; a near-pure-noise
-  one its box, sqrt(2 t rho) rows (13 907 on bsc:0.4999 at t = 2e6); a
-  channel3.json bit 196 713 of 5.0e9 at t = 1e5;
+  rows (53 on bac:0.9,0.8 at t = 3000, 68 at 1e15), or its box,
+  sqrt(2 t rho) (13 907 on bsc:0.4999 at t = 2e6); a channel3.json bit
+  196 713 of 5.0e9 at t = 1e5;
 * budgets: one gate (``_check_histogram_total``) holds each bit to
   ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
   ``PATTERN_HISTOGRAM_BUDGET`` together before any row is summed, and a
-  box of more prefixes than ``HISTOGRAM_BUDGET`` before they are built.
-  The sweep in ``sim`` looks up a block of steps at a time and, where a
-  block fails, gates each step alone; a retry's rows are held alone.
+  box that may hold more prefixes than ``HISTOGRAM_BUDGET`` before they
+  are built; a retry is gated the same way. The sweep in ``sim`` looks up
+  a block of steps at a time and, where a block fails, gates each step.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
@@ -295,8 +293,7 @@ def _window_law(ch: ChannelSpec) -> _Law:
     tilt = chernoff_tilt(ch)
     charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
     log_f = tuple(np.array([math.log(f[i]) for i in charged]) for f in (ch.f0, ch.f1))
-    order = charged[::-1]
-    centre = tilt.f[order][:-1] if charged else np.zeros(0)
+    centre = tilt.f[charged[::-1]][:-1] if charged else np.zeros(0)
     return _Law(len(charged), log_f, centre, (log_f[1] - log_f[0])[::-1], tilt.log_m, tilt.kappa)
 
 
@@ -307,38 +304,52 @@ def _rho(ts: np.ndarray, parts: int) -> np.ndarray:
 
 def _window(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple:
     """Each bit's box (lower, upper) |h_i - t f_s*(i)| <= w, w^2 = t rho / 2,
-    on the free parts and slab (lambda, rho / kappa), |L_h| <= rho / kappa,
-    as ``policy.composition_rows`` takes them."""
+    on the free parts and slab (lambda, half), |L_h| <= half, as
+    ``policy.composition_rows`` takes them: half = rho / kappa, or the sum
+    of |lambda_i - lambda_last| over the free parts where wider, which keeps
+    the row nearest the box's centre, where L_h = 0 (bsc:1e-60, odd t)."""
     w = np.sqrt(ts * rho / 2.0)[:, None]
     centre, t = np.outer(ts, law.centre), ts[:, None]
     lower = np.clip(np.ceil(centre - w), 0, t).astype(np.int64)
     upper = np.clip(np.floor(centre + w), -1, t).astype(np.int64)
-    return (lower, upper), (law.slope, rho / law.kappa)
+    reach = np.abs(law.slope[:-1] - law.slope[-1]).sum()
+    return (lower, upper), (law.slope, np.maximum(rho / law.kappa, reach))
 
 
-def _part(window: tuple, bits) -> tuple:
-    """The box and slab of the ``bits`` of ``window``."""
+def _box_bounds(ts: np.ndarray, law: _Law, window: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """At most how many prefixes (values of the free parts before the last)
+    and rows each bit's window holds: the product of the prefixes' box
+    widths, at most C(t + m' - 2, m' - 2), times the last free part's width
+    or 2 half / step + 1, step the change of L_h per unit of that part."""
     (lower, upper), (slope, half) = window
-    return (lower[bits], upper[bits]), (slope, half[bits])
+    widths = np.maximum(upper - lower + 1, 0).astype(np.float64)
+    totals, step = ts.astype(np.float64), abs(np.diff(slope[-2:]).sum())  # 0 below two parts
+    prefixes = np.minimum(widths[:, :-1].prod(axis=1), composition_counts(totals, law.parts - 1))
+    last = widths[:, -1:].prod(axis=1)  # 1 where no part is free
+    if step > 0.0:
+        last = np.minimum(last, np.floor(2.0 * half / step) + 1.0)
+    return prefixes, np.minimum(prefixes * last, composition_counts(totals, law.parts))
 
 
-def _window_rows(ts: np.ndarray, law: _Law, window: tuple) -> np.ndarray:
-    """The rows of each bit's window, counted from its prefixes (the values
-    of the free parts before the last) and refused at the chunk where a bit
-    passes ``HISTOGRAM_BUDGET`` or all together ``PATTERN_HISTOGRAM_BUDGET``;
-    a box of more prefixes than ``HISTOGRAM_BUDGET`` before any is built."""
-    lower, upper = window[0]
-    prefixes = np.maximum(upper[:, :-1] - lower[:, :-1] + 1, 0).astype(np.float64).prod(axis=1)
-    if prefixes.max(initial=0.0) > HISTOGRAM_BUDGET:
+def _gate(ts: np.ndarray, law: _Law, rho: np.ndarray) -> None:
+    """Refuse windows of exponents ``rho`` past a budget. Where their full
+    rows C(t + m' - 1, m' - 1) fail one, a box that may hold more prefixes
+    than ``HISTOGRAM_BUDGET`` is refused before any is built, and the rows
+    are counted from the prefixes chunk by chunk, refused at the first past."""
+    full = composition_counts(ts.astype(np.float64), law.parts)  # exact to 2^53
+    if full.max() <= HISTOGRAM_BUDGET and full.sum() <= PATTERN_HISTOGRAM_BUDGET:
+        return
+    window = (lower, upper), (slope, half) = _window(ts, law, rho)
+    prefixes = _box_bounds(ts, law, window)[0]
+    if prefixes.max() > HISTOGRAM_BUDGET:
         i = int(prefixes.argmax())
         raise BudgetExceededError(
             f"histogram enumeration too large: a bit of {ts[i]} uses has a window of "
             f"{prefixes[i]:.4g} prefixes, over the {HISTOGRAM_BUDGET} budget of one bit"
         )
-    sizes = np.empty(ts.size, dtype=np.int64)
     total = 0
-    for part in _chunks(prefixes.astype(np.int64)):
-        rows = sizes[part] = composition_sizes(ts[part], law.parts, *_part(window, part))
+    for b in _chunks(prefixes):
+        rows = composition_sizes(ts[b], law.parts, (lower[b], upper[b]), (slope, half[b]))
         total += int(rows.sum())
         if rows.max() > HISTOGRAM_BUDGET:
             raise BudgetExceededError(
@@ -350,41 +361,34 @@ def _window_rows(ts: np.ndarray, law: _Law, window: tuple) -> np.ndarray:
                 f"exact distortion too large: {total} histograms exceed the "
                 f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
             )
-    return sizes
 
 
-def _row_sums(ts: np.ndarray, law: _Law, window: tuple, sizes: np.ndarray) -> np.ndarray:
-    """ln V of each bit summed over the ``sizes`` rows of its window; -inf
-    for an empty window."""
+def _window_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bit's window rows, counted as they are built, and its ln V over
+    them (-inf for an empty window), for windows the gate has passed; the
+    chunks hold about ``CHUNK_ROWS`` rows of the bits' bounds."""
+    window = (lower, upper), (slope, half) = _window(ts, law, rho)
+    bound = _box_bounds(ts, law, window)[1]
+    sizes = np.zeros(ts.size, dtype=np.int64)
     log_v = np.full(ts.size, -np.inf)
-    summed = np.flatnonzero(sizes)
-    for part in _chunks(sizes[summed]):
-        bits = summed[part]
-        n, t = sizes[bits], ts[bits]
-        rows = composition_rows(t, law.parts, *_part(window, bits))
+    for b in _chunks(bound):
+        rows, n = composition_rows(ts[b], law.parts, (lower[b], upper[b]), (slope, half[b]))
         H = np.empty(rows.shape)  # doubles in output order, cast column by column
         log_h = np.zeros(len(rows))
         for i, column in enumerate(rows.T[::-1]):
             H[:, i] = column
             log_h += _ln_factorial(column)
-        log_mult = np.repeat(_ln_factorial(t), n) - log_h
-        log_v[bits] = _segment_log_sums(H, log_mult, n, law.log_f)
-    return log_v
-
-
-def _window_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each bit's window rows and its ln V over them."""
-    window = _window(ts, law, rho)
-    sizes = _window_rows(ts, law, window)
-    return sizes, _row_sums(ts, law, window, sizes)
+        log_mult = np.repeat(_ln_factorial(ts[b]), n) - log_h
+        sizes[b] = n
+        log_v[b][n > 0] = _segment_log_sums(H, log_mult, n[n > 0], law.log_f)
+    return sizes, log_v
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """ln V(t) for distinct counts t >= 1 of the merged channel ``ch`` that
     the gate (``_check_histogram_total``) has passed, each summed over its
-    window. A bit whose certificate misses by delta nats is summed again
-    with rho + delta + 1, its rows held to the budgets as the gate's are:
-    its in-window sum cannot shrink and its bound drops by delta + 1 nats."""
+    window. A bit whose certificate misses by delta nats is gated and summed
+    again with rho + delta + 1, its bound delta + 1 nats lower."""
     law = _window_law(ch)
     if law.parts == 0:  # V = 0: -1e30 for each count on a row's larger side
         return _LOG_ZERO * ((ts + 1) // 2)
@@ -392,11 +396,12 @@ def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     sizes, log_v = _window_sums(ts, law, rho)
     bound = _LN_HALF + ts * law.log_m + math.log(2 * law.parts - 1) - rho
     miss = bound - (log_v - WINDOW_CERTIFICATE)
-    redo = np.flatnonzero(miss > 0.0)
-    full = composition_counts(ts[redo].astype(np.float64), law.parts)
-    redo = redo[sizes[redo] < full]  # a window of every row leaves nothing out
+    redo = np.flatnonzero(miss > 0.0)  # but a window of every row leaves nothing out:
+    redo = redo[sizes[redo] < composition_counts(ts[redo].astype(np.float64), law.parts)]
     if redo.size:
-        log_v[redo] = _window_sums(ts[redo], law, rho[redo] + miss[redo] + 1.0)[1]
+        wider = rho[redo] + miss[redo] + 1.0
+        _gate(ts[redo], law, wider)
+        log_v[redo] = _window_sums(ts[redo], law, wider)[1]
     return log_v
 
 
@@ -448,21 +453,16 @@ exact_bit_variance = _BitVarianceOracle()
 
 
 def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
-    """The oracle's one budget gate, on the rows the pass sums for the
-    distinct counts t >= 1 of the merged channel (t = 0 sums none). The full
-    rows C(t + m' - 1, m' - 1) bound the windows', and where they pass both
-    budgets the windows are not counted (55 us on the 815 distinct counts of
-    ``aurelian(10**6)`` on bac:0.9,0.8; every ``policy`` run makes one).
-    Otherwise ``_window_rows`` counts them and refuses at the first chunk
-    past a budget (about 0.6 ms on the 7 079 of the greedy pattern at
-    n = 1e8, 2-core x86_64 host). Nothing is summed before a refusal."""
+    """The oracle's one budget gate, ``_gate``, on the distinct counts
+    t >= 1 of the merged channel (t = 0 sums none): 49 us on the 815 of
+    ``aurelian(10**6)`` on bac:0.9,0.8, whose full rows pass (every
+    ``policy`` run makes one), and 0.41 ms counting the windows of the
+    7 079 of the greedy pattern at n = 1e8 (2-core x86_64 host). Nothing is
+    summed before a refusal, and the pass counts no window again."""
     law = _window_law(_merge_tied_outputs(ch))
     ts = np.fromiter({t for t in counts if t > 0}, np.int64)
-    if not ts.size or not law.parts:
-        return
-    full = composition_counts(ts.astype(np.float64), law.parts)  # exact to 2^53
-    if full.max() > HISTOGRAM_BUDGET or full.sum() > PATTERN_HISTOGRAM_BUDGET:
-        _window_rows(ts, law, _window(ts, law, _rho(ts, law.parts)))
+    if ts.size and law.parts:
+        _gate(ts, law, _rho(ts, law.parts))
 
 
 def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:

@@ -166,17 +166,17 @@ def pattern_count(n: int, max_depth: int) -> int:
 def composition_counts(totals: np.ndarray, parts: int) -> np.ndarray:
     """C(t + parts - 1, parts - 1) for each total t: how many rows
     ``composition_rows`` gives it."""
-    count = np.ones_like(totals)
-    for i in range(1, parts):
+    count = totals + 1 if parts > 1 else np.ones_like(totals)
+    for i in range(2, parts):
         count = count * (totals + i) // i  # C(t + i, i), exact at every step
     return count
 
 
 def _composition_prefixes(totals, parts: int, box, slab):
     """The levels of ``composition_rows`` above its last free part (each
-    level's values and the index of their prefix one level up), and per
-    prefix that part's first value and width, what is left before it and
-    the index of its total. Each level turns every prefix into the values of
+    level's values and the index of their prefix one level up), per prefix
+    that part's first value and width and what is left before it, and each
+    total's row count. Each level turns every prefix into the values of
     its next part within ``box`` and what is left; the last free part is one
     interval per prefix, since the ``slab`` form L is linear in it.
     """
@@ -209,20 +209,22 @@ def _composition_prefixes(totals, parts: int, box, slab):
             a, b = (a, b) if d > 0.0 else (b, a)
             lo = np.maximum(lo, np.ceil(np.clip(a, lo - 1, hi + 1)).astype(np.int64))
             hi = np.minimum(hi, np.floor(np.clip(b, lo - 1, hi + 1)).astype(np.int64))
-    return levels, lo, np.maximum(hi - lo + 1, 0), left, owner
+    width = np.maximum(hi - lo + 1, 0)
+    return levels, lo, width, left, np.bincount(owner, width, len(totals)).astype(np.int64)
 
 
-def composition_rows(totals, parts: int, box=None, slab=None) -> np.ndarray:
+def composition_rows(totals, parts: int, box=None, slab=None) -> tuple[np.ndarray, np.ndarray]:
     """Every composition of each total into ``parts`` non-negative parts, one
-    per int64 row: lexicographic within a total, the totals' blocks
-    concatenated in input order. ``box`` = (lower, upper), one row per total
-    and one column per free part 0..parts - 2, and ``slab`` = (c, half),
-    ``parts`` coefficients and one half-width per total, keep only the rows
-    within those bounds and with |sum_i c_i h_i| <= half.
+    per int64 row (lexicographic within a total, the totals' blocks in input
+    order), and how many each total has. ``box`` = (lower, upper), one row
+    per total and one column per free part 0..parts - 2, and ``slab`` =
+    (c, half), ``parts`` coefficients and one half-width per total, keep only
+    the rows within those bounds and with |sum_i c_i h_i| <= half.
     """
     if parts == 1:
-        return np.asarray(totals, dtype=np.int64).reshape(-1, 1)
-    levels, first, width, left, _ = _composition_prefixes(totals, parts, box, slab)
+        totals = np.asarray(totals, dtype=np.int64)
+        return totals.reshape(-1, 1), np.ones(totals.size, dtype=np.int64)
+    levels, first, width, left, sizes = _composition_prefixes(totals, parts, box, slab)
     last = np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
     rows = np.empty((last.size, parts), dtype=np.int64)
     rows[:, -2] = last
@@ -233,15 +235,14 @@ def composition_rows(totals, parts: int, box=None, slab=None) -> np.ndarray:
         rows[:, j] = np.repeat(part, count)
         if j:
             count = np.bincount(up, weights=count, minlength=levels[j - 1][0].size).astype(np.int64)
-    return rows
+    return rows, sizes
 
 
 def composition_sizes(totals, parts: int, box=None, slab=None) -> np.ndarray:
     """How many rows ``composition_rows`` gives each total, from its prefixes."""
     if parts == 1:
         return np.ones(len(totals), dtype=np.int64)
-    *_, width, _, owner = _composition_prefixes(totals, parts, box, slab)
-    return np.bincount(owner, weights=width, minlength=len(totals)).astype(np.int64)
+    return _composition_prefixes(totals, parts, box, slab)[-1]
 
 
 def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:
@@ -250,7 +251,7 @@ def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:
     is one call on the totals left after them, and a first part with more
     rows than that splits the parts after it the same way."""
     if math.comb(n + depth - 1, depth - 1) <= COMPOSITION_ROWS:
-        yield composition_rows([n], depth)
+        yield composition_rows([n], depth)[0]
         return
     firsts = np.arange(n + 1)
     sizes = composition_counts(n - firsts, depth - 1)
@@ -263,7 +264,7 @@ def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:
                 yield np.column_stack([np.full(len(rows), a), rows])
             b = a + 1
         else:
-            rest = composition_rows(n - firsts[a:b], depth - 1)
+            rest = composition_rows(n - firsts[a:b], depth - 1)[0]
             yield np.column_stack([np.repeat(firsts[a:b], sizes[a:b]), rest])
         a = b
 

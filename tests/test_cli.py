@@ -133,6 +133,18 @@ class TestFig2:
         for r in rows:
             assert float(r[iL]) <= float(r[iD]) <= float(r[iU]) + 1e-12
 
+    def test_eight_symbol_channel_sums_every_row(self, tmp_path):
+        # An 8-symbol bit of at most 10 uses has at most C(17, 7) = 19 448
+        # rows, and its box spans [0, t] on every part: the gate passes the
+        # grid on those rows, and no bound on the box's prefixes refuses it.
+        ch = tmp_path / "eight.json"
+        ch.write_text(json.dumps(EDGE_CHANNEL_FILES["random-8"]))
+        assert main(["fig2", "--channel", str(ch), "--trials", "200", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        _, header, rows = read_csv(tmp_path / "fig2.csv")
+        exact = [float(r[header.index("exact_d")]) for r in rows]
+        assert len(rows) == 66 and all(0.0 < d < 1.0 / 12.0 for d in exact)
+
     def test_seed_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["fig2", "--channel", "bac:0.9,0.8", "--out", str(tmp_path)])
@@ -212,14 +224,15 @@ class TestFig3:
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
         passes = []
-        real_sums = decoder._row_sums
+        real_sums = decoder._window_sums
 
-        def counted(ts, law, window, sizes):
+        def counted(ts, law, rho):
+            sizes, log_v = real_sums(ts, law, rho)
             passes.append(int(sizes.sum()))
-            return real_sums(ts, law, window, sizes)
+            return sizes, log_v
 
         monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
-        monkeypatch.setattr(decoder, "_row_sums", counted)
+        monkeypatch.setattr(decoder, "_window_sums", counted)
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "split")]) == 0
         assert len(passes) > 1 and max(passes) <= 100_000
@@ -247,9 +260,9 @@ class TestFig3:
         assert len(rows) == 20 and all(float(r[3]) > 0.0 for r in rows)
 
     def test_six_symbol_window_refused_before_its_prefixes(self, tmp_path, monkeypatch, capsys):
-        # A 6-symbol bit's box holds the product of four part widths as
-        # prefixes, 1.4e7 at t = 93: refused from that bound alone, before
-        # any prefix is enumerated.
+        # A 6-symbol bit's box may hold the product of four part widths as
+        # prefixes, at most C(t + 4, 4): 3.5e6 at t = 93, refused from that
+        # bound alone, before any prefix is enumerated.
         ch = tmp_path / "six.json"
         ch.write_text(json.dumps({"outputs": list(range(6)),
                                   "f0": [0.3, 0.2, 0.15, 0.15, 0.1, 0.1],
@@ -712,6 +725,7 @@ EDGE_CHANNEL_FILES = {
 }
 EDGE_COMMANDS = [
     ["info"],
+    ["fig2", "--trials", "200", "--seed", "1"],
     ["fig3", "--mode", "exact", "--n-max", "2000", "--step", "250"],
     ["fig3", "--mode", "exact", "--n-max", "1000000", "--step", "100000"],
     ["policy", "--n", "1000", "--rule", "greedy"],
@@ -724,13 +738,15 @@ def test_edge_channel_files_exit_cleanly(tmp_path, name):
     # Zero masses, disjoint supports, near-noiseless and near-pure-noise
     # masses, 2 to 8 symbols and malformed files, through every command
     # that reads a channel, at n up to 1e6: each run exits 0, 2 or 3 within
-    # 30 s, never with a traceback.
+    # 30 s, never with a traceback, and fig2's small grid on a random
+    # channel of up to 8 symbols exits 0.
     spec = EDGE_CHANNEL_FILES[name]
     path = tmp_path / "channel.json"
     path.write_text(spec if isinstance(spec, str) else json.dumps(spec), encoding="utf-8")
     for command in EDGE_COMMANDS:
         rc, err, seconds = run_cli([*command, "--channel", str(path), "--out", str(tmp_path / "out")])
         assert rc in (0, 2, 3), (command, rc, err)
+        assert rc == 0 or not (name.startswith("random-") and command[0] == "fig2"), err
         assert "Traceback" not in err
         assert seconds < 30.0, (command, seconds)
 

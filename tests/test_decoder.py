@@ -80,15 +80,12 @@ def window_law(ch: ChannelSpec):
 
 
 def window_rows(counts, ch: ChannelSpec, rho=None) -> list[int]:
-    """Rows of each count's window on the merged channel, as the gate and
-    the pass count them, whatever the budgets; ``rho`` defaults to the first
-    pass's."""
+    """Rows of each count's window on the merged channel, counted from its
+    prefixes as the gate counts them, whatever the budgets; ``rho``
+    defaults to the first pass's."""
     law, ts = window_law(ch), np.array(counts, dtype=np.int64)
     rho = decoder._rho(ts, law.parts) if rho is None else rho
-    with pytest.MonkeyPatch.context() as mp:  # count past the budgets
-        mp.setattr(decoder, "HISTOGRAM_BUDGET", math.inf)
-        mp.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", math.inf)
-        return decoder._window_rows(ts, law, decoder._window(ts, law, rho)).tolist()
+    return composition_sizes(ts, law.parts, *decoder._window(ts, law, rho)).tolist()
 
 
 # Near pure noise: the window is the box, sqrt(2 t rho) values a side.
@@ -394,6 +391,23 @@ class TestExactBitVariance:
         assert exact_bit_variance.cache_info().currsize == 0
         exact_bit_variance.cache_clear()
 
+    def test_many_outputs_at_small_t_sum_every_row(self):
+        # An 8-symbol bit at t = 10 holds C(17, 7) = 19 448 rows, within the
+        # per-bit budget, and its box spans [0, t] on every part: the
+        # 11^6 = 1.8e6 products of the outer parts' widths overcount its
+        # C(16, 6) = 8008 prefixes, which bound it. Its window is every row
+        # and its value their sum, from the recursive enumerator and
+        # math.lgamma.
+        ch, t = random_channel(np.random.default_rng(8), alphabet=8), 10
+        H = recursive_histograms(t, 8)
+        assert window_rows([t], ch) == [len(H)] == [math.comb(t + 7, 7)]
+        log_mult = math.lgamma(t + 1.0) - np.vectorize(math.lgamma)(H + 1.0).sum(axis=1)
+        lp0, lp1 = (log_mult + H @ np.log(f) for f in (ch.f0, ch.f1))
+        terms = math.log(0.5) + lp0 + lp1 - np.logaddexp(lp0, lp1)
+        exact_bit_variance.cache_clear()
+        (log_v,) = log_bit_variances([t], ch)
+        assert log_v == pytest.approx(float(np.logaddexp.reduce(terms)), rel=1e-13)
+
     def test_pattern_total_admits_greedy_at_1e8(self):
         # The greedy pattern at n = 1e8 needs about 1.0001e8 rows and stays
         # exact; the check alone is run here, not the enumeration.
@@ -409,9 +423,9 @@ class TestExactBitVariance:
 
 
 class TestBudgetGate:
-    """``_check_histogram_total``, the oracle's one budget gate: rows counted
-    by ``_window_rows`` (the full rows where those pass both budgets),
-    refused before any row is summed."""
+    """``_check_histogram_total``, the oracle's one budget gate: window rows
+    counted from their prefixes (the full rows where those pass both
+    budgets), refused before any row is summed."""
 
     def test_counts_may_be_an_iterator(self):
         ch = make_bac(0.9, 0.8)
@@ -478,8 +492,8 @@ class TestSharedTableKernel:
         # more rows than a chunk, each block in input order.
         big = next(t for t in itertools.count() if math.comb(t + m - 1, m - 1) > decoder.CHUNK_ROWS)
         totals = [0, 3, 0, 1, big, 7, 2, 12]
-        H = composition_rows(np.array(totals), m)
-        assert H.dtype == np.int64
+        H, sizes = composition_rows(np.array(totals), m)
+        assert H.dtype == np.int64 and sizes.tolist() == [math.comb(t + m - 1, m - 1) for t in totals]
         assert np.array_equal(H, np.concatenate([recursive_histograms(t, m) for t in totals]))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -495,7 +509,7 @@ class TestSharedTableKernel:
             coef, half = rng.normal(size=m), rng.uniform(0.0, 5.0, size=3)
             if trial % 5 == 0:
                 coef[-2] = coef[-1]
-            H = composition_rows(totals, m, (lower, upper), (coef, half))
+            H, built = composition_rows(totals, m, (lower, upper), (coef, half))
             kept = [
                 [h for h in recursive_histograms(t, m).tolist()
                  if all(lower[i, j] <= h[j] <= upper[i, j] for j in range(m - 1))
@@ -505,7 +519,7 @@ class TestSharedTableKernel:
             expected = np.array([h for rows in kept for h in rows], dtype=np.int64).reshape(-1, m)
             assert np.array_equal(H, expected), trial
             sizes = composition_sizes(totals, m, (lower, upper), (coef, half))
-            assert sizes.tolist() == [len(rows) for rows in kept]
+            assert sizes.tolist() == built.tolist() == [len(rows) for rows in kept]
 
     def test_ternary_call_order_independent(self, cold_table):
         # The m-ary twin of test_call_order_independent: a count's ln V is
@@ -608,14 +622,15 @@ class TestLogKernel:
         counts = [300, 1000, 2000]
         exact_bit_variance.cache_clear()
         certified = log_bit_variances(counts, ch)
-        real_sums, rows = decoder._row_sums, []
+        real_sums, rows = decoder._window_sums, []
 
-        def counted(ts, law, window, sizes):
+        def counted(ts, law, rho):
+            sizes, log_v = real_sums(ts, law, rho)
             rows.append(sizes.tolist())
-            return real_sums(ts, law, window, sizes)
+            return sizes, log_v
 
         monkeypatch.setattr(decoder, "_RHO_BASE", decoder._RHO_BASE - 30.0)
-        monkeypatch.setattr(decoder, "_row_sums", counted)
+        monkeypatch.setattr(decoder, "_window_sums", counted)
         exact_bit_variance.cache_clear()
         retried = log_bit_variances(counts, ch)
         exact_bit_variance.cache_clear()
@@ -629,13 +644,14 @@ class TestLogKernel:
         # by about 1 nat. One retry certifies it on about 15 rows, not
         # t + 1, and gives the full-row sum.
         ch, counts = make_bsc(0.001), [1001, 1003, 4001]
-        real_sums, rows = decoder._row_sums, []
+        real_sums, rows = decoder._window_sums, []
 
-        def counted(ts, law, window, sizes):
+        def counted(ts, law, rho):
+            sizes, log_v = real_sums(ts, law, rho)
             rows.append(sizes.tolist())
-            return real_sums(ts, law, window, sizes)
+            return sizes, log_v
 
-        monkeypatch.setattr(decoder, "_row_sums", counted)
+        monkeypatch.setattr(decoder, "_window_sums", counted)
         exact_bit_variance.cache_clear()
         log_v = log_bit_variances(counts, ch)
         exact_bit_variance.cache_clear()
@@ -643,6 +659,37 @@ class TestLogKernel:
         lg = lgamma_table(max(counts))
         for t, v in zip(counts, log_v):
             assert v == pytest.approx(full_row_log_v(t, ch, lg), rel=1e-13)
+
+    def test_odd_counts_far_below_noise_keep_the_nearest_rows(self, monkeypatch):
+        # With crossover 1e-60 every |L_h| of an odd count is at least
+        # lambda = 138 nats, past the slab's rho / kappa = 2 rho of about 90.
+        # The slab widens to |lambda_1 - lambda_0| and keeps the two rows
+        # next to t / 2; they miss the certificate by about lambda / 2 - rho,
+        # and the retry certifies the same two. No pass sums more than 3
+        # rows, at counts far past the full-row budget, and each value is
+        # the log sum of the five rows nearest t / 2 by math.lgamma (the
+        # next lie 2 lambda further down).
+        p = 1e-60
+        ch = ChannelSpec(outputs=(0, 1), f0=(1.0, p), f1=(p, 1.0))
+        counts = [1001, 2 * 10**6 + 1, 10**7, 10**7 + 1]
+        real_sums, rows = decoder._window_sums, []
+
+        def counted(ts, law, rho):
+            sizes, log_v = real_sums(ts, law, rho)
+            rows.append(sizes.tolist())
+            return sizes, log_v
+
+        monkeypatch.setattr(decoder, "_window_sums", counted)
+        exact_bit_variance.cache_clear()
+        log_v = log_bit_variances(counts, ch)
+        exact_bit_variance.cache_clear()
+        assert rows == [[2, 2, 3, 2], [2, 2, 2]]
+        for t, v in zip(counts, log_v):
+            j = np.arange(t // 2 - 2, t // 2 + 3)
+            ln_c = math.lgamma(t + 1.0) - np.array([math.lgamma(t - i + 1.0) + math.lgamma(i + 1.0) for i in j])
+            lp0, lp1 = ln_c + j * math.log(p), ln_c + (t - j) * math.log(p)
+            terms = math.log(0.5) + lp0 + lp1 - np.logaddexp(lp0, lp1)
+            assert v == pytest.approx(float(np.logaddexp.reduce(terms)), rel=1e-13)
 
     def test_rows_on_one_sided_outputs_dropped(self):
         # A row with a count on an output of zero mass under one input has a
@@ -796,7 +843,7 @@ class TestConstantWindow:
             return
         rho = decoder._rho(ts, 2)
         window = decoder._window(ts, law, rho)
-        inside = composition_rows(ts, 2, *decoder._part(window, [0]))[:, 0]  # j ascending
+        inside = composition_rows(ts, 2, *window)[0][:, 0]  # j ascending
         outside = np.setdiff1d(np.arange(t + 1), inside)
         if outside.size:
             left_out = math.log(0.5) + float(np.logaddexp.reduce(full_row_terms(t, ch)[outside]))

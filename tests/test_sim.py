@@ -36,7 +36,7 @@ from dyadicsearch import (
 )
 from dyadicsearch import decoder, sim
 from dyadicsearch.channel import chernoff_tilt
-from dyadicsearch.policy import _staircase_walk
+from dyadicsearch.policy import _staircase_walk, composition_sizes
 from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
     BLOCK_TRIALS,
@@ -653,11 +653,9 @@ class TestAurelianSweep:
 
         law = decoder._window_law(ch)
 
-        def rows(counts):
+        def rows(counts):  # counted from the prefixes, whatever the budget
             ts = np.array(counts)
-            with pytest.MonkeyPatch.context() as mp:  # count past the budget
-                mp.setattr(decoder, "HISTOGRAM_BUDGET", math.inf)
-                return decoder._window_rows(ts, law, decoder._window(ts, law, decoder._rho(ts, 2))).tolist()
+            return composition_sizes(ts, 2, *decoder._window(ts, law, decoder._rho(ts, 2))).tolist()
 
         # The block's gate runs in ``log_bit_variances``, the per-step one in the sweep.
         monkeypatch.setattr(decoder, "_check_histogram_total", gate)
