@@ -13,6 +13,10 @@ package:
 
 For reference, the alternative form E[exp(-|ln(f1/f0)(Y)|)] is exposed as
 ``b_alt``; it is a diagnostic only and is not used by any bound here.
+
+C and s* come from the channel's one cached Chernoff law, ``chernoff_tilt``,
+which also holds the log masses, log-likelihood ratios and tilted law f_s
+that ``decoder`` and ``sim`` read; B and ``b_alt`` keep their own ln(f1/f0).
 """
 
 from __future__ import annotations
@@ -141,83 +145,89 @@ def make_bsc(eps: float) -> ChannelSpec:
     return make_bac(1.0 - eps, 1.0 - eps)
 
 
-def _chernoff_objective(ch: ChannelSpec):
-    # g(s) = ln sum_y f0^(1-s) f1^s, with zero-mass terms dropped (0^s = 0).
-    la = np.array([math.log(a) if a > 0.0 else 0.0 for a in ch.f0])
-    lb = np.array([math.log(b) if b > 0.0 else 0.0 for b in ch.f1])
-    keep = np.array([a > 0.0 and b > 0.0 for a, b in zip(ch.f0, ch.f1)])
-
-    def g(s: float) -> float:
-        if not keep.any():
-            return -math.inf
-        return float(np.log(np.exp((1.0 - s) * la[keep] + s * lb[keep]).sum()))
-
-    return g
-
-
 def chernoff_information(ch: ChannelSpec) -> ChernoffInfo:
-    """Chernoff information of (f0, f1) with the minimizing exponent s*.
-
-    The objective s -> ln sum_y f0(y)^(1-s) f1(y)^s is convex with value 0 at
-    both endpoints, so the minimum is interior; it is located by golden-section
-    search on [0, 1] to 1e-10 in s. A pure-noise channel returns 0 with a
-    warning. Outputs carried by only one of the two masses drop out of the
-    sum; a channel whose supports are fully disjoint returns +inf.
-    """
+    """Chernoff information of (f0, f1) with the minimizing exponent s*,
+    read from the channel's one law, ``chernoff_tilt``. A pure-noise
+    channel returns 0 with a warning; a channel whose supports are fully
+    disjoint returns +inf."""
     if not ch.informative:
         warnings.warn("chernoff_information of a non-informative channel is 0", stacklevel=2)
-        return ChernoffInfo(0.0, 0.5)
-    g = _chernoff_objective(ch)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, 1.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > _GOLDEN_TOL:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - inv_phi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + inv_phi * (b - a)
-            gd = g(d)
-    s = 0.5 * (a + b)
-    val = g(s)
-    if val == -math.inf:
-        return ChernoffInfo(math.inf, s)
-    return ChernoffInfo(max(0.0, -val), s)
+    law = chernoff_tilt(ch)
+    return ChernoffInfo(law.nats, law.s)
 
 
 class ChernoffTilt(NamedTuple):
-    """The tilted law f_s = f0^(1-s) f1^s / M(s) at the Chernoff exponent s."""
+    """A channel's Chernoff law: C, s*, the log masses and log-likelihood
+    ratios, and the tilted law f_s = f0^(1-s) f1^s / M(s) at s = s*."""
 
     s: float
     log_m: float  # ln M(s); -inf where no output has mass under both inputs
     f: np.ndarray | None  # f_s over every output; None where no output is charged
     kappa: float  # min(s, 1 - s), the decay rate of a term in |L_h| (``decoder``)
     spread: float  # largest |ln f0(y)| + |ln f1(y)| over the outputs f_s charges
+    nats: float  # C = max(0, -g(s)), apart from log_m: the two may differ in the last bit
+    charged: tuple[int, ...]  # the outputs with mass under both inputs, ascending
+    log_f: tuple[np.ndarray, np.ndarray]  # ln f0, ln f1 of the charged outputs
+    llr: tuple[float, ...]  # ln f1(y) - ln f0(y) of every output, +-inf at a zero mass
 
 
 @functools.lru_cache(maxsize=16)
 def chernoff_tilt(ch: ChannelSpec) -> ChernoffTilt:
-    """f_s at s = s* (1/2 on a pure-noise channel, where f_s = f0 = f1): the
-    law the sampler draws from and the exact oracle's window is centred on.
-    An output with zero mass under f0 or f1 gets none under f_s."""
-    s = chernoff_information(ch).s_star if ch.informative else 0.5
+    """The channel's Chernoff law, derived once per channel per process: the
+    bounds (through ``chernoff_information`` and ``info_constants``), the
+    exact oracle's window (``decoder``) and the sampler (``sim``) all read it.
+
+    Each mass's log is taken once, by ``math.log``. The objective
+    g(s) = ln sum_y f0(y)^(1-s) f1(y)^s over the charged outputs (a zero
+    mass drops its term, 0^s = 0) is convex with value 0 at both endpoints,
+    so its minimum is interior; s* is located by golden-section search on
+    [0, 1] to 1e-10 in s, and C = max(0, -g(s*)), +inf where no output is
+    charged. g is summed in plain doubles, so a C below about 1e-16 rounds
+    to 0. On a pure-noise channel s = 1/2, C = 0 and f_s = f0 = f1. f_s is
+    normalised by its own sum, so ln M(s*) is not -C to the last bit.
+    """
+    logs = [[math.log(p) if p > 0.0 else -math.inf for p in f] for f in (ch.f0, ch.f1)]
+    llr = tuple(b - a for a, b in zip(*logs))
+    charged = tuple(i for i, x in enumerate(llr) if math.isfinite(x))
+    la, lb = log_f = tuple(np.array(x)[list(charged)] for x in logs)
+    for x in log_f:
+        x.flags.writeable = False
+
+    def g(s: float) -> float:
+        if not charged:
+            return -math.inf
+        return float(np.log(np.exp((1.0 - s) * la + s * lb).sum()))
+
+    s, nats = 0.5, 0.0
+    if ch.informative:
+        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = 0.0, 1.0
+        c = b - inv_phi * (b - a)
+        d = a + inv_phi * (b - a)
+        gc, gd = g(c), g(d)
+        while b - a > _GOLDEN_TOL:
+            if gc < gd:
+                b, d, gd = d, c, gc
+                c = b - inv_phi * (b - a)
+                gc = g(c)
+            else:
+                a, c, gc = c, d, gd
+                d = a + inv_phi * (b - a)
+                gd = g(d)
+        s = 0.5 * (a + b)
+        nats = max(0.0, -g(s))
     kappa = min(s, 1.0 - s)
-    both = [a > 0.0 and b > 0.0 for a, b in zip(ch.f0, ch.f1)]
-    if not any(both):
-        return ChernoffTilt(s, -math.inf, None, kappa, 0.0)
-    la, lb = (np.log(np.where(both, f, 1.0)) for f in (ch.f0, ch.f1))
-    log_w = np.where(both, (1.0 - s) * la + s * lb, -np.inf)
+    if not charged:
+        return ChernoffTilt(s, -math.inf, None, kappa, 0.0, nats, charged, log_f, llr)
+    log_w = (1.0 - s) * la + s * lb
     top = float(log_w.max())
     w = np.exp(log_w - top)
     total = math.fsum(w.tolist())
-    spread = float(np.max(np.abs(la) + np.abs(lb)))
-    f = w / total
+    f = np.zeros(len(ch.outputs))
+    f[list(charged)] = w / total
     f.flags.writeable = False
-    return ChernoffTilt(s, top + math.log(total), f, kappa, spread)
+    spread = float(np.max(np.abs(la) + np.abs(lb)))
+    return ChernoffTilt(s, top + math.log(total), f, kappa, spread, nats, charged, log_f, llr)
 
 
 def _mixture_weights(ch: ChannelSpec) -> list[float]:

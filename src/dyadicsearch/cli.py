@@ -34,7 +34,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -103,24 +102,6 @@ def _environment() -> dict:
     }
 
 
-@dataclass
-class RunManifest:
-    """Provenance record written next to every command's CSV outputs."""
-
-    command: list[str]
-    config: dict
-    seed: int | None
-    version: str
-    wall_time_s: float = 0.0
-    phase_s: dict = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    findings: dict = field(default_factory=dict)
-    environment: dict = field(default_factory=_environment)
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _write_csv(
     path: Path,
     schema: str,
@@ -180,17 +161,19 @@ def _emit(
         out.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         _write_csv(csv_path, name, channel, manifest_name, header, rows)
-        phase_s = {**(phase_s or {}), "write": time.perf_counter() - t0}
-        RunManifest(
-            command=args.argv_echo,
-            config={"channel": args.channel, **config},
-            seed=seed,
-            version=__version__,
-            outputs=[csv_path.name],
-            findings=findings,
-            wall_time_s=time.perf_counter() - start,
-            phase_s=phase_s,
-        ).write(out / manifest_name)
+        manifest = {
+            "command": args.argv_echo,
+            "config": {"channel": args.channel, **config},
+            "seed": seed,
+            "version": __version__,
+            "phase_s": {**(phase_s or {}), "write": time.perf_counter() - t0},
+            "wall_time_s": time.perf_counter() - start,
+            "outputs": [csv_path.name],
+            "findings": findings,
+            "environment": _environment(),
+        }
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        (out / manifest_name).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write output under --out {str(out)!r}: {exc}") from exc
     return csv_path

@@ -61,8 +61,10 @@ double range near t = 708 / C:
   ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
   ``PATTERN_HISTOGRAM_BUDGET`` together before any row is summed, and a
   box that may hold more prefixes than ``HISTOGRAM_BUDGET`` before they
-  are built; a retry is gated the same way. The sweep in ``sim`` looks up
-  a block of steps at a time and, where a block fails, gates each step.
+  are built; a retry is gated the same way. A count past 2^53 uses
+  (``policy.MAX_USES``, the fills' cap) is refused before the gate. The
+  sweep in ``sim`` looks up a block of steps at a time and, where a block
+  fails, gates each step.
 
 The multinomial coefficients come from one accessor, ``_ln_factorial``,
 over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
@@ -89,7 +91,7 @@ import numpy as np
 from .channel import ChannelSpec, chernoff_tilt
 from .errors import BudgetExceededError, ValidationError
 from .policy import TransmissionPattern, composition_counts, composition_rows, composition_sizes
-from .policy import _log_series, _series_sum, _series_terms
+from .policy import _check_uses, _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
@@ -281,20 +283,20 @@ class _Law(NamedTuple):
     parts: int  # m', the outputs with mass under both inputs
     log_f: tuple[np.ndarray, np.ndarray]  # ln f0, ln f1 of the charged outputs, in output order
     centre: np.ndarray  # f_s* of the free parts, in enumeration order
-    slope: np.ndarray  # lambda_i = ln f1(i)/f0(i) of every part, in enumeration order
+    slope: np.ndarray  # lambda_i = ln f1(i) - ln f0(i) of every part, in enumeration order
     log_m: float
     kappa: float
 
 
 @functools.lru_cache(maxsize=16)
 def _window_law(ch: ChannelSpec) -> _Law:
-    """``_Law`` of the merged ``ch``, enumerated last output first: a binary
+    """``_Law`` of the merged ``ch``, read from its Chernoff law
+    (``channel.chernoff_tilt``) and enumerated last output first: a binary
     bit's rows are (t - j, j) with j ascending, the order its sums round in."""
-    tilt = chernoff_tilt(ch)
-    charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
-    log_f = tuple(np.array([math.log(f[i]) for i in charged]) for f in (ch.f0, ch.f1))
-    centre = tilt.f[charged[::-1]][:-1] if charged else np.zeros(0)
-    return _Law(len(charged), log_f, centre, (log_f[1] - log_f[0])[::-1], tilt.log_m, tilt.kappa)
+    law = chernoff_tilt(ch)
+    order = list(law.charged[::-1])
+    centre = law.f[order][:-1] if order else np.zeros(0)
+    return _Law(len(order), law.log_f, centre, np.take(law.llr, order), law.log_m, law.kappa)
 
 
 def _rho(ts: np.ndarray, parts: int) -> np.ndarray:
@@ -470,8 +472,9 @@ def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:
 
     The cached values are looked up and the others computed in one batched
     pass, so the result does not depend on which other counts share the
-    call. Counts whose histograms together exceed the pattern budget, or one
-    of which exceeds the per-bit budget, are refused with
+    call. Counts whose histograms together exceed the pattern budget, one
+    of which exceeds the per-bit budget, or one past ``policy.MAX_USES``
+    (2^53, past which a count is not exact in doubles), are refused with
     ``BudgetExceededError`` before any is computed. exp of a value below
     the double range is 0.0 where ln V is still finite; t_k = 0 gives the
     prior variance 1/4.
@@ -479,6 +482,7 @@ def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:
     counts = list(counts)
     if counts and min(counts) < 0:
         raise ValidationError("repetition count must be >= 0")
+    _check_uses(max(counts, default=0))
     _check_histogram_total(counts, ch)
     return exact_bit_variance.log_values(counts, ch)
 

@@ -272,22 +272,13 @@ def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:
 def compositions(n: int, depth: int) -> Iterator[np.ndarray]:
     """All compositions of n into ``depth`` parts, in lexicographic order.
 
-    Yields int64 arrays of ``COMPOSITION_ROWS`` compositions, one per row,
-    the last holding the rest. The rows are ``composition_rows([n],
-    depth)``, built in pieces of at most that many rows, so a scan over the
-    ``PATTERN_BUDGET`` compositions, the most it allows, holds two blocks.
+    Yields int64 blocks of at most ``COMPOSITION_ROWS`` compositions, one
+    per row: the rows of ``composition_rows([n], depth)`` in the pieces
+    ``_bounded_rows`` builds them, so a scan over the ``PATTERN_BUDGET``
+    compositions, the most it allows, holds one block at a time.
     """
     _check_budget(pattern_count(n, depth), "patterns to enumerate")
-    held, size = [], 0
-    for rows in _bounded_rows(n, depth):
-        held.append(rows)
-        size += len(rows)
-        if size >= COMPOSITION_ROWS:  # each piece fits a block, so one block is full
-            rows = np.concatenate(held)
-            yield rows[:COMPOSITION_ROWS]
-            held, size = [rows[COMPOSITION_ROWS:]], size - COMPOSITION_ROWS
-    if size:
-        yield np.concatenate(held)
+    yield from _bounded_rows(n, depth)
 
 
 def enumerate_patterns(n: int, max_depth: int) -> list[TransmissionPattern]:

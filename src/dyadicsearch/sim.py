@@ -160,19 +160,17 @@ def _conditional_masses(f: np.ndarray) -> np.ndarray:
     return cond
 
 
-@functools.lru_cache(maxsize=16)
 def _histogram_chain(ch: ChannelSpec) -> tuple[np.ndarray, tuple[float, ...]]:
     """The conditional masses of both inputs and the log-likelihood ratios.
 
     Row b of the (2, m - 1) array is ``_conditional_masses`` of f_b. Column
     0 is the success chance of the first link, drawn from
     ``_first_link_table``; the others feed ``rng.binomial``. The ratios are
-    ln f1(i)/f0(i), +-inf at a zero mass.
+    the channel law's (``channel.chernoff_tilt``), ln f1(i) - ln f0(i),
+    +-inf at a zero mass. Only a table build calls this; the tables are
+    cached.
     """
-    f = np.array([ch.f0, ch.f1])
-    with np.errstate(divide="ignore"):
-        llr = np.log(f[1]) - np.log(f[0])
-    return _conditional_masses(f), tuple(llr.tolist())
+    return _conditional_masses(np.array([ch.f0, ch.f1])), chernoff_tilt(ch).llr
 
 
 def _window_cdf(t: int, p: float) -> tuple[int, np.ndarray]:
@@ -271,11 +269,9 @@ def _build_first_link_table(ch: ChannelSpec, t: int, tilted: bool) -> _FirstLink
     +-inf, and a value computed from it nan. Each row has at most
     ``HISTOGRAM_BUDGET`` thresholds, and the arrays are read-only.
     """
+    cond, ratios = _histogram_chain(ch)
     if tilted:
         cond = _conditional_masses(chernoff_tilt(ch).f[None, :])
-        ratios = _histogram_chain(ch)[1]
-    else:
-        cond, ratios = _histogram_chain(ch)
     rows = [_window_cdf(t, float(p)) for p in cond[:, 0]]
     keys = np.concatenate([np.append(row + (r << 53), (r + 1) << 53) for r, (_, row) in enumerate(rows)])
     size = keys.size

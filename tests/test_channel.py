@@ -20,7 +20,9 @@ from dyadicsearch import (
     pattern,
     uniform_prior,
 )
-from dyadicsearch.sim import BLOCK_TRIALS, SimConfig
+from dyadicsearch import decoder, estimate_distortion, log_bit_variances
+from dyadicsearch.channel import chernoff_tilt
+from dyadicsearch.sim import BLOCK_TRIALS, SimConfig, _histogram_chain
 from dyadicsearch.source import bits_array
 
 from conftest import Z_CHANNEL, draw_block, random_channel
@@ -125,6 +127,75 @@ class TestChernoff:
             assert chernoff_information(ch).nats == pytest.approx(
                 grid_chernoff(ch, points=200_001), abs=1e-8
             )
+
+
+def math_log_ratios(ch: ChannelSpec) -> list[float]:
+    """ln f1(y) - ln f0(y) by ``math.log``, +-inf at a zero mass."""
+    return [
+        math.inf if a == 0.0 else -math.inf if b == 0.0 else math.log(b) - math.log(a)
+        for a, b in zip(ch.f0, ch.f1)
+    ]
+
+
+def channel_with_zero_masses(rng: np.random.Generator, alphabet: int) -> ChannelSpec:
+    """Random channel where each output may lose its mass under one input."""
+    while True:
+        f = rng.dirichlet(np.ones(alphabet), size=2)
+        for y in range(alphabet):
+            if rng.random() < 0.4:
+                f[rng.integers(2), y] = 0.0
+        if f.sum(axis=1).min() > 0.0:
+            f /= f.sum(axis=1, keepdims=True)
+            return ChannelSpec(tuple(range(alphabet)), tuple(f[0].tolist()), tuple(f[1].tolist()))
+
+
+class TestChernoffLaw:
+    """``chernoff_tilt``: the one law the bounds, the oracle and the sampler read."""
+
+    def test_law_is_derived_once(self):
+        ch = make_bac(0.75, 0.85)
+        chernoff_tilt.cache_clear()
+        decoder._window_law.cache_clear()
+        consts = info_constants(ch)
+        assert chernoff_tilt.cache_info()[:2] == (0, 1)
+        info = chernoff_information(ch)
+        log_bit_variances([3, 40], ch)
+        estimate_distortion(SimConfig(ch, pattern([3, 2]), uniform_prior(), trials=100, seed=1))
+        hits, misses = chernoff_tilt.cache_info()[:2]
+        assert misses == 1 and hits >= 3
+        assert info.nats == chernoff_tilt(ch).nats == consts.C
+        assert info.s_star == chernoff_tilt(ch).s
+
+    def assert_ratios(self, ch: ChannelSpec) -> None:
+        want = math_log_ratios(ch)
+        charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
+        assert list(_histogram_chain(ch)[1]) == want
+        assert list(chernoff_tilt(ch).llr) == want
+        assert decoder._window_law(ch).slope[::-1].tolist() == [want[i] for i in charged]
+
+    def test_ratios_on_channels_with_zero_masses(self, rng):
+        for _ in range(40):
+            self.assert_ratios(channel_with_zero_masses(rng, int(rng.integers(2, 6))))
+
+    def test_ratios_on_z_and_disjoint_channels(self):
+        disjoint = ChannelSpec(outputs=(0, 1, 2), f0=(0.6, 0.4, 0.0), f1=(0.0, 0.0, 1.0))
+        for ch in (Z_CHANNEL, disjoint):
+            self.assert_ratios(ch)
+        assert chernoff_information(disjoint).nats == math.inf
+        assert chernoff_tilt(disjoint).f is None and decoder._window_law(disjoint).parts == 0
+
+    def test_ratios_where_numpy_log_rounds_differently(self):
+        # numpy's vectorised log may round a mass differently from math.log;
+        # the law takes every log by math.log.
+        rng = np.random.default_rng(11)
+        for p in rng.uniform(0.05, 0.95, size=20_000).tolist():
+            ch = make_bac(p, 0.8)
+            f = np.array([ch.f0, ch.f1])
+            if (np.log(f[1]) - np.log(f[0])).tolist() != math_log_ratios(ch):
+                break
+        else:
+            pytest.skip("numpy's log equals math.log on every mass tried")
+        self.assert_ratios(ch)
 
 
 class TestBFunctional:

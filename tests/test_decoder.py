@@ -442,6 +442,17 @@ class TestBudgetGate:
             with pytest.raises(ValidationError, match="must be >= 0"):
                 log_bit_variances([4, -5], ch)
 
+    def test_count_past_the_uses_cap_refused(self):
+        # Past 2^53 a count overflowed np.fromiter (2^64, 2^70) or reached
+        # composition_counts beyond its exact range (2^60).
+        ch = make_bac(0.9, 0.8)
+        for counts in ([2**70], [3, 2**60], [2**53 + 1]):
+            with pytest.raises(BudgetExceededError, match="too many uses"):
+                log_bit_variances(counts, ch)
+        with pytest.raises(BudgetExceededError, match="too many uses"):
+            exact_distortion(pattern([2**64]), ch)
+        assert math.isfinite(log_bit_variances([2**53], ch)[0])
+
 
 class TestSharedTableKernel:
     """The log-domain kernel over the shared ln i! table and the batched
