@@ -181,10 +181,11 @@ def chernoff_tilt(ch: ChannelSpec) -> ChernoffTilt:
     g(s) = ln sum_y f0(y)^(1-s) f1(y)^s over the charged outputs (a zero
     mass drops its term, 0^s = 0) is convex with value 0 at both endpoints,
     so its minimum is interior; s* is located by golden-section search on
-    [0, 1] to 1e-10 in s, and C = max(0, -g(s*)), +inf where no output is
-    charged. g is summed in plain doubles, so a C below about 1e-16 rounds
-    to 0. On a pure-noise channel s = 1/2, C = 0 and f_s = f0 = f1. f_s is
-    normalised by its own sum, so ln M(s*) is not -C to the last bit.
+    [0, 1] to 1e-10 in s, and C = max(0, -g(s*)). g is summed in plain
+    doubles, so a C below about 1e-16 rounds to 0. On a pure-noise channel
+    s = 1/2, C = 0 and f_s = f0 = f1; with no output charged every s reaches
+    C = +inf, so no search runs and s = 1/2. f_s is normalised by its own
+    sum, so ln M(s*) is not -C to the last bit.
     """
     logs = [[math.log(p) if p > 0.0 else -math.inf for p in f] for f in (ch.f0, ch.f1)]
     llr = tuple(b - a for a, b in zip(*logs))
@@ -194,12 +195,10 @@ def chernoff_tilt(ch: ChannelSpec) -> ChernoffTilt:
         x.flags.writeable = False
 
     def g(s: float) -> float:
-        if not charged:
-            return -math.inf
         return float(np.log(np.exp((1.0 - s) * la + s * lb).sum()))
 
-    s, nats = 0.5, 0.0
-    if ch.informative:
+    s, nats = 0.5, (0.0 if charged else math.inf)
+    if charged and ch.informative:
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = 0.0, 1.0
         c = b - inv_phi * (b - a)

@@ -441,7 +441,13 @@ def cmd_nonuniform(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one in the process, so ``main`` called in-process pays the build
+    once. Callers must not mutate the shared tree; ``parse_args`` returns a
+    fresh namespace each call, and ``main`` finds the command's function by
+    ``cmd``."""
     parser = argparse.ArgumentParser(
         prog="dyadicsearch",
         description="Non-adaptive dyadic transmission policies: bounds, search, validation.",
@@ -462,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="channel constants")
     add_common(p_info)
-    p_info.set_defaults(func=cmd_info)
 
     p_fig2 = sub.add_parser("fig2", help="bounds and distortion for every pattern at small n")
     add_common(p_fig2, seed=True)
@@ -470,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig2.add_argument("--depth", type=int, default=3)
     p_fig2.add_argument("--trials", type=int, default=100_000)
     p_fig2.add_argument("--seed", type=int, required=True)
-    p_fig2.set_defaults(func=cmd_fig2)
 
     p_fig3 = sub.add_parser("fig3", help="staircase-policy distortion sweep")
     add_common(p_fig3, seed=True)
@@ -479,13 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig3.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p_fig3.add_argument("--trials", type=int, default=100_000)
     p_fig3.add_argument("--seed", type=int, default=None)
-    p_fig3.set_defaults(func=cmd_fig3)
 
     p_pol = sub.add_parser("policy", help="construct one pattern and run the structural checks")
     add_common(p_pol)
     p_pol.add_argument("--n", type=int, required=True)
     p_pol.add_argument("--rule", required=True, help="aurelian | greedy | exhaustive:<depth>")
-    p_pol.set_defaults(func=cmd_policy)
 
     p_non = sub.add_parser("nonuniform", help="CDF-transform experiment")
     add_common(p_non, seed=True)
@@ -493,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_non.add_argument("--pattern", required=True, help='comma-separated counts, e.g. "6,3,1"')
     p_non.add_argument("--trials", type=int, default=100_000)
     p_non.add_argument("--seed", type=int, required=True)
-    p_non.set_defaults(func=cmd_nonuniform)
 
     return parser
 
@@ -503,7 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.argv_echo = list(argv) if argv is not None else list(sys.argv[1:])
     try:
-        return args.func(args)
+        # Looked up per call, so the shared parser holds no command and a
+        # wrapper installed after it was built (a tracer, a test) still runs.
+        return globals()[f"cmd_{args.cmd}"](args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

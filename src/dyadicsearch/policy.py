@@ -35,8 +35,9 @@ remainder fill is nested: the fill of R + 1 uses is the fill of R plus the
 next key in (key, k) order. ``_staircase_walk`` uses this to walk a budget
 grid: one fill and one sort of its units per run of budgets sharing q, then
 one unit per extra use, reporting the bits each step changes and their new
-counts, never the whole pattern. ``aurelian`` is its first step, and the
-staircase sweep of ``sim`` takes every step.
+counts, never the whole pattern; a run with more units than budgets times
+q fills each budget on its own instead. ``aurelian`` is its first step, and
+the staircase sweep of ``sim`` takes every step.
 """
 
 from __future__ import annotations
@@ -422,6 +423,22 @@ def aurelian(n: int, k: InfoConstants) -> TransmissionPattern:
     return TransmissionPattern(tuple(counts))
 
 
+def _fill_per_budget(units: int, budgets: int, q: int) -> bool:
+    """Whether a run of ``budgets`` budgets at depth q whose largest
+    remainder is ``units`` uses costs less as one fill per budget,
+    O(budgets q), than as a walk over its units, O(units)."""
+    return units > budgets * q
+
+
+def _step_to(cur: list[int], fill: np.ndarray) -> tuple[list[int], list[int]]:
+    """The fill's counts, trailing zeros trimmed, and the indices, ascending,
+    where they differ from ``cur``, which is no longer than they are."""
+    new = fill[: np.flatnonzero(fill)[-1] + 1]
+    old = np.zeros_like(new)
+    old[: len(cur)] = cur
+    return new.tolist(), np.flatnonzero(new != old).tolist()
+
+
 def _staircase_walk(
     n_values: Sequence[int], k: InfoConstants
 ) -> Iterator[tuple[int, int, int, list[int], list[int]]]:
@@ -431,18 +448,21 @@ def _staircase_walk(
     Yields, per budget, (n, q, t1, bits, counts): the pattern's length q
     (trailing zeros trimmed) and first count, the 0-based indices whose
     count changed since the previous budget, ascending (every index at the
-    first), and their new counts. The whole pattern is built once per run
-    of budgets sharing q, never per budget.
+    first), and their new counts.
 
     The budgets of staircase depth q are the run [r q(q+1)/2,
-    r (q+1)(q+2)/2), whose end ``bisect`` finds in the grid. In a run the
-    remainder fill is nested: the fill of R + 1 uses is the fill of R plus
-    the next key in (key, k) order, with the keys (k+1) ln4/C + c of the
-    threshold fill and its ties to the smaller index. So one fill of the
-    run's largest remainder gives every unit the run places, and those
-    units, ordered by one ``np.lexsort`` on (key, k), give each budget's
-    pattern as a prefix: a step adds the units between two budgets. The
-    fill may open bit q+1. A q past ``PATTERN_BUDGET`` is refused up front.
+    r (q+1)(q+2)/2), whose end ``bisect`` finds in the grid. A run takes
+    the cheaper of two routes. Where its largest remainder, in units, is at
+    most its budgets times q, its units are walked: the remainder fill is
+    nested, the fill of R + 1 uses being the fill of R plus the next key in
+    (key, k) order, with the keys (k+1) ln4/C + c of the threshold fill and
+    its ties to the smaller index. So one fill of the run's largest
+    remainder gives every unit the run places, and those units, ordered by
+    one ``np.lexsort`` on (key, k), give each budget's pattern as a prefix:
+    a step adds the units between two budgets. Otherwise each budget is
+    filled on its own, O(q) time and memory, and its step is the bits whose
+    counts differ from the previous budget's. The fill may open bit q+1. A
+    q past ``PATTERN_BUDGET`` is refused up front.
     """
     a = _key_step(k.C)
     if any(y <= x for x, y in zip(n_values, n_values[1:])):
@@ -462,6 +482,11 @@ def _staircase_walk(
         run = n_values[i:end]
         i = end
         stairs = np.arange(q, 0, -1) * r
+        if _fill_per_budget(run[-1] - floor_n, len(run), q):
+            for n in run:
+                cur, bits = _step_to(cur, _water_fill(stairs, n - floor_n, a))
+                yield n, len(cur), cur[0], bits, [cur[m] for m in bits]
+            continue
         first = _water_fill(stairs, run[-1] - floor_n, a)
         if len(run) > 1:
             base = np.zeros_like(first)
@@ -473,14 +498,8 @@ def _staircase_walk(
             units = bit[np.lexsort((bit, ((bit + 1) * a + base[bit]) + e))]
             first = base + np.bincount(units[: run[0] - floor_n], minlength=base.size)
             units = units.tolist()
-        new = first[: np.flatnonzero(first)[-1] + 1].tolist()
-        if cur:
-            bits = [m for m, c in enumerate(new) if m >= len(cur) or cur[m] != c]
-            counts = [new[m] for m in bits]
-        else:
-            bits, counts = list(range(len(new))), new.copy()
-        cur = new
-        yield run[0], len(cur), cur[0], bits, counts
+        cur, bits = _step_to(cur, first)
+        yield run[0], len(cur), cur[0], bits, [cur[m] for m in bits]
         for lo, n in zip(run, run[1:]):
             step = units[lo - floor_n : n - floor_n]
             for m in step:

@@ -184,6 +184,14 @@ class TestChernoffLaw:
         assert chernoff_information(disjoint).nats == math.inf
         assert chernoff_tilt(disjoint).f is None and decoder._window_law(disjoint).parts == 0
 
+    def test_disjoint_supports_run_no_search(self):
+        # With no output charged every s reaches C = inf: s is 1/2, not
+        # wherever a search on an objective of -inf everywhere stops.
+        disjoint = ChannelSpec(outputs=(0, 1, 2), f0=(0.6, 0.4, 0.0), f1=(0.0, 0.0, 1.0))
+        law = chernoff_tilt(disjoint)
+        assert (law.s, law.kappa, law.nats) == (0.5, 0.5, math.inf)
+        assert chernoff_information(disjoint) == (math.inf, 0.5)
+
     def test_ratios_where_numpy_log_rounds_differently(self):
         # numpy's vectorised log may round a mass differently from math.log;
         # the law takes every log by math.log.

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -86,6 +88,12 @@ class TestInfo:
         assert main(["info", "--channel", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_disjoint_supports_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(EDGE_CHANNEL_FILES["disjoint-3"]), encoding="utf-8")
+        assert main(["info", "--channel", str(path), "--out", str(tmp_path)]) == 2
+        assert "cannot form r: C=inf" in capsys.readouterr().err
 
     def test_out_is_an_existing_file_exits_2(self, tmp_path, capsys):
         target = tmp_path / "taken"
@@ -649,6 +657,55 @@ def test_manifest_records_the_environment(tmp_path, argv):
     env = json.loads(path.read_text())["environment"]
     assert env == {"python": platform.python_version(), "numpy": np.__version__,
                    "machine": platform.machine(), "cpus": os.cpu_count()}
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; parsing leaves it as it was."""
+
+    def test_three_runs_build_one_tree(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for n in ("10", "11", "12"):
+            argv = ["policy", "--channel", "bsc:0.1", "--n", n, "--rule", "greedy"]
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_no_argument_leaks_into_the_next_run(self, tmp_path):
+        first = ["fig3", "--channel", "bsc:0.1", "--n-max", "20", "--step", "10",
+                 "--mode", "mc", "--trials", "50", "--seed", "5", "--out", str(tmp_path / "a")]
+        second = ["fig3", "--channel", "bsc:0.1", "--n-max", "20", "--step", "10",
+                  "--mode", "exact", "--out", str(tmp_path / "b")]
+        assert main(first) == 0 and main(second) == 0
+        manifests = [json.loads((tmp_path / d / "manifest-fig3.json").read_text()) for d in "ab"]
+        assert [m["seed"] for m in manifests] == [5, None]
+        assert [m["command"] for m in manifests] == [first, second]
+        assert manifests[1]["config"]["mode"] == "exact"
+
+    def test_usage_error_leaves_the_tree_intact(self, tmp_path, capsys):
+        argv = ["policy", "--channel", "bac:0.9,0.8", "--n", "100000", "--rule", "aurelian"]
+        assert main(argv + ["--out", str(tmp_path / "before")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["policy", "--n", "100000", "--rule", "aurelian", "--out", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+        assert "--channel" in capsys.readouterr().err
+        assert main(argv + ["--out", str(tmp_path / "after")]) == 0
+        before, after = ((tmp_path / d / "policy.csv").read_bytes() for d in ("before", "after"))
+        assert before == after
+
+    def test_commands_are_looked_up_per_call(self, tmp_path, monkeypatch):
+        argv = ["info", "--channel", "bsc:0.1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_info", lambda args: seen.append(args.argv_echo) or 0)
+        assert main(argv) == 0 and seen == [argv]
+
+    def test_import_builds_nothing(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import dyadicsearch.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"
 
 
 class TestDeterminism:

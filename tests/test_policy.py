@@ -4,6 +4,8 @@ import heapq
 import itertools
 import math
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from dyadicsearch import (
     upper_bound,
 )
 
+from dyadicsearch import policy
 from dyadicsearch.policy import COMPOSITION_ROWS, _staircase_walk, compositions
 
 from conftest import bumped, random_moderate_channel
@@ -115,12 +118,25 @@ def staircase_by_integer_keys(n, j):
     return pattern(counts).t
 
 
+def assert_routes_agree(grid, k):
+    """The walk's steps on the grid are the same whether every run walks its
+    units or fills each budget on its own."""
+    grid = list(grid)
+    steps = list(_staircase_walk(grid, k))
+    for fill in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(policy, "_fill_per_budget", lambda *_, fill=fill: fill)
+            assert list(_staircase_walk(grid, k)) == steps, fill
+
+
 def assert_walk_matches_aurelian(grid, k, oracle=staircase_oracle):
     """``_staircase_walk`` against ``aurelian(n)`` and an independent oracle
     (the heap one unless given) at every budget of the grid: the walk's
     steps, applied to one count list, give the pattern, and its bits are
-    exactly the indices whose count differs from the previous budget's."""
+    exactly the indices whose count differs from the previous budget's,
+    on either route."""
     grid = list(grid)
+    assert_routes_agree(grid, k)
     prev, live = (), []
     for n, (m, q, t1, bits, counts) in zip(grid, _staircase_walk(grid, k), strict=True):
         live[q:] = []
@@ -484,6 +500,21 @@ class TestAurelian:
         assert_walk_matches_aurelian(edges, k)
         for start, step in ((floors[4] + 2, 3), (floors[4] + 5, 11), (floors[4] + 1, k.r * 6 + 1)):
             assert_walk_matches_aurelian(range(start, floors[40] + 2, step), k)
+
+    @pytest.mark.parametrize("eps", [0.499, 0.4999])
+    def test_long_remainders_fill_each_budget(self, eps):
+        # Two budgets at depth 1 with a remainder of r = 693 145 or
+        # 69 314 717 uses: walking those units took 10.3 s and 2.4 GB at
+        # bsc:0.4999; a fill per budget is O(q).
+        k = info_constants(make_bsc(eps))
+        tracemalloc.start()
+        start = time.perf_counter()
+        steps = list(_staircase_walk([k.r, 2 * k.r], k))
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert seconds < 0.5 and peak < 100e6, (seconds, peak)
+        assert [s[3:] for s in steps] == [([0], [k.r]), ([0, 1], list(aurelian(2 * k.r, k).t))]
 
     def test_steps_refuse_bad_grids(self):
         k = info_constants(make_bsc(0.25))

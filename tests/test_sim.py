@@ -57,6 +57,7 @@ from dyadicsearch.sim import (
 from dyadicsearch.source import bits_array, from_uniform
 
 from conftest import Z_CHANNEL, draw_block, random_moderate_channel
+from test_policy import assert_routes_agree
 
 CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
 
@@ -677,23 +678,27 @@ class TestAurelianSweep:
 
 
 class TestSteppedSweepAgainstPerBudget:
-    """The stepped sweep gives the per-budget rows exactly (``==`` on every float)."""
+    """The stepped sweep gives the per-budget rows exactly (``==`` on every
+    float), and its walk gives the same steps on either route."""
 
     def test_binary_every_budget_to_5000(self):
         ch = make_bac(0.9, 0.8)
         grid = list(range(info_constants(ch).r, 5001))
         assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+        assert_routes_agree(grid, info_constants(ch))
 
     @pytest.mark.parametrize("eps", [0.05, 0.25])
     def test_bsc_every_budget_to_3000(self, eps):
         ch = make_bsc(eps)
         grid = list(range(info_constants(ch).r, 3001))
         assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+        assert_routes_agree(grid, info_constants(ch))
 
     def test_three_symbol_channel_step_250(self):
         ch = load_channel(str(CHANNEL3))
         grid = list(range(250, 2001, 250))
         assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+        assert_routes_agree(grid, info_constants(ch))
 
     @pytest.mark.parametrize(
         "ch, grid",
@@ -709,6 +714,7 @@ class TestSteppedSweepAgainstPerBudget:
     def test_sparse_grids(self, ch, grid):
         grid = list(grid)
         assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+        assert_routes_agree(grid, info_constants(ch))
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_monte_carlo_rows_at_a_fixed_seed(self, jobs):
@@ -732,6 +738,7 @@ class TestSteppedSweepAgainstPerBudget:
         for step in steps[: 8 if alphabet == 3 else None]:
             grid.append(grid[-1] + step)
         assert aurelian_sweep(ch, grid).rows == per_budget_sweep(ch, grid)
+        assert_routes_agree(grid, info_constants(ch))
 
 
 class TestNonuniform:
