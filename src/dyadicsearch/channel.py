@@ -280,61 +280,76 @@ def info_constants(ch: ChannelSpec) -> InfoConstants:
     return InfoConstants(C=C, B=B, r=r, r_real=r_real, A1=A1, A2=A2)
 
 
-_PRESETS = {"bac": (make_bac, ("p00", "p11")), "bsc": (make_bsc, ("eps",))}
+# A preset: its factory, the numeric fields it takes in order (a preset
+# string's values) and those it takes by keyword when present and not null.
+_PRESETS = {"bac": (make_bac, ("p00", "p11"), ()), "bsc": (make_bsc, ("eps",), ())}
 
 _CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
 
 
-def _preset_config(text: str) -> dict:
-    """{"preset": name, field: value, ...} from "bac:p00,p11" or "bsc:eps"."""
-    name, _, args = text.partition(":")
-    values = [v for v in args.split(",") if v]
-    if name not in _PRESETS:
-        raise ValidationError(f"unknown channel preset {name!r}")
-    fields = _PRESETS[name][1]
-    if len(values) != len(fields):
-        raise ValidationError(
-            f"channel preset {text!r}: {name} needs {len(fields)} value(s): "
-            f"{name}:{','.join(fields)}"
-        )
-    return {"preset": name, **dict(zip(fields, values))}
+def _read_config(source: dict | str | Path, what: str, key: str, presets: dict) -> dict:
+    """The config mapping of a ``what`` input ("channel", "prior"): a mapping
+    as it is, an existing file as JSON, any other string holding ":" or
+    naming a preset as {key: name, field: value, ...} with the values in
+    the preset's field order, and any string left as a file."""
+    preset_like = isinstance(source, str) and (":" in source or source in presets)
+    if preset_like and not Path(source).exists():
+        name, _, args = source.partition(":")
+        values = [v for v in args.split(",") if v]
+        if name not in presets:
+            raise ValidationError(f"unknown {what} preset {name!r}")
+        fields = presets[name][1]
+        if len(values) != len(fields):
+            usage = ":".join([name, ",".join(fields)]) if fields else name
+            raise ValidationError(
+                f"{what} preset {source!r}: {name} needs {len(fields)} value(s): {usage}"
+            )
+        return {key: name, **dict(zip(fields, values))}
+    obj = source
+    if isinstance(source, (str, Path)):
+        try:
+            obj = json.loads(Path(source).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ValidationError(f"cannot read {what} file {source!r}: {exc}") from exc
+        except ValueError as exc:  # invalid JSON or undecodable bytes
+            raise ValidationError(f"{what} file {source!r}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} config must be a JSON object")
+    return obj
+
+
+def _build_preset(obj: dict, what: str, key: str, presets: dict):
+    """The preset ``obj[key]`` of ``presets``, built from ``obj``'s fields;
+    other keys are ignored."""
+    name = obj.get(key)
+    if not isinstance(name, str) or name not in presets:
+        raise ValidationError(f"unknown {what} preset {name!r}")
+    factory, fields, optional = presets[name]
+    try:
+        args = [float(obj[f]) for f in fields]
+        kwargs = {f: float(obj[f]) for f in optional if obj.get(f) is not None}
+    except KeyError as exc:
+        raise ValidationError(f"{what} preset {name!r}: missing field {exc}") from exc
+    except _CONVERSION_ERRORS as exc:
+        raise ValidationError(f"{what} preset {name!r}: {exc}") from exc
+    return factory(*args, **kwargs)
 
 
 def load_channel(source: dict | str | Path) -> ChannelSpec:
     """Build a channel from a config mapping, a preset string or a JSON file.
 
-    Accepted forms: {"preset": "bac", "p00": .., "p11": ..},
+    Accepted mappings: {"preset": "bac", "p00": .., "p11": ..},
     {"preset": "bsc", "eps": ..}, or the explicit
-    {"outputs": [...], "f0": [...], "f1": [...]}. A string that names no
-    existing file and contains ":" is a preset string, "bac:p00,p11" or
+    {"outputs": [...], "f0": [...], "f1": [...]}. An existing file (a
+    ``Path`` or a string) is read as JSON, so it wins over a preset string;
+    any other string holding ":" is a preset string, "bac:p00,p11" or
     "bsc:eps", read as the mapping with the same values in field order.
-    Malformed values raise ``ValidationError``.
+    ``source.load_prior`` takes the same forms. Malformed values raise
+    ``ValidationError``.
     """
-    if isinstance(source, str) and ":" in source and not Path(source).exists():
-        obj = _preset_config(source)
-    elif isinstance(source, (str, Path)):
-        try:
-            obj = json.loads(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ValidationError(f"cannot read channel file {source!r}: {exc}") from exc
-        except ValueError as exc:  # invalid JSON or undecodable bytes
-            raise ValidationError(f"channel file {source!r}: invalid JSON ({exc})") from exc
-    else:
-        obj = source
-    if not isinstance(obj, dict):
-        raise ValidationError("channel config must be a JSON object")
+    obj = _read_config(source, "channel", "preset", _PRESETS)
     if "preset" in obj:
-        preset = obj["preset"]
-        if not isinstance(preset, str) or preset not in _PRESETS:
-            raise ValidationError(f"unknown channel preset {preset!r}")
-        factory, fields = _PRESETS[preset]
-        try:
-            values = [float(obj[f]) for f in fields]
-        except KeyError as exc:
-            raise ValidationError(f"channel preset {preset!r}: missing field {exc}") from exc
-        except _CONVERSION_ERRORS as exc:
-            raise ValidationError(f"channel preset {preset!r}: {exc}") from exc
-        return factory(*values)
+        return _build_preset(obj, "channel", "preset", _PRESETS)
     try:
         outputs = tuple(obj["outputs"])
         f0 = tuple(float(p) for p in obj["f0"])

@@ -121,20 +121,6 @@ def _write_csv(
         w.writerows(rows)
 
 
-def _parse_prior(text: str):
-    if text == "uniform":
-        return uniform_prior()
-    if text.startswith("power:"):
-        return load_prior({"prior": "power", "exponent": text.split(":", 1)[1]})
-    if Path(text).exists():
-        try:
-            obj = json.loads(Path(text).read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON or undecodable bytes
-            raise ValidationError(f"prior file {text!r}: {exc}") from exc
-        return load_prior(obj)
-    raise ValidationError(f"prior {text!r} is neither 'uniform', 'power:<e>' nor a file")
-
-
 def _emit(
     args,
     name: str,
@@ -413,7 +399,7 @@ def cmd_policy(args) -> int:
 def cmd_nonuniform(args) -> int:
     start = time.perf_counter()
     ch = load_channel(args.channel)
-    prior = _parse_prior(args.prior)
+    prior = load_prior(args.prior)
     pat = parse_pattern(args.pattern)
     report = nonuniform_experiment(ch, prior, pat, trials=args.trials, seed=args.seed, jobs=args.jobs)
     header = [

@@ -12,11 +12,14 @@ non-uniform family is the power prior F(x) = x^e on [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from .channel import _build_preset, _read_config
 from .errors import ValidationError
 
 BIT_DEPTH_CAP = 52
@@ -87,8 +90,8 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "transformed"):
             raise ValidationError(f"unknown prior kind {self.kind!r}")
-        if self.lipschitz_sq <= 0.0:
-            raise ValidationError("lipschitz_sq must be positive")
+        if not 0.0 < self.lipschitz_sq < math.inf:  # also refuses nan
+            raise ValidationError(f"lipschitz_sq must lie in (0, inf), got {self.lipschitz_sq!r}")
         a, b = self.support
         if not a < b:
             raise ValidationError("empty prior support")
@@ -124,8 +127,8 @@ def power_prior(exponent: float, lipschitz_sq: float | None = None) -> PriorSpec
     A declared ``lipschitz_sq`` overrides the derived e^2 and still has to
     survive the grid validation (so an understated constant is rejected).
     """
-    if not exponent >= 1.0:  # also refuses nan
-        raise ValidationError("power prior needs exponent >= 1 (else the CDF is not Lipschitz)")
+    if not 1.0 <= exponent < math.inf:  # also refuses nan
+        raise ValidationError(f"power prior needs a finite exponent >= 1, got {exponent!r}")
     e = float(exponent)
     return PriorSpec(
         kind="transformed",
@@ -145,26 +148,21 @@ def from_uniform(prior: PriorSpec, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
-def _number(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"power prior: {name} {value!r} is not a number") from exc
+_PRIOR_PRESETS = {
+    "uniform": (uniform_prior, (), ()),
+    "power": (power_prior, ("exponent",), ("lipschitz_sq",)),
+}
 
 
-def load_prior(obj: dict) -> PriorSpec:
-    """Prior from a config mapping: {"prior": "uniform"} or {"prior": "power", "exponent": e}."""
-    if not isinstance(obj, dict):
-        raise ValidationError("prior config must be a JSON object")
-    kind = obj.get("prior")
-    if kind == "uniform":
-        return uniform_prior()
-    if kind == "power":
-        if "exponent" not in obj:
-            raise ValidationError("power prior: missing field 'exponent'")
-        declared = obj.get("lipschitz_sq")
-        return power_prior(
-            _number(obj["exponent"], "exponent"),
-            lipschitz_sq=None if declared is None else _number(declared, "lipschitz_sq"),
-        )
-    raise ValidationError(f"unknown prior {kind!r}")
+def load_prior(source: dict | str | Path) -> PriorSpec:
+    """Build a prior from a config mapping, a preset string or a JSON file.
+
+    Accepted mappings: {"prior": "uniform"} and {"prior": "power",
+    "exponent": e}, with an optional declared "lipschitz_sq" (absent or null
+    means the derived e^2). The forms and their precedence are
+    ``channel.load_channel``'s: an existing file wins, and the preset
+    strings are "uniform" and "power:e". Malformed values raise
+    ``ValidationError``.
+    """
+    obj = _read_config(source, "prior", "prior", _PRIOR_PRESETS)
+    return _build_preset(obj, "prior", "prior", _PRIOR_PRESETS)

@@ -1,6 +1,8 @@
 """Channel constants against closed forms and a dense-grid oracle."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +429,18 @@ class TestLoadChannel:
         p = tmp_path / "ch.json"
         p.write_text('{"preset": "bac", "p00": 0.9, "p11": 0.8}')
         assert load_channel(p) == make_bac(0.9, 0.8)
+
+    def test_every_form_agrees(self, tmp_path):
+        mapping = {"preset": "bac", "p00": 0.9, "p11": 0.8}
+        p = tmp_path / "ch.json"
+        p.write_text(json.dumps(mapping))
+        for source in (mapping, "bac:0.9,0.8", p, str(p)):
+            assert load_channel(source) == make_bac(0.9, 0.8), source
+
+    def test_file_named_like_a_preset_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bsc:0.1").write_text('{"preset": "bac", "p00": 0.9, "p11": 0.8}')
+        assert load_channel("bsc:0.1") == make_bac(0.9, 0.8)
 
     def test_bad_configs(self, tmp_path):
         with pytest.raises(ValidationError):

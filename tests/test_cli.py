@@ -808,6 +808,46 @@ def test_edge_channel_files_exit_cleanly(tmp_path, name):
         assert seconds < 30.0, (command, seconds)
 
 
+EDGE_PRIOR_FILES = {
+    "invalid-utf8": b"\xff\xfe{}",
+    "invalid-json": '{"prior": "power", "exponent": 2',
+    "json-array": "[]",
+    "prior-not-a-name": '{"prior": 5}',
+    "missing-exponent": '{"prior": "power"}',
+    **{
+        f"exponent-{name}": f'{{"prior": "power", "exponent": {value}}}'
+        for name, value in (("abc", '"abc"'), ("nan", "NaN"), ("inf", "Infinity"), ("0.5", "0.5"))
+    },
+    **{
+        f"lipschitz-{value}": f'{{"prior": "power", "exponent": 2, "lipschitz_sq": {value}}}'
+        for value in ("0.5", "-1", "NaN", "Infinity", "null")
+    },
+}
+EDGE_PRIOR_STRINGS = ["uniform:3", "power:1,2", "power:", "power:inf", "cauchy:1"]
+
+
+@pytest.mark.parametrize("name", ["directory", "missing-path", *EDGE_PRIOR_FILES, *EDGE_PRIOR_STRINGS])
+def test_edge_prior_inputs_exit_cleanly(tmp_path, name):
+    # A directory, a missing path, malformed files, out-of-range and
+    # non-finite numbers and malformed preset strings: each run exits 2 with
+    # an error line, never a traceback, within 30 s; only a null declared
+    # lipschitz_sq, which means the derived e^2, exits 0.
+    prior = {"directory": str(tmp_path), "missing-path": str(tmp_path / "missing.json")}.get(name, name)
+    if name in EDGE_PRIOR_FILES:
+        spec = EDGE_PRIOR_FILES[name]
+        path = tmp_path / "prior.json"
+        path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
+        prior = str(path)
+    rc, err, seconds = run_cli([
+        "nonuniform", "--channel", "bac:0.9,0.8", "--prior", prior, "--pattern", "6,3,1",
+        "--trials", "50", "--seed", "1", "--out", str(tmp_path / "out"),
+    ])
+    assert rc == (0 if name == "lipschitz-null" else 2), (rc, err)
+    assert rc == 0 or err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert seconds < 30.0
+
+
 class TestMonteCarloCommandContract:
     """Malformed and extreme arguments of the Monte-Carlo commands: every run
     ends in exit 0, 2 or 3 within bounded time, never in a traceback."""

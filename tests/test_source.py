@@ -1,6 +1,8 @@
 """Bit extraction, truncation to the first l bits and the CDF transform."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,13 @@ def to_uniform(prior, x):
     ``from_uniform`` (F^{-1}) round-trips against."""
     out = prior.cdf(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
+
+
+def same_prior(a, b) -> bool:
+    """Equal kind, Lipschitz constant and CDF on a grid: a ``PriorSpec``
+    holds lambdas, so ``==`` compares identities."""
+    u = np.linspace(0.0, 1.0, 101)
+    return (a.kind, a.lipschitz_sq) == (b.kind, b.lipschitz_sq) and np.array_equal(a.cdf(u), b.cdf(u))
 
 
 def truncate(values, l):
@@ -146,6 +155,43 @@ class TestPriors:
             load_prior({"prior": "power", "exponent": 2, "lipschitz_sq": 0.5})
         with pytest.raises(ValidationError):
             load_prior({"prior": "cauchy"})
+
+    @pytest.mark.parametrize(
+        "mapping, text",
+        [({"prior": "uniform"}, "uniform"), ({"prior": "power", "exponent": 2}, "power:2")],
+    )
+    def test_every_form_agrees(self, tmp_path, mapping, text):
+        p = tmp_path / "prior.json"
+        p.write_text(json.dumps(mapping))
+        want = load_prior(mapping)
+        for source in (text, p, str(p)):
+            assert same_prior(load_prior(source), want), source
+
+    def test_file_named_like_a_preset_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("power:2").write_text('{"prior": "uniform"}')
+        assert same_prior(load_prior("power:2"), uniform_prior())
+
+    def test_unreadable_file_refused(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read prior file"):
+            load_prior(tmp_path)
+
+    def test_declared_lipschitz_sq_must_be_finite(self):
+        assert load_prior({"prior": "power", "exponent": 2, "lipschitz_sq": None}).lipschitz_sq == 4.0
+        ident = lambda x: np.asarray(x, dtype=float)
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValidationError, match="lipschitz_sq"):
+                PriorSpec(kind="uniform", cdf=ident, inverse_cdf=ident, support=(0.0, 1.0),
+                          lipschitz_sq=bad)
+            with pytest.raises(ValidationError, match="lipschitz_sq"):
+                load_prior({"prior": "power", "exponent": 2, "lipschitz_sq": bad})
+
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan, 0.5])
+    def test_exponent_must_be_finite_and_at_least_1(self, exponent):
+        with pytest.raises(ValidationError, match="exponent"):
+            power_prior(exponent)
+        with pytest.raises(ValidationError, match="exponent"):
+            load_prior(f"power:{exponent}")
 
 
 class TestMessage:
