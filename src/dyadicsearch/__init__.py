@@ -27,15 +27,11 @@ from .channel import (
     make_bsc,
 )
 from .decoder import (
-    PosteriorState,
     assemble_distortion,
     assemble_log_distortion,
-    conditional_distortion,
     exact_bit_variance,
     exact_distortion,
     log_bit_variances,
-    mmse_estimate,
-    posterior_update,
 )
 from .errors import (
     BudgetExceededError,
@@ -71,9 +67,7 @@ from .sim import (
     trial_values,
 )
 from .source import (
-    Message,
     PriorSpec,
-    bit_of,
     from_uniform,
     load_prior,
     power_prior,
@@ -92,15 +86,11 @@ __all__ = [
     "load_channel",
     "make_bac",
     "make_bsc",
-    "PosteriorState",
     "assemble_distortion",
     "assemble_log_distortion",
-    "conditional_distortion",
     "exact_bit_variance",
     "exact_distortion",
     "log_bit_variances",
-    "mmse_estimate",
-    "posterior_update",
     "BudgetExceededError",
     "DegenerateChannelError",
     "InfiniteLogRatioError",
@@ -128,9 +118,7 @@ __all__ = [
     "estimate_distortion",
     "nonuniform_experiment",
     "trial_values",
-    "Message",
     "PriorSpec",
-    "bit_of",
     "from_uniform",
     "load_prior",
     "power_prior",

@@ -76,22 +76,6 @@ class ChannelSpec:
         """False for pure-noise channels (f0 == f1), which carry no information."""
         return self.f0 != self.f1
 
-    def symbol_index(self, y) -> int:
-        try:
-            return self.outputs.index(y)
-        except ValueError:
-            raise ValidationError(f"unknown output symbol {y!r}") from None
-
-    def log_ratio(self, y) -> float:
-        """ln(f1(y)/f0(y)); +/-inf when exactly one mass is zero."""
-        i = self.symbol_index(y)
-        a, b = self.f0[i], self.f1[i]
-        if b == 0.0:
-            return -math.inf
-        if a == 0.0:
-            return math.inf
-        return math.log(b / a)
-
     def describe(self) -> str:
         """One-line echo of the channel parameters, used for CSV provenance."""
         return (
@@ -175,7 +159,7 @@ class ChernoffTilt(NamedTuple):
 def chernoff_tilt(ch: ChannelSpec) -> ChernoffTilt:
     """The channel's Chernoff law, derived once per channel per process: the
     bounds (through ``chernoff_information`` and ``info_constants``), the
-    exact oracle's window (``decoder``) and the sampler (``sim``) all read it.
+    exact oracle (``decoder``) and the sampler (``sim``) all read it.
 
     Each mass's log is taken once, by ``math.log``. The objective
     g(s) = ln sum_y f0(y)^(1-s) f1(y)^s over the charged outputs (a zero
@@ -310,9 +294,9 @@ def _read_config(source: dict | str | Path, what: str, key: str, presets: dict) 
         try:
             obj = json.loads(Path(source).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ValidationError(f"cannot read {what} file {source!r}: {exc}") from exc
+            raise ValidationError(f"cannot read {what} file {str(source)!r}: {exc}") from exc
         except ValueError as exc:  # invalid JSON or undecodable bytes
-            raise ValidationError(f"{what} file {source!r}: invalid JSON ({exc})") from exc
+            raise ValidationError(f"{what} file {str(source)!r}: invalid JSON ({exc})") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} config must be a JSON object")
     return obj

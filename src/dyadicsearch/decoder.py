@@ -1,81 +1,80 @@
 """Per-bit Bayesian decoding and the exact distortion oracle.
 
-Bits of the target are independent under the uniform prior, and transmissions
-are memoryless, so the decoder state is just the per-bit posterior
-p_k = P(X_k = 1 | history). One channel output y moves a posterior p to
+Bits of the target are independent under the uniform prior, and outputs are
+i.i.d., so bit k's posterior p_k = P(X_k = 1 | history) has log-odds the sum
+of its outputs' log-likelihood ratios ln(f1(y)/f0(y)). The array kernel
+(``_sigmoid``, ``_bit_offset``) decodes a block of trials from those sums;
+the simulator's squared-error statistic uses it.
 
-    p' = f1(y) p / (f1(y) p + f0(y) (1 - p)).
+The exact oracle: t outputs enter the posterior only through their
+histogram h, whose term in V(t) = E[p(1-p)] is P(h|0) sigmoid(L_h) / 2,
+L_h = sum_i h_i lambda_i. ln V is kept in log space (V ~ e^(-C t)):
 
-The minimum mean squared error estimate and its conditional error follow in
-closed form; bits beyond the tracked depth sit at their prior 1/2 and their
-contribution is summed analytically.
+* merge: outputs of equal ratio f1/f0 are merged, their masses summed
+  (``_merge_tied_outputs``); V is unchanged, and the route, cache and
+  budgets are the merged channel's. Only the m' outputs with mass under
+  both inputs count (with none, V = 0, returned as ``_LOG_ZERO`` = -1e30
+  times ceil(t/2)). Every input below is read from the Chernoff law
+  (``channel.chernoff_tilt``): f_s, s*, M(s) = sum_i f0^(1-s) f1^s and
+  kappa = min(s*, 1 - s*);
+* binary window (m' <= 2): the rows (t - j, j), j the count of the last
+  charged output, each term ln(1/2) + lp0 - softplus(-L_h), at most
+  (1/2) M^t P_s(h) e^(-kappa |L_h|). A bit sums the interval of j in the
+  box |j - t f_s*| <= w, w^2 = t rho / 2, and the slab |L_h| <= rho / kappa,
+  rho = 40 + ln(t)/2 + ln(2 m' - 1); by Hoeffding (JASA 58, 1963) the rows
+  outside sum to at most (1/2) M^t (2 m' - 1) e^-rho. That is about
+  2 rho / (kappa |lambda_1 - lambda_0|) rows (53 on bac:0.9,0.8 at
+  t = 3000, 68 at 1e15), or the box, sqrt(2 t rho) (13 907 on bsc:0.4999
+  at t = 2e6), summed in chunks of about ``CHUNK_ROWS`` rows, each bit's
+  value independent of its chunk;
+* m-ary formula (m' >= 3): the kernel sigmoid(L) e^(-c L) has transform
+  pi / sin(pi (c + i w)), so for c in (0, 1)
+  V(t) = 1/4 M(c)^t int phi_c(w)^t / sin(pi (c + i w)) dw over the real
+  line, phi_c(w) = sum_i f_c(i) e^(i w lambda_i). V is symmetric in f0
+  and f1, so s* < 1/2 is evaluated on the mirror, and c = s*; where s*
+  lies within a of 1 (a zero mass can pin it there), c = 1 + a past the
+  pole at 1 is taken if it has fewer nodes, its residue adding
+  (1/2) M(1)^t, with a the widest 2^-(1 + k/4) whose M(1 + a)^t lies within
+  e of M(s*)^t. Pure noise gives V = 1/4. The trapezoid rule on the nodes
+  k h of [0, W] (Trefethen and Weideman, SIAM Review 56, 2014) errs by at
+  most 2 M_b / (e^(2 pi b / h) - 1) on the strip |Im w| <= b,
+  b = min(kappa_c / 2, 1/sqrt(t v)), v the variance of lambda under f_s*
+  and kappa_c the distance to the nearest pole, where
+  |phi_c| <= M(c - y) / M(c); the nodes past W weigh 1/sinh(pi w). h and W
+  hold both rho nats below the estimate ln(1/4) + t ln M - ln(1 + t v)/2;
+* phase cut: for any pair of outputs
+  |phi|^2 = 1 - 4 sum_{i<j} f_i f_j sin^2(w (lambda_i - lambda_j) / 2)
+  <= 1 - 4 f_a f_b sin^2(w Delta_ab / 2), so only the in-phase windows of
+  the pair with the fewest nodes are summed, the others bounded by
+  exp(-2 t f_a f_b sin^2(w Delta_ab / 2)): a bit sums about 1.5k to 2.5k
+  nodes on channel3.json at any t. The counts of an octave
+  2^(k-1) <= t < 2^k share one grid; each count costs an exp and a cos
+  per node;
+* m-ary rows: a bit of no more rows C(t + m' - 1, m' - 1) than its grid's
+  nodes sums every row by the window's kernel. A formula sum cancels where
+  f_s sits on histograms of large |L_h| (ratios past about e^10 at small
+  t); its rounding (64 ulps of each term, 3 t w sum_i f_c(i) |lambda_i|
+  ulps of its phase) is bounded, and one whose rounding may pass
+  ``_ROUNDING`` max(1, |ln V|) in ln V is summed over every row instead;
+* certificate: both routes hold their bound on what they leave out
+  ``WINDOW_CERTIFICATE`` = 38 nats below the bit's sum, or sum every row;
+  a bit that misses by delta (bsc:0.001 at odd t, by about 1) is summed
+  once more with rho + delta + 1;
+* budgets: a bit's terms, rows or nodes, are known in closed form before
+  any is summed. One gate (``_check_histogram_total``) holds each bit to
+  ``HISTOGRAM_BUDGET`` terms and a lookup's distinct counts to
+  ``PATTERN_HISTOGRAM_BUDGET`` together, and a second pass is gated the
+  same way. A count past 2^53 uses (``policy.MAX_USES``) is refused first.
+  The sweep in ``sim`` looks up a block of steps at a time and, where a
+  block fails, gates each step.
 
-Two forms of the same decoder live here. The array kernel (``_sigmoid``,
-``_bit_offset``) works on log-odds: the log-odds of bit k is the sum
-of the log-likelihood ratios ln(f1(y)/f0(y)) of its outputs, so a whole
-block of trials decodes with a few vectorised operations. The simulator's
-squared-error statistic uses it. The scalar forms
-(``posterior_update``, ``mmse_estimate``, ``conditional_distortion``,
-``PosteriorState``) update one posterior at a time by Bayes' rule; they are
-the independent oracles the kernel is tested against.
-
-The exact oracle exploits exchangeability: t i.i.d. outputs enter the
-posterior only through their histogram, so V(t) = E[p(1-p)] after t uses is
-an exact finite sum over the C(t+m-1, m-1) histograms of an m-symbol
-alphabet. The sum is kept in log space, because V(t) ~ e^(-C t) leaves the
-double range near t = 708 / C:
-
-* merge: output symbols of equal ratio f1/f0 are merged first, their
-  masses summed (``_merge_tied_outputs``). V(t) is unchanged; the rows, the
-  cache and the budgets are the merged channel's;
-* identity: a histogram h weighs (P(h|0) + P(h|1))/2, and times its
-  posterior variance that is P(h|0) sigmoid(L_h) / 2 with
-  L_h = ln P(h|1)/P(h|0) = sum_i h_i lambda_i, so its log term is
-  ln(1/2) + lp0 - softplus(-L_h), and ln V(t) the logsumexp of the terms.
-  A row with a count on an output of zero mass under one input is 0, so
-  only the m' outputs with mass under both are enumerated (with none,
-  V = 0, returned as ``_LOG_ZERO`` = -1e30 times ceil(t/2));
-* window: with f_s the Chernoff-tilted law (``channel.chernoff_tilt``, the
-  sampler's), M = M(s*) and kappa = min(s*, 1 - s*), a term is at most
-  (1/2) M^t P_s(h) e^(-kappa |L_h|). A bit sums the box
-  |h_i - t f_s(i)| <= w, w^2 = t rho / 2, on the free parts, cut by the slab
-  |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2 m' - 1); by Hoeffding
-  (JASA 58, 1963) the rows outside sum to at most
-  (1/2) M^t (2 m' - 1) e^-rho, on any wider slab too;
-* certificate: that bound lies ``WINDOW_CERTIFICATE`` = 38 nats below the
-  in-window sum, or the window is every row. A bit that misses by delta
-  (bsc:0.001 at odd t, by about 1) is summed once more with
-  rho + delta + 1: its sum cannot shrink and the bound drops by delta + 1;
-* rows: ``policy.composition_rows`` enumerates the charged outputs last
-  first, so a binary bit's rows are (t - j, j) with j ascending, the order
-  its sums round in: the free parts before the last within the box, the
-  last as the slab's interval after each prefix. ``_window_sums`` sums the
-  uncached bits of a lookup in chunks of about ``CHUNK_ROWS`` rows, each
-  bit's segment reduced by ``np.maximum.reduceat`` and ``np.add.reduceat``,
-  its value independent of its chunk;
-* cost: a binary bit sums about 2 rho / (kappa |lambda_1 - lambda_0|)
-  rows (53 on bac:0.9,0.8 at t = 3000, 68 at 1e15), or its box,
-  sqrt(2 t rho) (13 907 on bsc:0.4999 at t = 2e6); a channel3.json bit
-  196 713 of 5.0e9 at t = 1e5;
-* budgets: one gate (``_check_histogram_total``) holds each bit to
-  ``HISTOGRAM_BUDGET`` rows and a lookup's distinct counts to
-  ``PATTERN_HISTOGRAM_BUDGET`` together before any row is summed, and a
-  box that may hold more prefixes than ``HISTOGRAM_BUDGET`` before they
-  are built; a retry is gated the same way. A count past 2^53 uses
-  (``policy.MAX_USES``, the fills' cap) is refused before the gate. The
-  sweep in ``sim`` looks up a block of steps at a time and, where a block
-  fails, gates each step.
-
-The multinomial coefficients come from one accessor, ``_ln_factorial``,
-over a module-level table of ln i! (``math.lgamma(i + 1.0)``) that every
-call shares and grows on demand up to ``LOG_FACTORIAL_TABLE`` entries: a
-pattern costs O(max t_k) ``lgamma`` calls, and window rows past the table
-call ``math.lgamma`` for their own entries, the same values. ln V is cached
-per (t_k, channel) by ``log_bit_variances``, the batched lookup;
-``exact_bit_variance`` holds that cache (``cache_info``, ``cache_clear``).
-D = sum_k 4^-k V(t_k) + 4^-q / 12 is summed from it by the kernel that
-sums U and L in ``policy``: as a double by ``assemble_distortion``, and as
-ln D, finite at any budget, by ``assemble_log_distortion``.
+The rows' ln i! come from one table (``_ln_factorial``, ``math.lgamma``)
+that every call shares and grows on demand up to ``LOG_FACTORIAL_TABLE``
+entries, with ``math.lgamma`` past it. ln V is cached per (t_k, channel) by
+``log_bit_variances``, the batched lookup (``exact_bit_variance`` holds the
+cache). D = sum_k 4^-k V(t_k) + 4^-q / 12 is summed by ``policy``'s series
+kernel: as a double (``assemble_distortion``) and as ln D
+(``assemble_log_distortion``).
 """
 
 from __future__ import annotations
@@ -83,94 +82,34 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelSpec, chernoff_tilt
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, composition_counts, composition_rows, composition_sizes
+from .policy import TransmissionPattern, composition_counts, composition_rows
 from .policy import _check_uses, _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
 PATTERN_HISTOGRAM_BUDGET = 250_000_000
-CHUNK_ROWS = 8192  # histogram rows per numpy pass: bounds the batch's temporaries
-WINDOW_CERTIFICATE = 38.0  # nats the bound on the rows left out lies below the bit's sum
+CHUNK_ROWS = 8192  # histogram rows, or count-node terms, per numpy pass: bounds its temporaries
+WINDOW_CERTIFICATE = 38.0  # nats the bound on the terms left out lies below the bit's sum
 LOG_FACTORIAL_TABLE = 1_000_001  # most entries of the shared ln i! table (8 MB)
 
 _LOG_ZERO = -1e30  # stand-in for log 0; exp underflows to exactly 0.0
-_LOG_ODDS_SWITCH = 1e-12
 # Arguments of exp are raised to this floor: e^-700 is below the rounding
 # of every sum it enters (each holds a term near 1), and exp near and below
 # the subnormal range takes a slow path.
 _EXP_FLOOR = -700.0
-_RHO_BASE = WINDOW_CERTIFICATE + 2.0  # the window's exponent at t = 1 and m' = 1
+_RHO_BASE = WINDOW_CERTIFICATE + 2.0  # the exponent rho at t = 1 and m' = 1
+# A formula sum whose rounding may pass this much of max(1, |ln V|) in ln V
+# (about 1e-12) is summed again over every row.
+_ROUNDING = 2.0**-40
 _LN_QUARTER = math.log(0.25)
 _LN_HALF = math.log(0.5)
 _LN_12 = math.log(12.0)
-
-
-@dataclass(frozen=True)
-class PosteriorState:
-    """Per-bit posteriors p_k, k = 1..depth; untracked bits are at prior 1/2."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if any(not (0.0 <= x <= 1.0) for x in self.p):
-            raise ValidationError("posterior probabilities must lie in [0, 1]")
-
-    @property
-    def depth(self) -> int:
-        return len(self.p)
-
-
-def posterior_update(p: float, y, ch: ChannelSpec) -> float:
-    """One Bayes step for a single bit given output symbol y.
-
-    0 and 1 are fixed points. Near-certain posteriors are updated in log-odds
-    form to avoid underflow in p (1 - p). Once the log-odds pass about 37 in
-    magnitude, p rounds to exactly 0 or 1 and stays there, so iterated
-    updates are only faithful for short output sequences; the summed
-    log-odds of the array kernel (``_sigmoid``) is the exact path for long
-    ones.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValidationError(f"posterior {p!r} outside [0, 1]")
-    i = ch.symbol_index(y)
-    a, b = ch.f0[i], ch.f1[i]
-    den = b * p + a * (1.0 - p)
-    if den == 0.0:
-        raise ValidationError("impossible observation: zero likelihood under the posterior")
-    if p == 0.0 or p == 1.0:
-        return p
-    if p * (1.0 - p) < _LOG_ODDS_SWITCH and a > 0.0 and b > 0.0:
-        s = math.log(p / (1.0 - p)) + math.log(b / a)
-        return 1.0 / (1.0 + math.exp(-s))
-    return b * p / den
-
-
-def mmse_estimate(state: PosteriorState) -> float:
-    """E[X | history] = sum_k p_k 2^(-k), the prior tail summed in closed form.
-
-    Written as 1/2 + sum_k (p_k - 1/2) 2^(-k) so the all-prior state returns
-    exactly 0.5.
-    """
-    return 0.5 + math.fsum(
-        (pk - 0.5) * 2.0 ** -(k + 1) for k, pk in enumerate(state.p)
-    )
-
-
-def conditional_distortion(state: PosteriorState) -> float:
-    """E[(X_hat - X)^2 | history] = sum_k 4^(-k) p_k (1 - p_k) plus prior tail.
-
-    Centered on the prior so the all-prior state returns exactly 1/12 (the
-    variance of Uniform(0, 1)).
-    """
-    return 1.0 / 12.0 + math.fsum(
-        (pk * (1.0 - pk) - 0.25) * 4.0 ** -(k + 1) for k, pk in enumerate(state.p)
-    )
+_LN2 = math.log(2.0)
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
@@ -278,132 +217,337 @@ def _segment_log_sums(
 
 
 class _Law(NamedTuple):
-    """A merged channel's charged outputs and the tilt its windows are centred on."""
+    """A merged channel's charged outputs, read from its Chernoff law: what
+    the binary window and the m-ary formula take from it."""
 
     parts: int  # m', the outputs with mass under both inputs
     log_f: tuple[np.ndarray, np.ndarray]  # ln f0, ln f1 of the charged outputs, in output order
-    centre: np.ndarray  # f_s* of the free parts, in enumeration order
-    slope: np.ndarray  # lambda_i = ln f1(i) - ln f0(i) of every part, in enumeration order
+    centre: float  # f_s* of the last charged output, whose count j a binary window centres on
+    slope: np.ndarray  # lambda_i = ln f1(i) - ln f0(i) of the charged outputs, last first
     log_m: float
     kappa: float
+    ends: tuple[np.ndarray, np.ndarray]  # log_f, swapped where s* < 1/2: the mirror's
+    s: float  # the mirror's s*, at least 1/2
+    var: float  # v, the variance of lambda under f_s*
 
 
 @functools.lru_cache(maxsize=16)
 def _window_law(ch: ChannelSpec) -> _Law:
     """``_Law`` of the merged ``ch``, read from its Chernoff law
-    (``channel.chernoff_tilt``) and enumerated last output first: a binary
-    bit's rows are (t - j, j) with j ascending, the order its sums round in."""
+    (``channel.chernoff_tilt``)."""
     law = chernoff_tilt(ch)
     order = list(law.charged[::-1])
-    centre = law.f[order][:-1] if order else np.zeros(0)
-    return _Law(len(order), law.log_f, centre, np.take(law.llr, order), law.log_m, law.kappa)
+    slope = np.take(law.llr, order)
+    f = law.f[order] if order else np.zeros(0)
+    var = float(f @ (slope - f @ slope) ** 2)
+    mirror = law.s < 0.5
+    ends = law.log_f[::-1] if mirror else law.log_f
+    centre = float(f[0]) if order else 0.0
+    s = 1.0 - law.s if mirror else law.s
+    return _Law(len(order), law.log_f, centre, slope, law.log_m, law.kappa, ends, s, var)
 
 
 def _rho(ts: np.ndarray, parts: int) -> np.ndarray:
-    """The window's exponent rho = 40 + ln(t)/2 + ln(2 m' - 1) of each count."""
+    """The exponent rho = 40 + ln(t)/2 + ln(2 m' - 1) of each count."""
     return _RHO_BASE + 0.5 * np.log(ts) + math.log(2 * parts - 1)
 
 
-def _window(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple:
-    """Each bit's box (lower, upper) |h_i - t f_s*(i)| <= w, w^2 = t rho / 2,
-    on the free parts and slab (lambda, half), |L_h| <= half, as
-    ``policy.composition_rows`` takes them: half = rho / kappa, or the sum
-    of |lambda_i - lambda_last| over the free parts where wider, which keeps
-    the row nearest the box's centre, where L_h = 0 (bsc:1e-60, odd t)."""
-    w = np.sqrt(ts * rho / 2.0)[:, None]
-    centre, t = np.outer(ts, law.centre), ts[:, None]
-    lower = np.clip(np.ceil(centre - w), 0, t).astype(np.int64)
-    upper = np.clip(np.floor(centre + w), -1, t).astype(np.int64)
-    reach = np.abs(law.slope[:-1] - law.slope[-1]).sum()
-    return (lower, upper), (law.slope, np.maximum(rho / law.kappa, reach))
+def _first_rho(ts: np.ndarray, law: _Law) -> np.ndarray:
+    """Each count's first rho: its own on a binary window, and that of the
+    top of its octave, 2^k - 1, on the m-ary grid the octave shares."""
+    if law.parts > 2:
+        ts = np.exp2(np.frexp(ts.astype(np.float64))[1]) - 1.0
+    return _rho(ts, law.parts)
 
 
-def _box_bounds(ts: np.ndarray, law: _Law, window: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """At most how many prefixes (values of the free parts before the last)
-    and rows each bit's window holds: the product of the prefixes' box
-    widths, at most C(t + m' - 2, m' - 2), times the last free part's width
-    or 2 half / step + 1, step the change of L_h per unit of that part."""
-    (lower, upper), (slope, half) = window
-    widths = np.maximum(upper - lower + 1, 0).astype(np.float64)
-    totals, step = ts.astype(np.float64), abs(np.diff(slope[-2:]).sum())  # 0 below two parts
-    prefixes = np.minimum(widths[:, :-1].prod(axis=1), composition_counts(totals, law.parts - 1))
-    last = widths[:, -1:].prod(axis=1)  # 1 where no part is free
-    if step > 0.0:
-        last = np.minimum(last, np.floor(2.0 * half / step) + 1.0)
-    return prefixes, np.minimum(prefixes * last, composition_counts(totals, law.parts))
+def _rows(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each binary bit's window as the first j of its rows (t - j, j) and
+    their number: the box |j - t f_s*| <= w, w^2 = t rho / 2, cut by the slab
+    |L_h| <= half, L_h = lambda_last j + lambda_first (t - j), half = rho /
+    kappa, or |lambda_last - lambda_first| where wider, which keeps the row
+    nearest L_h = 0 (bsc:1e-60, odd t). One row (t) where m' = 1."""
+    if law.parts == 1:
+        return np.zeros_like(ts), np.ones_like(ts)
+    w = np.sqrt(ts * rho / 2.0)
+    centre = ts * law.centre
+    lo = np.clip(np.ceil(centre - w), 0, ts).astype(np.int64)
+    hi = np.clip(np.floor(centre + w), -1, ts).astype(np.int64)
+    d = law.slope[0] - law.slope[1]
+    half, base = np.maximum(rho / law.kappa, abs(d)), law.slope[1] * ts
+    if d == 0.0:
+        hi = np.where(np.abs(base) <= half, hi, lo - 1)
+    else:  # |base + d j| <= half is one interval of j
+        a, b = (-half - base) / d, (half - base) / d
+        a, b = (a, b) if d > 0.0 else (b, a)
+        lo = np.maximum(lo, np.ceil(np.clip(a, lo - 1, hi + 1)).astype(np.int64))
+        hi = np.minimum(hi, np.floor(np.clip(b, lo - 1, hi + 1)).astype(np.int64))
+    return lo, np.maximum(hi - lo + 1, 0)
 
 
-def _gate(ts: np.ndarray, law: _Law, rho: np.ndarray) -> None:
-    """Refuse windows of exponents ``rho`` past a budget. Where their full
-    rows C(t + m' - 1, m' - 1) fail one, a box that may hold more prefixes
-    than ``HISTOGRAM_BUDGET`` is refused before any is built, and the rows
-    are counted from the prefixes chunk by chunk, refused at the first past."""
-    full = composition_counts(ts.astype(np.float64), law.parts)  # exact to 2^53
-    if full.max() <= HISTOGRAM_BUDGET and full.sum() <= PATTERN_HISTOGRAM_BUDGET:
-        return
-    window = (lower, upper), (slope, half) = _window(ts, law, rho)
-    prefixes = _box_bounds(ts, law, window)[0]
-    if prefixes.max() > HISTOGRAM_BUDGET:
-        i = int(prefixes.argmax())
-        raise BudgetExceededError(
-            f"histogram enumeration too large: a bit of {ts[i]} uses has a window of "
-            f"{prefixes[i]:.4g} prefixes, over the {HISTOGRAM_BUDGET} budget of one bit"
-        )
-    total = 0
-    for b in _chunks(prefixes):
-        rows = composition_sizes(ts[b], law.parts, (lower[b], upper[b]), (slope, half[b]))
-        total += int(rows.sum())
-        if rows.max() > HISTOGRAM_BUDGET:
-            raise BudgetExceededError(
-                f"histogram enumeration too large: a bit of {rows.max()} rows exceeds the "
-                f"{HISTOGRAM_BUDGET} budget of one bit"
-            )
-        if total > PATTERN_HISTOGRAM_BUDGET:
-            raise BudgetExceededError(
-                f"exact distortion too large: {total} histograms exceed the "
-                f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
-            )
+def _row_sums(H: np.ndarray, ts: np.ndarray, n: np.ndarray, law: _Law) -> np.ndarray:
+    """ln V of bits whose n rows of ``H`` (histograms of the charged outputs
+    in output order) follow one another, -inf for a bit of no rows: each
+    row's log multinomial coefficient from the ln i! table, and its term by
+    ``_segment_log_sums``."""
+    log_mult = np.repeat(_ln_factorial(ts), n) - sum(map(_ln_factorial, H.T))
+    log_v = np.full(ts.size, -np.inf)
+    log_v[n > 0] = _segment_log_sums(H.astype(np.float64), log_mult, n[n > 0], law.log_f)
+    return log_v
 
 
 def _window_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each bit's window rows, counted as they are built, and its ln V over
-    them (-inf for an empty window), for windows the gate has passed; the
-    chunks hold about ``CHUNK_ROWS`` rows of the bits' bounds."""
-    window = (lower, upper), (slope, half) = _window(ts, law, rho)
-    bound = _box_bounds(ts, law, window)[1]
-    sizes = np.zeros(ts.size, dtype=np.int64)
-    log_v = np.full(ts.size, -np.inf)
-    for b in _chunks(bound):
-        rows, n = composition_rows(ts[b], law.parts, (lower[b], upper[b]), (slope, half[b]))
-        H = np.empty(rows.shape)  # doubles in output order, cast column by column
-        log_h = np.zeros(len(rows))
-        for i, column in enumerate(rows.T[::-1]):
-            H[:, i] = column
-            log_h += _ln_factorial(column)
-        log_mult = np.repeat(_ln_factorial(ts[b]), n) - log_h
-        sizes[b] = n
-        log_v[b][n > 0] = _segment_log_sums(H, log_mult, n[n > 0], law.log_f)
+    """Each binary bit's window rows and its ln V over them, summed in
+    chunks of about ``CHUNK_ROWS`` rows."""
+    lo, sizes = _rows(ts, law, rho)
+    log_v = np.empty(ts.size)
+    for b in _chunks(sizes):
+        n = sizes[b]
+        j = np.arange(n.sum()) + np.repeat(lo[b] - (np.cumsum(n) - n), n)
+        H = np.column_stack([np.repeat(ts[b], n) - j, j])[:, : law.parts]
+        log_v[b] = _row_sums(H, ts[b], n, law)
     return sizes, log_v
+
+
+def _every_row(ts: np.ndarray, law: _Law) -> np.ndarray:
+    """ln V of m-ary bits over every histogram of their charged outputs."""
+    log_v = np.empty(ts.size)
+    for b in _chunks(composition_counts(ts, law.parts)):
+        H, n = composition_rows(ts[b], law.parts)
+        log_v[b] = _row_sums(H, ts[b], n, law)
+    return log_v
+
+
+def _log_mass(ends: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
+    """ln M(y) = ln sum_i f0(i)^(1-y) f1(i)^y over the charged outputs of
+    ``ends``, for each entry of ``y``."""
+    x = np.multiply.outer(1.0 - y, ends[0]) + np.multiply.outer(y, ends[1])
+    top = x.max(axis=-1, keepdims=True)
+    return (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))[..., 0]
+
+
+class _Grid(NamedTuple):
+    """The trapezoid grid that the counts of one octave share."""
+
+    residue: bool  # the contour c lies past the pole at 1, whose residue is added
+    c: float
+    kappa: float  # c's distance from the pole at 1, at most that from 0 and 2
+    h: float
+    first: np.ndarray  # the first k of each run of nodes k h summed, ascending from 0
+    width: np.ndarray  # the nodes of each run
+    log_m: tuple[float, float]  # ln M(c), ln M(1)
+    bounds: list[tuple[float, float]]  # (a, b): an error term ln(1/2) + a t + b
+
+
+def _contour(law: _Law, lo: int, hi: int, rho: float, a: float) -> _Grid:
+    """The grid on the contour c = s* (a = 0), or past the pole at c = 1 + a,
+    whose error bounds lie rho nats below each count's estimate
+    ln(1/4) + t ln M - ln(1 + t v)/2 of ln V, for every count lo..hi. Only
+    the in-phase windows of the pair with the fewest nodes are kept; their
+    runs are widened by a node each side, so every node dropped has
+    sin^2(w Delta / 2) >= r."""
+    kappa, c = (a, 1.0 + a) if a else (1.0 - law.s, law.s)
+    b = min(kappa / 2.0, 1.0 / math.sqrt(hi * law.var))
+    lm_c, lm_lo, lm_hi, lm_1 = _log_mass(law.ends, np.array([c, c - b, c + b, 1.0])).tolist()
+    ts, strip = np.array([lo, hi], dtype=np.float64), max(lm_lo, lm_hi)
+    excess = ts * (lm_c - law.log_m) + 0.5 * np.log1p(ts * law.var) + rho
+    q = math.sin(math.pi * (kappa - b))  # int |dw / sin(pi (c - y + i w))| <= 2 / pi (1 + ln(...))
+    log_j = math.log(2.0 / math.pi * (1.0 + math.log((1.0 + math.sqrt(1.0 + q * q)) / q)))
+    # h <= 2 pi b: a contour whose integral lies far below the estimate needs few nodes, not none
+    h = 2.0 * math.pi * b / max(float(np.logaddexp(0.0, (_LN2 + ts * (strip - lm_c) + log_j + excess).max())), 1.0)
+    last = int(max(excess.max() + 1.0, 0.0) / (math.pi * h)) + 1  # the nodes run to W = last h
+    z = math.exp(-math.pi * last * h)  # int_W^inf dw / sinh(pi w) = 2 atanh(z) / pi
+    tail = math.log(2.0 / math.pi) - math.pi * last * h + (math.log(math.atanh(z) / z) if z else 0.0)
+    bounds = [(strip, log_j - math.log(math.expm1(2.0 * math.pi * b / h))), (lm_c, tail)]
+    grid = _Grid(bool(a), c, kappa, h, np.zeros(1, np.int64), np.array([last + 1]), (lm_c, lm_1), bounds)
+    la, lb = law.ends
+    f = np.exp((1.0 - c) * la + c * lb - lm_c)
+    i, j = np.triu_indices(law.parts, 1)
+    ff, gap = f[i] * f[j], np.abs((lb - la)[i] - (lb - la)[j])
+    spread = math.log((last + 1) * h / math.sin(math.pi * kappa))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = max(((_LN2 + excess + spread) / ts).max(), 0.0) / (2.0 * ff)
+        half = 2.0 / gap * np.arcsin(np.sqrt(np.minimum(r, 1.0)))
+        peaks = np.floor(((last + 1) * h + half) * gap / (2.0 * math.pi))
+        cost = np.where(r < 1.0, (peaks + 1.0) * (2.0 * half / h + 3.0), np.inf)
+    p = int(np.argmin(cost))
+    if not cost[p] < last + 1:
+        return grid
+    centres = 2.0 * math.pi / gap[p] * np.arange(peaks[p] + 1.0)
+    first = np.clip(np.ceil((centres - half[p]) / h) - 1.0, 0, last).astype(np.int64)
+    end = np.clip(np.floor((centres + half[p]) / h) + 1.0, -1, last).astype(np.int64)
+    first[1:] = np.maximum(first[1:], end[:-1] + 1)
+    cut = (lm_c - 2.0 * ff[p] * r[p], spread)
+    return grid._replace(first=first, width=np.maximum(end - first + 1, 0), bounds=[*bounds, cut])
+
+
+def _grid(law: _Law, lo: int, hi: int, rho: float) -> _Grid:
+    """The grid of the counts lo..hi: on the contour c = s*, or on c = 1 + a
+    past the pole if that holds fewer nodes, with a the largest of
+    2^-(1 + k/4) whose M(1 + a)^t lies within e of M(s*)^t, where s* lies
+    within a of 1."""
+    grid = _contour(law, lo, hi, rho, 0.0)
+    a = 0.5 * 2.0 ** (-np.arange(160) / 4.0)
+    a = a[np.multiply.outer([lo, hi], _log_mass(law.ends, 1.0 + a) - law.log_m).max(axis=0) <= 1.0]
+    if a.size and 1.0 - law.s < a[0]:
+        past = _contour(law, lo, hi, rho, float(a[0]))
+        if past.width.sum() < grid.width.sum():
+            return past
+    return grid
+
+
+def _octaves(ts: np.ndarray, law: _Law, rho: np.ndarray) -> Iterator[tuple[_Grid, np.ndarray, np.ndarray]]:
+    """The grid of each octave 2^(k-1) <= t < 2^k and rho, and its counts'
+    indices: those whose C(t + m' - 1, m' - 1) rows are no more than its
+    nodes, which sum every row, and the others."""
+    full = composition_counts(ts.astype(np.float64), law.parts)
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, key in enumerate(zip(np.frexp(ts.astype(np.float64))[1].tolist(), rho.tolist())):
+        groups.setdefault(key, []).append(i)
+    for (k, r), at in groups.items():
+        grid = _grid(law, 2 ** (k - 1), 2**k - 1, r)
+        rows = full[at] <= grid.width.sum()
+        yield grid, np.array(at)[rows], np.array(at)[~rows]
+
+
+def _fourier_sums(ts: np.ndarray, law: _Law, g: _Grid) -> tuple[np.ndarray, ...]:
+    """ln V by the formula of m-ary bits that share the grid ``g``, nan
+    where a sum is not positive; ln of the bound on its error (the
+    discretisation, the nodes past W and the nodes the phase cut drops);
+    and ln of a bound on its rounding: a term rounds to about 64 ulps of
+    its size, and its phase t arg phi(w) by about 3 t w sum_i f_c(i)
+    |lambda_i| ulps, the rounding of the w lambda_i it sums. Per node
+    w = k h: ln |phi_c(w)| from the pairs' sin^2, arg phi_c(w), and the
+    log of its trapezoid weight (1 at w = 0, 2 for the pair +-w) over
+    |sin(pi (c + i w))|, with sin(pi (u + i w)) for u = a past the pole
+    and u = s* = 1 - kappa before it."""
+    la, lb = law.ends
+    lam, f = lb - la, np.exp((1.0 - g.c) * la + g.c * lb - g.log_m[0])
+    i, j = np.triu_indices(law.parts, 1)
+    sin_u, cos_u = math.sin(math.pi * g.kappa), math.cos(math.pi * g.kappa) * (1 if g.residue else -1)
+    nodes = np.arange(g.width.sum()) + np.repeat(g.first - (np.cumsum(g.width) - g.width), g.width)
+    per_node = []
+    for k in np.array_split(nodes, -(-nodes.size // CHUNK_ROWS)):
+        w = k * g.h
+        x = np.multiply.outer(w, lam)
+        with np.errstate(divide="ignore", over="ignore"):  # |phi| = 0, and nodes past e^710
+            sin2 = np.sin(0.5 * np.multiply.outer(w, lam[i] - lam[j])) ** 2 @ (f[i] * f[j])
+            log_w = np.where(k == 0, 0.0, _LN2) - np.log(np.hypot(sin_u, np.sinh(math.pi * w)))
+            per_node.append((w, 0.5 * np.log1p(np.maximum(-4.0 * sin2, -1.0)), log_w,
+                             np.arctan2(np.sin(x) @ f, np.cos(x) @ f),
+                             np.arctan2(cos_u * np.tanh(math.pi * w), sin_u)))
+    w, log_phi, log_w, arg_phi, arg_sin = map(np.concatenate, zip(*per_node))
+    t = ts.astype(np.float64)
+    sums, sizes, moments = np.zeros(t.size), np.zeros(t.size), np.zeros(t.size)
+    step = max(1, CHUNK_ROWS // w.size)
+    for a in range(0, t.size, step):
+        tc = t[a : a + step, None]
+        for k in range(0, w.size, CHUNK_ROWS):
+            n = slice(k, k + CHUNK_ROWS)
+            size = np.exp(tc * log_phi[n] + log_w[n])
+            sums[a : a + step] += (size * np.cos(tc * arg_phi[n] - arg_sin[n])).sum(axis=1)
+            sizes[a : a + step] += size.sum(axis=1)
+            moments[a : a + step] += (size * w[n]).sum(axis=1)
+    lm_c, lm_1 = g.log_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if g.residue:  # 1/sin(pi (1 + a + i w)) = -1/sin(pi (a + i w))
+            log_v = _LN_HALF + t * lm_1 + np.log1p(-0.5 * np.exp(t * (lm_c - lm_1)) * g.h * sums)
+        else:
+            log_v = _LN_QUARTER + t * lm_c + np.log(g.h * sums)
+    ulps = 64.0 * sizes + 3.0 * t * (f @ np.abs(lam)) * moments
+    rounding = _LN_QUARTER + t * lm_c + np.log(g.h * np.finfo(np.float64).eps * ulps)
+    return log_v, np.logaddexp.reduce([_LN_HALF + a * t + b for a, b in g.bounds]), rounding
+
+
+def _mary_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each m-ary bit's ln V over every row where its rows are no more than
+    its octave grid's nodes, by the formula otherwise, and the nats by which
+    a formula sum misses the certificate: nan where its rounding may pass
+    ``_ROUNDING`` max(1, |ln V|) in ln V."""
+    log_v, miss = np.empty(ts.size), np.full(ts.size, -np.inf)
+    for grid, rows, at in _octaves(ts, law, rho):
+        log_v[rows] = _every_row(ts[rows], law)
+        if at.size:
+            v, log_err, rounding = _fourier_sums(ts[at], law, grid)
+            with np.errstate(invalid="ignore"):
+                kept = rounding - v <= np.log(_ROUNDING * np.maximum(np.abs(v), 1.0))
+            log_v[at], miss[at] = v, np.where(kept, log_err - (v - WINDOW_CERTIFICATE), np.nan)
+    return log_v, miss
+
+
+def _terms(ts: np.ndarray, law: _Law, rho: np.ndarray) -> np.ndarray:
+    """Each bit's terms, known before any is summed: its window's rows
+    (m' <= 2), or its rows or its octave grid's nodes, the fewer (none on
+    pure noise)."""
+    if law.parts <= 2:
+        return _rows(ts, law, rho)[1]
+    terms = np.zeros(ts.size, dtype=np.int64)
+    for grid, rows, at in _octaves(ts, law, rho) if law.var > 0.0 else ():
+        terms[rows] = composition_counts(ts[rows], law.parts)
+        terms[at] = grid.width.sum()
+    return terms
+
+
+def _gate(ts: np.ndarray, law: _Law, rho: np.ndarray) -> None:
+    """Refuse the bits of exponents ``rho`` past a budget of terms. Binary
+    bits whose full rows (t + 1) pass both budgets pass without a window."""
+    if law.parts <= 2:
+        full = (law.parts - 1) * ts.astype(np.float64) + 1.0
+        if full.max() <= HISTOGRAM_BUDGET and full.sum() <= PATTERN_HISTOGRAM_BUDGET:
+            return
+    _refuse(ts, _terms(ts, law, rho))
+
+
+def _refuse(ts: np.ndarray, terms: np.ndarray) -> None:
+    """Refuse bits of ``terms`` past the budget of one bit or together past
+    that of one pattern."""
+    i = int(terms.argmax())
+    if terms[i] > HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"exact distortion too large: a bit of {ts[i]} uses sums {terms[i]} terms, over the "
+            f"{HISTOGRAM_BUDGET} budget of one bit"
+        )
+    total = int(terms.sum())
+    if total > PATTERN_HISTOGRAM_BUDGET:
+        raise BudgetExceededError(
+            f"exact distortion too large: {total} terms exceed the "
+            f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
+        )
+
+
+def _sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each bit's ln V with exponents ``rho`` and the nats by which its
+    bound on the terms left out misses the certificate (-inf where it
+    sums every row)."""
+    if law.parts > 2:
+        return _mary_sums(ts, law, rho)
+    sizes, log_v = _window_sums(ts, law, rho)
+    bound = _LN_HALF + ts * law.log_m + math.log(2 * law.parts - 1) - rho
+    return log_v, np.where(sizes < (law.parts - 1) * ts + 1, bound - (log_v - WINDOW_CERTIFICATE), -np.inf)
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """ln V(t) for distinct counts t >= 1 of the merged channel ``ch`` that
-    the gate (``_check_histogram_total``) has passed, each summed over its
-    window. A bit whose certificate misses by delta nats is gated and summed
-    again with rho + delta + 1, its bound delta + 1 nats lower."""
+    the gate (``_check_histogram_total``) has passed: a window of rows
+    where m' <= 2, every row or the formula otherwise. A bit whose
+    certificate misses by delta nats is gated and summed again with
+    rho + delta + 1; a formula sum that cancels is gated on its rows and
+    summed over every row."""
     law = _window_law(ch)
     if law.parts == 0:  # V = 0: -1e30 for each count on a row's larger side
         return _LOG_ZERO * ((ts + 1) // 2)
-    rho = _rho(ts, law.parts)
-    sizes, log_v = _window_sums(ts, law, rho)
-    bound = _LN_HALF + ts * law.log_m + math.log(2 * law.parts - 1) - rho
-    miss = bound - (log_v - WINDOW_CERTIFICATE)
-    redo = np.flatnonzero(miss > 0.0)  # but a window of every row leaves nothing out:
-    redo = redo[sizes[redo] < composition_counts(ts[redo].astype(np.float64), law.parts)]
+    if law.parts > 2 and law.var == 0.0:  # pure noise: every posterior stays 1/2
+        return np.full(ts.size, _LN_QUARTER)
+    rho = _first_rho(ts, law)
+    log_v, miss = _sums(ts, law, rho)
+    redo = np.flatnonzero(miss > 0.0)
     if redo.size:
         wider = rho[redo] + miss[redo] + 1.0
         _gate(ts[redo], law, wider)
-        log_v[redo] = _window_sums(ts[redo], law, wider)[1]
+        log_v[redo], miss[redo] = _sums(ts[redo], law, wider)
+    lost = np.flatnonzero(np.isnan(miss))
+    if lost.size:
+        _refuse(ts[lost], composition_counts(ts[lost].astype(np.float64), law.parts))
+        log_v[lost] = _every_row(ts[lost], law)
     return log_v
 
 
@@ -458,13 +602,12 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     """The oracle's one budget gate, ``_gate``, on the distinct counts
     t >= 1 of the merged channel (t = 0 sums none): 49 us on the 815 of
     ``aurelian(10**6)`` on bac:0.9,0.8, whose full rows pass (every
-    ``policy`` run makes one), and 0.41 ms counting the windows of the
-    7 079 of the greedy pattern at n = 1e8 (2-core x86_64 host). Nothing is
-    summed before a refusal, and the pass counts no window again."""
+    ``policy`` run makes one) (2-core x86_64 host). Nothing is summed
+    before a refusal, and the pass counts no term again."""
     law = _window_law(_merge_tied_outputs(ch))
     ts = np.fromiter({t for t in counts if t > 0}, np.int64)
     if ts.size and law.parts:
-        _gate(ts, law, _rho(ts, law.parts))
+        _gate(ts, law, _first_rho(ts, law))
 
 
 def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:
@@ -472,8 +615,8 @@ def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:
 
     The cached values are looked up and the others computed in one batched
     pass, so the result does not depend on which other counts share the
-    call. Counts whose histograms together exceed the pattern budget, one
-    of which exceeds the per-bit budget, or one past ``policy.MAX_USES``
+    call. Counts whose terms together exceed the pattern budget, one of
+    which exceeds the per-bit budget, or one past ``policy.MAX_USES``
     (2^53, past which a count is not exact in doubles), are refused with
     ``BudgetExceededError`` before any is computed. exp of a value below
     the double range is 0.0 where ln V is still finite; t_k = 0 gives the
@@ -505,6 +648,6 @@ def exact_distortion(t: TransmissionPattern, ch: ChannelSpec) -> float:
     transmitted index contribute their prior variance, summed in closed form.
     Positive-term summation keeps relative precision down to the smallest
     double; ``assemble_log_distortion`` gives ln D beyond it. A pattern over
-    the histogram budget is refused with ``BudgetExceededError``.
+    the term budget is refused with ``BudgetExceededError``.
     """
     return assemble_distortion(log_bit_variances(t.t, ch))

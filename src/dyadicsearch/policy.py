@@ -173,77 +173,34 @@ def composition_counts(totals: np.ndarray, parts: int) -> np.ndarray:
     return count
 
 
-def _composition_prefixes(totals, parts: int, box, slab):
-    """The levels of ``composition_rows`` above its last free part (each
-    level's values and the index of their prefix one level up), per prefix
-    that part's first value and width and what is left before it, and each
-    total's row count. Each level turns every prefix into the values of
-    its next part within ``box`` and what is left; the last free part is one
-    interval per prefix, since the ``slab`` form L is linear in it.
-    """
-    left = np.asarray(totals, dtype=np.int64)
-    owner = np.arange(left.size)
-    form = np.zeros(left.size)  # sum_i c_i h_i over the parts fixed so far
-    levels = []
-    for j in range(parts - 1):
-        lo, hi = np.zeros_like(left), left
-        if box is not None:
-            lo, hi = np.maximum(box[0][owner, j], 0), np.minimum(box[1][owner, j], left)
-        if j == parts - 2:
-            break
-        width = np.maximum(hi - lo + 1, 0)
-        up = np.repeat(np.arange(left.size), width)
-        part = np.arange(up.size) - (np.cumsum(width) - width)[up] + lo[up]
-        left, owner, form = left[up] - part, owner[up], form[up]
-        if slab is not None:
-            form += slab[0][j] * part
-        levels.append((part, up))
-    if slab is not None:
-        # L = base + d x at value x of part parts - 2; |L| <= half is one
-        # interval of x, all or none where d = 0.
-        coef, half = slab
-        base, half, d = form + coef[-1] * left, half[owner], coef[-2] - coef[-1]
-        if d == 0.0:
-            hi = np.where(np.abs(base) <= half, hi, lo - 1)
-        else:
-            a, b = (-half - base) / d, (half - base) / d
-            a, b = (a, b) if d > 0.0 else (b, a)
-            lo = np.maximum(lo, np.ceil(np.clip(a, lo - 1, hi + 1)).astype(np.int64))
-            hi = np.minimum(hi, np.floor(np.clip(b, lo - 1, hi + 1)).astype(np.int64))
-    width = np.maximum(hi - lo + 1, 0)
-    return levels, lo, width, left, np.bincount(owner, width, len(totals)).astype(np.int64)
-
-
-def composition_rows(totals, parts: int, box=None, slab=None) -> tuple[np.ndarray, np.ndarray]:
+def composition_rows(totals, parts: int) -> tuple[np.ndarray, np.ndarray]:
     """Every composition of each total into ``parts`` non-negative parts, one
     per int64 row (lexicographic within a total, the totals' blocks in input
-    order), and how many each total has. ``box`` = (lower, upper), one row
-    per total and one column per free part 0..parts - 2, and ``slab`` =
-    (c, half), ``parts`` coefficients and one half-width per total, keep only
-    the rows within those bounds and with |sum_i c_i h_i| <= half.
+    order), and how many each total has. Each level above the last two
+    parts turns every prefix into the values of its next part and what is
+    left; the last two parts are (x, left - x), x = 0..left.
     """
+    left = np.asarray(totals, dtype=np.int64)
     if parts == 1:
-        totals = np.asarray(totals, dtype=np.int64)
-        return totals.reshape(-1, 1), np.ones(totals.size, dtype=np.int64)
-    levels, first, width, left, sizes = _composition_prefixes(totals, parts, box, slab)
-    last = np.arange(width.sum()) + np.repeat(first - (np.cumsum(width) - width), width)
+        return left.reshape(-1, 1), np.ones(left.size, dtype=np.int64)
+    levels = []  # each level's values and the index of their prefix one level up
+    for _ in range(parts - 2):
+        width = left + 1
+        up = np.repeat(np.arange(left.size), width)
+        part = np.arange(up.size) - (np.cumsum(width) - width)[up]
+        left = left[up] - part
+        levels.append((part, up))
+    count = left + 1  # rows below each value of the level
+    last = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     rows = np.empty((last.size, parts), dtype=np.int64)
     rows[:, -2] = last
-    rows[:, -1] = np.repeat(left, width) - last
-    count = width  # rows below each value of the level
+    rows[:, -1] = np.repeat(left, count) - last
     for j in range(parts - 3, -1, -1):
         part, up = levels[j]
         rows[:, j] = np.repeat(part, count)
-        if j:
-            count = np.bincount(up, weights=count, minlength=levels[j - 1][0].size).astype(np.int64)
-    return rows, sizes
-
-
-def composition_sizes(totals, parts: int, box=None, slab=None) -> np.ndarray:
-    """How many rows ``composition_rows`` gives each total, from its prefixes."""
-    if parts == 1:
-        return np.ones(len(totals), dtype=np.int64)
-    return _composition_prefixes(totals, parts, box, slab)[-1]
+        size = levels[j - 1][0].size if j else len(totals)
+        count = np.bincount(up, weights=count, minlength=size).astype(np.int64)
+    return rows, count
 
 
 def _bounded_rows(n: int, depth: int) -> Iterator[np.ndarray]:

@@ -669,8 +669,8 @@ def aurelian_sweep(
     whole pattern is built only for a Monte-Carlo row, and where an exact D
     or a U is below the smallest normal double, whose log column comes from
     the log-domain sum (``assemble_log_distortion``, ``log_upper_bound``)
-    instead of the log of the double. A step whose changed bits exceed the oracle's histogram
-    budget is refused with ``BudgetExceededError``.
+    instead of the log of the double. A step whose changed bits exceed the oracle's budgets
+    is refused with ``BudgetExceededError``.
     """
     _check_jobs(jobs)
     consts = info_constants(channel)

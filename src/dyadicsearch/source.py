@@ -29,40 +29,6 @@ _LIPSCHITZ_SLACK = 1e-9
 _ROUNDTRIP_TOL = 1e-10
 
 
-def _effective_value(value: float) -> float:
-    # 1.0 has no terminating expansion; use the deepest representable point.
-    if value >= 1.0:
-        return 1.0 - 2.0 ** -BIT_DEPTH_CAP
-    return value
-
-
-@dataclass(frozen=True)
-class Message:
-    """A target value in [0, 1]; ``bit_of`` reads its binary expansion."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.value <= 1.0):
-            raise ValidationError(f"message value {self.value!r} outside [0, 1]")
-
-
-def bit_of(m: Message, k: int) -> int:
-    """k-th coefficient (k >= 1) of the terminating binary expansion."""
-    if k < 1:
-        raise ValidationError("bit index must be >= 1")
-    if k > BIT_DEPTH_CAP:
-        return 0
-    # Doubling a double in [0, 1) and subtracting off the integer part is
-    # exact, so this walks the true expansion bit by bit.
-    x = _effective_value(m.value)
-    for _ in range(k - 1):
-        x *= 2.0
-        if x >= 1.0:
-            x -= 1.0
-    return 1 if 2.0 * x >= 1.0 else 0
-
-
 def bits_array(values: np.ndarray, k: int) -> np.ndarray:
     """Vectorized k-th bit of each value (values in [0, 1))."""
     if k > BIT_DEPTH_CAP:

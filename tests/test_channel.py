@@ -17,6 +17,7 @@ from dyadicsearch import (
     chernoff_information,
     info_constants,
     load_channel,
+    load_prior,
     make_bac,
     make_bsc,
     pattern,
@@ -441,6 +442,18 @@ class TestLoadChannel:
         monkeypatch.chdir(tmp_path)
         Path("bsc:0.1").write_text('{"preset": "bac", "p00": 0.9, "p11": 0.8}')
         assert load_channel("bsc:0.1") == make_bac(0.9, 0.8)
+
+    def test_path_sources_named_by_their_string(self, tmp_path):
+        # A Path source reads as its quoted path, as the same string would.
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        for load, what in ((load_channel, "channel"), (load_prior, "prior")):
+            for source, message in ((tmp_path, f"cannot read {what} file {str(tmp_path)!r}: "),
+                                    (bad, f"{what} file {str(bad)!r}: invalid JSON")):
+                for form in (source, str(source)):
+                    with pytest.raises(ValidationError) as exc:
+                        load(form)
+                    assert str(exc.value).startswith(message) and "PosixPath(" not in str(exc.value)
 
     def test_bad_configs(self, tmp_path):
         with pytest.raises(ValidationError):

@@ -143,8 +143,7 @@ class TestFig2:
 
     def test_eight_symbol_channel_sums_every_row(self, tmp_path):
         # An 8-symbol bit of at most 10 uses has at most C(17, 7) = 19 448
-        # rows, and its box spans [0, t] on every part: the gate passes the
-        # grid on those rows, and no bound on the box's prefixes refuses it.
+        # rows; the formula sums its exact value on a few hundred nodes.
         ch = tmp_path / "eight.json"
         ch.write_text(json.dumps(EDGE_CHANNEL_FILES["random-8"]))
         assert main(["fig2", "--channel", str(ch), "--trials", "200", "--seed", "1",
@@ -223,36 +222,36 @@ class TestFig3:
 
     def test_oracle_passes_stay_within_the_pattern_budget(self, tmp_path, monkeypatch):
         # The 8 budgets of channel3.json to 2000 share one block, whose
-        # distinct counts' windows sum 252 030 histograms; each step's own
-        # sum at most 78 177. Under a pattern budget of 100 000 the gate
-        # refuses the block's counts together, so each step is looked up as
-        # its own pattern: each oracle pass stays within the budget, and the
-        # CSV and the cache counts stay the same.
+        # distinct counts sum 107 661 terms (rows where fewer, else nodes);
+        # each step's own sum at most 30 942. Under a pattern budget of
+        # 50 000 the gate refuses the
+        # block's counts together, so each step is looked up as its own
+        # pattern: each oracle pass stays within the budget, and the CSV and
+        # the cache counts stay the same.
         argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "2000", "--step", "250"]
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "whole")]) == 0
         passes = []
-        real_sums = decoder._window_sums
+        real_sums = decoder._mary_sums
 
         def counted(ts, law, rho):
-            sizes, log_v = real_sums(ts, law, rho)
-            passes.append(int(sizes.sum()))
-            return sizes, log_v
+            passes.append(int(decoder._terms(ts, law, rho).sum()))
+            return real_sums(ts, law, rho)
 
-        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 100_000)
-        monkeypatch.setattr(decoder, "_window_sums", counted)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 50_000)
+        monkeypatch.setattr(decoder, "_mary_sums", counted)
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "split")]) == 0
-        assert len(passes) > 1 and max(passes) <= 100_000
-        assert sum(passes) == 252_030  # every distinct count summed once
+        assert len(passes) > 1 and max(passes) <= 50_000
+        assert sum(passes) == 107_661  # every distinct count summed once
         whole, split = (tmp_path / run for run in ("whole", "split"))
         assert (split / "fig3.csv").read_bytes() == (whole / "fig3.csv").read_bytes()
         cache = [json.loads((run / "manifest-fig3.json").read_text())["findings"]["oracle_cache"]
                  for run in (whole, split)]
         assert cache[0] == cache[1]
-        # A budget below one step's own histograms still refuses that step,
+        # A budget below one step's own terms still refuses that step,
         # before any of the block is summed.
-        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 50_000)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", 30_000)
         exact_bit_variance.cache_clear()
         passes.clear()
         assert main([*argv, "--out", str(tmp_path / "refused")]) == 3
@@ -260,31 +259,43 @@ class TestFig3:
 
     def test_channel3_past_the_full_row_budget(self, tmp_path):
         # The sweep's bits reach t = 1460, whose 1 069 453 ternary rows pass
-        # the per-bit budget; their windows hold at most 196 713.
+        # the per-bit budget; the formula sums a few thousand nodes a bit.
         argv = ["fig3", "--channel", str(CHANNEL3), "--n-max", "200000", "--step", "10000",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         _, _, rows = read_csv(tmp_path / "fig3.csv")
         assert len(rows) == 20 and all(float(r[3]) > 0.0 for r in rows)
 
-    def test_six_symbol_window_refused_before_its_prefixes(self, tmp_path, monkeypatch, capsys):
-        # A 6-symbol bit's box may hold the product of four part widths as
-        # prefixes, at most C(t + 4, 4): 3.5e6 at t = 93, refused from that
-        # bound alone, before any prefix is enumerated.
+    def test_six_symbol_sweep_held_to_the_node_budget(self, tmp_path, monkeypatch, capsys):
+        # A 6-symbol bit has C(t + 5, 5) rows, 1.2e8 at t = 93; the formula
+        # sums a few thousand nodes, so the sweep exits 0. Under a per-bit
+        # budget of its bits' most nodes it still does; under one fewer it
+        # exits 3, and the refused bit's nodes are never evaluated.
         ch = tmp_path / "six.json"
         ch.write_text(json.dumps({"outputs": list(range(6)),
                                   "f0": [0.3, 0.2, 0.15, 0.15, 0.1, 0.1],
                                   "f1": [0.1, 0.1, 0.15, 0.2, 0.2, 0.25]}))
-        enumerated = []
-        real = policy._composition_prefixes
-        monkeypatch.setattr(policy, "_composition_prefixes",
-                            lambda *a: enumerated.append(a) or real(*a))
+        argv = ["fig3", "--channel", str(ch), "--n-max", "2000", "--step", "250"]
         start = time.perf_counter()
-        rc = main(["fig3", "--channel", str(ch), "--n-max", "2000", "--step", "250",
-                   "--out", str(tmp_path)])
-        assert rc == 3 and time.perf_counter() - start < 1.0
-        assert "prefixes, over the 1000000 budget of one bit" in capsys.readouterr().err
-        assert enumerated == []
+        assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+        assert time.perf_counter() - start < 5.0
+        consts = info_constants(load_channel(str(ch)))
+        ts = np.array(sorted({tk for n in range(250, 2001, 250) for tk in aurelian(n, consts).t}))
+        law = decoder._window_law(load_channel(str(ch)))
+        nodes = decoder._terms(ts, law, decoder._first_rho(ts, law))
+        evaluated, real = [], decoder._fourier_sums
+        monkeypatch.setattr(decoder, "_fourier_sums", lambda ts, law, g: evaluated.append(g) or real(ts, law, g))
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", int(nodes.max()))
+        exact_bit_variance.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / "at")]) == 0
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", int(nodes.max()) - 1)
+        exact_bit_variance.cache_clear()
+        evaluated.clear()
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "past")]) == 3
+        assert f"{nodes.max()} terms, over the {nodes.max() - 1} budget of one bit" in capsys.readouterr().err
+        assert all(g.width.sum() < nodes.max() for g in evaluated)
+        exact_bit_variance.cache_clear()
 
     def test_mc_mode_requires_seed(self, tmp_path, capsys):
         rc = main(["fig3", "--channel", "bsc:0.1", "--n-max", "50", "--step", "10",
@@ -336,7 +347,7 @@ class TestFig3:
                    "--step", "100000000000", "--out", str(tmp_path)])
         assert rc == 3
         assert time.perf_counter() - start < 20.0
-        assert "histograms exceed" in capsys.readouterr().err
+        assert "terms exceed" in capsys.readouterr().err
 
     def test_grid_over_pattern_budget_refused_before_it_is_built(self, tmp_path, capsys):
         start = time.perf_counter()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,20 +13,16 @@ from hypothesis import strategies as st
 from dyadicsearch import (
     BudgetExceededError,
     ChannelSpec,
-    PosteriorState,
     SimConfig,
     ValidationError,
     b_functional,
     chernoff_information,
-    conditional_distortion,
     exact_distortion,
     log_bit_variances,
     lower_bound,
     make_bac,
     make_bsc,
-    mmse_estimate,
     pattern,
-    posterior_update,
     trial_values,
     uniform_prior,
     upper_bound,
@@ -33,10 +30,11 @@ from dyadicsearch import (
 from dyadicsearch import decoder, efficient_search, info_constants, load_channel
 from dyadicsearch.channel import chernoff_tilt
 from dyadicsearch.decoder import _bit_offset, _sigmoid, exact_bit_variance
-from dyadicsearch.policy import composition_rows, composition_sizes, compositions
+from dyadicsearch.policy import composition_rows, compositions
 from dyadicsearch.sim import _block_rng, _draw_llr, _first_link_table
 
 from conftest import Z_CHANNEL, bench_reference, bit_variance, bumped, draw_block, random_channel
+from oracles import PosteriorState, conditional_distortion, log_ratio, mmse_estimate, posterior_update
 
 
 def sequence_bit_variance(t: int, ch: ChannelSpec) -> float:
@@ -75,38 +73,39 @@ def safe_log(masses: tuple[float, ...]) -> np.ndarray:
 
 
 def window_law(ch: ChannelSpec):
-    """The oracle's window law of the merged ``ch``."""
+    """The oracle's law of the merged ``ch``."""
     return decoder._window_law(decoder._merge_tied_outputs(ch))
 
 
-def window_rows(counts, ch: ChannelSpec, rho=None) -> list[int]:
-    """Rows of each count's window on the merged channel, counted from its
-    prefixes as the gate counts them, whatever the budgets; ``rho``
+def bit_terms(counts, ch: ChannelSpec, rho=None) -> list[int]:
+    """Terms of each count on the merged channel, its window's rows or its
+    grid's nodes, as the gate counts them, whatever the budgets; ``rho``
     defaults to the first pass's."""
     law, ts = window_law(ch), np.array(counts, dtype=np.int64)
-    rho = decoder._rho(ts, law.parts) if rho is None else rho
-    return composition_sizes(ts, law.parts, *decoder._window(ts, law, rho)).tolist()
+    rho = decoder._first_rho(ts, law) if rho is None else rho
+    return decoder._terms(ts, law, rho).tolist()
 
 
-# Near pure noise: the window is the box, sqrt(2 t rho) values a side.
+CHANNEL3 = Path(__file__).resolve().parents[1] / "bench" / "channel3.json"
+
+# Near pure noise: the cut keeps about 1.5e4 nodes of a bit near t = 1e4.
 NEAR_NOISE_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.33, 0.33, 0.34), f1=(0.3301, 0.3299, 0.34))
 
 
-def brute_window(t: int, ch: ChannelSpec) -> list[tuple[int, ...]]:
-    """The window's rows by its definition, over every composition of t
-    into ch's outputs (no tie among them, all charged): outputs 1..m-1 are
-    the free parts, each within w of t f_s*(i), w^2 = t rho / 2, and
-    |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2m - 1)."""
-    tilt, m = chernoff_tilt(ch), len(ch.outputs)
-    rho = 40.0 + 0.5 * math.log(t) + math.log(2 * m - 1)
-    w = math.sqrt(t * rho / 2.0)
-    lam = np.log(ch.f1) - np.log(ch.f0)
-    return [
-        tuple(h)
-        for h in recursive_histograms(t, m).tolist()
-        if all(abs(h[i] - t * tilt.f[i]) <= w for i in range(1, m))
-        and abs(float(np.dot(h, lam))) <= rho / tilt.kappa
-    ]
+def full_log_v(t: int, ch: ChannelSpec) -> float:
+    """ln V(t) over every histogram of ch's outputs, from the recursive
+    enumerator and math.lgamma: the terms ln(1/2) + lp0 + lp1 - ln(P0 + P1)
+    of the rows with mass under both inputs, shifted by the largest and
+    their exponentials summed pairwise."""
+    H = recursive_histograms(t, len(ch.outputs))
+    charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
+    H = H[H[:, [i for i in range(len(ch.outputs)) if i not in charged]].sum(axis=1) == 0][:, charged]
+    lg = lgamma_table(t)
+    log_mult = lg[t] - lg[H].sum(axis=1)
+    lp0, lp1 = (log_mult + H @ np.log(np.array(f)[charged]) for f in (ch.f0, ch.f1))
+    terms = lp0 + lp1 - np.logaddexp(lp0, lp1)
+    top = terms.max()
+    return float(math.log(0.5) + top + np.log(np.exp(terms - top).sum()))
 
 
 def lgamma_table(t: int) -> np.ndarray:
@@ -208,7 +207,7 @@ class TestPosteriorUpdate:
             for p in np.linspace(0.001, 0.999, 25):
                 for i, y in enumerate(ch.outputs):
                     p2 = posterior_update(float(p), y, ch)
-                    floor = p * (1 - p) * math.exp(-abs(ch.log_ratio(y)))
+                    floor = p * (1 - p) * math.exp(-abs(log_ratio(ch, y)))
                     assert p2 * (1 - p2) >= floor * (1.0 - 1e-12)
 
     def test_tiny_posterior_survives(self):
@@ -279,29 +278,44 @@ class TestExactBitVariance:
         assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
 
     def test_budget_refusal(self):
-        # At 1e5 uses this ternary bit's window holds 6.5e6 rows.
-        ch = random_channel(np.random.default_rng(1), alphabet=3)
-        with pytest.raises(BudgetExceededError):
-            bit_variance(10**5, ch)
+        # At 1e5 uses a ternary bit is summed on its octave's grid of nodes:
+        # under a per-bit budget of that many it is summed, under one fewer
+        # it is refused.
+        ch, t = random_channel(np.random.default_rng(1), alphabet=3), 10**5
+        (nodes,) = bit_terms([t], ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decoder, "HISTOGRAM_BUDGET", nodes)
+            assert math.isfinite(log_bit_variances([t], ch)[0])
+            exact_bit_variance.cache_clear()
+            mp.setattr(decoder, "HISTOGRAM_BUDGET", nodes - 1)
+            with pytest.raises(BudgetExceededError, match=f"{nodes} terms.* budget of one bit"):
+                bit_variance(t, ch)
 
-    def test_budget_refusal_grows_no_table(self, cold_table):
-        ch = random_channel(np.random.default_rng(1), alphabet=3)
+    def test_budget_refusal_grows_no_table(self, cold_table, monkeypatch):
+        # Refused past the node budget, a ternary bit sums nothing: no ln i!
+        # is computed and nothing is cached.
+        ch, t = random_channel(np.random.default_rng(1), alphabet=3), 10**5
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", bit_terms([t], ch)[0] - 1)
         with pytest.raises(BudgetExceededError):
-            bit_variance(10**5, ch)
+            bit_variance(t, ch)
         assert decoder._LOG_FACTORIALS.size == 1
+        assert exact_bit_variance.cache_info().currsize == 0
 
-    def test_pattern_total_refused_before_any_bit(self, cold_table):
-        # 300 distinct counts from 1e4 on a near-pure-noise ternary channel,
-        # whose windows are boxes of sqrt(2 t rho), about 970, values a
-        # side: each bit's window is under the per-bit budget, together they
-        # pass the pattern's, and nothing is enumerated.
+    def test_pattern_total_refused_before_any_bit(self, cold_table, monkeypatch):
+        # 300 distinct counts from 1e4 on a near-pure-noise ternary channel
+        # share the grid of their octave: 458 nodes a bit. Under a pattern
+        # budget of their summed nodes they pass the gate; under one fewer
+        # they are refused, and nothing is summed.
         counts = list(range(10_300, 10_000, -1))
-        rows = window_rows(counts, NEAR_NOISE_3)
-        assert max(rows) <= decoder.HISTOGRAM_BUDGET < math.comb(10_002, 2)
-        assert sum(rows) > decoder.PATTERN_HISTOGRAM_BUDGET
-        with pytest.raises(BudgetExceededError, match="budget of one pattern"):
+        nodes = bit_terms(counts, NEAR_NOISE_3)
+        assert max(nodes) <= decoder.HISTOGRAM_BUDGET < math.comb(10_002, 2)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", sum(nodes))
+        decoder._check_histogram_total(counts, NEAR_NOISE_3)
+        monkeypatch.setattr(decoder, "PATTERN_HISTOGRAM_BUDGET", sum(nodes) - 1)
+        with pytest.raises(BudgetExceededError, match=f"{sum(nodes)} terms.* budget of one pattern"):
             exact_distortion(pattern(counts), NEAR_NOISE_3)
         assert decoder._LOG_FACTORIALS.size == 1
+        assert exact_bit_variance.cache_info().currsize == 0
 
     def test_window_total_refused_before_any_bit(self, cold_table):
         # 1000 distinct counts near 1e9 on a near-pure-noise channel, whose
@@ -310,32 +324,44 @@ class TestExactBitVariance:
         # pattern's.
         ch = make_bsc(0.49999)
         t = pattern(list(range(10**9 + 1000, 10**9, -1)))
-        rows = window_rows(t.t, ch)
+        rows = bit_terms(t.t, ch)
         assert max(rows) <= decoder.HISTOGRAM_BUDGET
         assert sum(rows) > decoder.PATTERN_HISTOGRAM_BUDGET
         with pytest.raises(BudgetExceededError):
             exact_distortion(t, ch)
         assert decoder._LOG_FACTORIALS.size == 1
 
-    def test_budget_totals_count_window_rows(self, cold_table):
-        # The gate counts a bit's full rows C(t + m' - 1, m' - 1) until
-        # they pass a budget, then each bit's window: the 1000 counts near
-        # 1e9 above pass on bac:0.9,0.8 (at most 64 rows a bit). The Z
-        # channel's one-sided output leaves one row a bit, and a ternary
-        # bit's window is the compositions in its box and slab, counted here
-        # over every composition. On each budget monkeypatched to the
-        # counts' largest or summed rows they pass, one row fewer refuses
-        # them, and no ln i! is computed before a refusal.
+    def test_budget_totals_count_window_rows(self, cold_table, monkeypatch):
+        # The gate counts a binary bit's full rows t + 1 until they pass a
+        # budget, then each bit's window: the 1000 counts near 1e9 above
+        # pass on bac:0.9,0.8 (at most 64 rows a bit). The Z channel's
+        # one-sided output leaves one row a bit, and a ternary bit's terms
+        # are its C(t + 2, 2) rows where fewer (t = 40), else the nodes its
+        # octave's grid sums, counted here as the pass evaluates them. On
+        # each budget monkeypatched to the counts' largest or summed terms
+        # they pass, one term fewer refuses them, and no ln i! is computed
+        # before a refusal.
         near_1e9 = list(range(10**9 + 1000, 10**9, -1))
         ternary = random_channel(np.random.default_rng(3), alphabet=3)
+        summed, real_sums = [], decoder._fourier_sums
+
+        def counted(ts, law, grid):
+            summed.append(int(grid.width.sum()))
+            return real_sums(ts, law, grid)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(decoder, "_fourier_sums", counted)
+            log_bit_variances([40, 90], ternary)
+        exact_bit_variance.cache_clear()
+        monkeypatch.setattr(decoder, "_LOG_FACTORIALS", np.zeros(1))
         cases = [
             (make_bac(0.9, 0.8), near_1e9, None),
             (Z_CHANNEL, [300, 1000], [1, 1]),
-            (ternary, [40, 90], [len(brute_window(t, ternary)) for t in (40, 90)]),
+            (ternary, [40, 90], [math.comb(42, 2), *summed]),
         ]
-        assert cases[2][2] < [math.comb(42, 2), math.comb(92, 2)]
+        assert len(summed) == 1 and summed[0] < math.comb(92, 2)
         for ch, counts, expected in cases:
-            rows = window_rows(counts, ch)
+            rows = bit_terms(counts, ch)
             assert rows == expected if expected else max(rows) <= 64
             decoder._check_histogram_total(counts, ch)
             for budget, limit, what in [
@@ -351,7 +377,7 @@ class TestExactBitVariance:
                 assert decoder._LOG_FACTORIALS.size == 1
         for ch, counts, _ in cases:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(decoder, "HISTOGRAM_BUDGET", max(window_rows(counts, ch)))
+                mp.setattr(decoder, "HISTOGRAM_BUDGET", max(bit_terms(counts, ch)))
                 assert all(math.isfinite(v) for v in log_bit_variances(counts, ch))
 
     def test_windowed_bits_over_full_row_budget(self):
@@ -371,7 +397,7 @@ class TestExactBitVariance:
         # bsc:0.4999 at 2e6 uses: 2e6 + 1 rows, twice the per-bit budget,
         # where the box of about 1.4e4 rows is the window.
         ch, t = make_bsc(0.4999), 2 * 10**6
-        (rows,) = window_rows([t], ch)
+        (rows,) = bit_terms([t], ch)
         assert rows < decoder.HISTOGRAM_BUDGET < t + 1
         exact_bit_variance.cache_clear()
         (log_v,) = log_bit_variances([t], ch)
@@ -384,7 +410,7 @@ class TestExactBitVariance:
         # per-bit budget of its rows the wider one is refused.
         ch, counts = make_bac(0.9, 0.8), [2 * 10**6]
         monkeypatch.setattr(decoder, "_RHO_BASE", decoder._RHO_BASE - 30.0)
-        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", max(window_rows(counts, ch)))
+        monkeypatch.setattr(decoder, "HISTOGRAM_BUDGET", max(bit_terms(counts, ch)))
         exact_bit_variance.cache_clear()
         with pytest.raises(BudgetExceededError, match="budget of one bit"):
             log_bit_variances(counts, ch)
@@ -392,21 +418,14 @@ class TestExactBitVariance:
         exact_bit_variance.cache_clear()
 
     def test_many_outputs_at_small_t_sum_every_row(self):
-        # An 8-symbol bit at t = 10 holds C(17, 7) = 19 448 rows, within the
-        # per-bit budget, and its box spans [0, t] on every part: the
-        # 11^6 = 1.8e6 products of the outer parts' widths overcount its
-        # C(16, 6) = 8008 prefixes, which bound it. Its window is every row
-        # and its value their sum, from the recursive enumerator and
-        # math.lgamma.
+        # An 8-symbol bit at t = 10 has C(17, 7) = 19 448 rows; the formula
+        # sums 556 nodes, and its value is the sum over every row, from the
+        # recursive enumerator and math.lgamma.
         ch, t = random_channel(np.random.default_rng(8), alphabet=8), 10
-        H = recursive_histograms(t, 8)
-        assert window_rows([t], ch) == [len(H)] == [math.comb(t + 7, 7)]
-        log_mult = math.lgamma(t + 1.0) - np.vectorize(math.lgamma)(H + 1.0).sum(axis=1)
-        lp0, lp1 = (log_mult + H @ np.log(f) for f in (ch.f0, ch.f1))
-        terms = math.log(0.5) + lp0 + lp1 - np.logaddexp(lp0, lp1)
+        assert bit_terms([t], ch) == [556] and len(recursive_histograms(t, 8)) == math.comb(t + 7, 7)
         exact_bit_variance.cache_clear()
         (log_v,) = log_bit_variances([t], ch)
-        assert log_v == pytest.approx(float(np.logaddexp.reduce(terms)), rel=1e-13)
+        assert log_v == pytest.approx(full_log_v(t, ch), rel=1e-13)
 
     def test_pattern_total_admits_greedy_at_1e8(self):
         # The greedy pattern at n = 1e8 needs about 1.0001e8 rows and stays
@@ -509,34 +528,34 @@ class TestSharedTableKernel:
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_bounded_rows_match_filtered_enumerator(self, m):
-        # A box on the free parts and a slab |sum_i c_i h_i| <= half keep
-        # the rows of the recursive enumeration that satisfy both, in its
-        # order; a zero slope difference of the last two parts included.
+        # A bit of m outputs, two of them charged and the others one-sided,
+        # merges to a binary window: its rows (t - j, j) are those of the
+        # recursive enumeration with no count on a one-sided output, within
+        # the box |j - t f_s*| <= w, w^2 = t rho / 2, and the slab
+        # |L_h| <= max(rho / kappa, |lambda_1 - lambda_0|), with j ascending
+        # where the enumeration has h_0 ascending.
         rng = np.random.default_rng(m)
         for trial in range(40):
-            totals = rng.integers(0, 12, size=3)
-            lower = rng.integers(-2, 8, size=(3, m - 1))
-            upper = lower + rng.integers(-1, 8, size=(3, m - 1))
-            coef, half = rng.normal(size=m), rng.uniform(0.0, 5.0, size=3)
-            if trial % 5 == 0:
-                coef[-2] = coef[-1]
-            H, built = composition_rows(totals, m, (lower, upper), (coef, half))
-            kept = [
-                [h for h in recursive_histograms(t, m).tolist()
-                 if all(lower[i, j] <= h[j] <= upper[i, j] for j in range(m - 1))
-                 and abs(float(np.dot(h, coef))) <= half[i]]
-                for i, t in enumerate(totals.tolist())
-            ]
-            expected = np.array([h for rows in kept for h in rows], dtype=np.int64).reshape(-1, m)
-            assert np.array_equal(H, expected), trial
-            sizes = composition_sizes(totals, m, (lower, upper), (coef, half))
-            assert sizes.tolist() == built.tolist() == [len(rows) for rows in kept]
+            a, b = rng.uniform(0.05, 0.95, size=2)
+            side = rng.dirichlet(np.ones(m - 1))
+            ch = ChannelSpec(outputs=tuple(range(m)), f0=(a, 1.0 - a, *[0.0] * (m - 2)),
+                             f1=(b * side[0], (1.0 - b) * side[0], *side[1:]))
+            law, ts = window_law(ch), rng.integers(1, 25, size=3)
+            rho = rng.uniform(0.0, 30.0, size=3)
+            lo, sizes = decoder._rows(ts, law, rho)
+            tilt, lam = chernoff_tilt(ch), np.log(np.array(ch.f1[:2]) / np.array(ch.f0[:2]))
+            for t, r, first, n in zip(ts.tolist(), rho.tolist(), lo.tolist(), sizes.tolist()):
+                w, half = math.sqrt(t * r / 2.0), max(r / law.kappa, abs(lam[1] - lam[0]))
+                kept = [h[1] for h in recursive_histograms(t, m).tolist()
+                        if not any(h[2:]) and abs(h[1] - t * tilt.f[1]) <= w
+                        and abs(h[0] * lam[0] + h[1] * lam[1]) <= half]
+                assert kept[::-1] == list(range(first, first + n)), (trial, t)
 
     def test_ternary_call_order_independent(self, cold_table):
         # The m-ary twin of test_call_order_independent: a count's ln V is
         # the same alone, in one call with every other count, and in that
-        # call reversed, which chunks the counts differently. Count 130 has
-        # more rows than a chunk.
+        # call reversed, which batches the counts differently. Count 130
+        # has more nodes than a pass holds with its octave's other counts.
         ch = random_channel(np.random.default_rng(7), alphabet=3)
         counts = [*range(1, 41), 130]
         together = log_bit_variances(counts, ch)
@@ -593,13 +612,11 @@ class TestTiedOutputMerge:
     # rounding above 1e-13 relative in either sum (3e-13 against a 40-digit
     # reference at t = 900 on TIED_3), so the comparison stops below it.
     @pytest.mark.parametrize("ch, t_max", [(TIED_4, 120), (TIED_3, 250)], ids=["4-to-3", "3-to-2"])
-    def test_equals_unmerged_full_sum(self, ch, t_max, cold_table, monkeypatch):
-        # An infinite rho makes every window every row.
-        ts = np.arange(1, t_max + 1)
-        with monkeypatch.context() as mp:
-            mp.setattr(decoder, "_RHO_BASE", math.inf)
-            unmerged = decoder._log_variance_pass(ts, ch)
-        merged = np.array(log_bit_variances(ts.tolist(), ch))
+    def test_equals_unmerged_full_sum(self, ch, t_max, cold_table):
+        # The unmerged sum over every histogram of the channel's outputs.
+        ts = [*range(1, 11), *range(15, t_max + 1, 15)]
+        unmerged = np.array([full_log_v(t, ch) for t in ts])
+        merged = np.array(log_bit_variances(ts, ch))
         assert np.abs(np.expm1(merged - unmerged)).max() <= 1e-13
 
     def test_budgets_count_merged_rows(self, cold_table):
@@ -611,7 +628,7 @@ class TestTiedOutputMerge:
         assert sum(math.comb(t + 2, 2) for t in counts) > decoder.PATTERN_HISTOGRAM_BUDGET
         log_v = log_bit_variances(counts, TIED_3)
         assert all(math.isfinite(v) for v in log_v)
-        # C(303, 3) = 4.6e6 rows unmerged, C(302, 2) = 45 451 merged.
+        # C(303, 3) = 4.6e6 rows unmerged; merged, a ternary bit of the formula.
         assert math.isfinite(log_bit_variances([300], TIED_4)[0])
 
 
@@ -707,14 +724,14 @@ class TestLogKernel:
         # term of exactly 0 and is not enumerated: a Z channel bit is one
         # row, whose t zeros leave V = 0.3^t / (2 (1 + 0.3^t)).
         counts = [1, 5, 400, 3000]
-        assert window_rows(counts, Z_CHANNEL) == [1] * 4
+        assert bit_terms(counts, Z_CHANNEL) == [1] * 4
         for t, log_v in zip(counts, log_bit_variances(counts, Z_CHANNEL)):
             closed = math.log(0.5) + t * math.log(0.3) - math.log1p(0.3**t)
             assert log_v == pytest.approx(closed, rel=1e-13, abs=1e-13), t
         # Two charged outputs of three: the rows of a binary bit, against
         # every output sequence.
         ch = ChannelSpec(outputs=(0, 1, 2), f0=(0.6, 0.4, 0.0), f1=(0.2, 0.5, 0.3))
-        assert window_rows([8], ch) == [9]
+        assert bit_terms([8], ch) == [9]
         for t in range(1, 9):
             assert bit_variance(t, ch) == pytest.approx(sequence_bit_variance(t, ch), rel=1e-12)
         # No output charged: every output reveals the bit, and ln V is the
@@ -755,6 +772,152 @@ class TestLogKernel:
         exact_bit_variance.cache_clear()
         info = exact_bit_variance.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+# f0 = (.5, .3, .2): every lambda a multiple of ln 2.5, so |phi| = 1 at
+# every multiple of 2 pi / ln 2.5.
+LATTICE_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.3, 0.2), f1=(0.2, 0.3, 0.5))
+# Output 3 has no mass under input 0, and s* = 1 - 4.7e-11: the contour
+# lies past the pole at 1.
+BOUNDARY_4 = ChannelSpec(outputs=(0, 1, 2, 3), f0=(0.5, 0.3, 0.2, 0.0), f1=(0.2, 0.3, 0.3, 0.2))
+MIRROR_4 = ChannelSpec(outputs=(0, 1, 2, 3), f0=BOUNDARY_4.f1, f1=BOUNDARY_4.f0)
+ZERO_MASS_4 = ChannelSpec(outputs=(0, 1, 2, 3), f0=(0.4, 0.35, 0.25, 0.0), f1=(0.25, 0.25, 0.4, 0.1))
+NOISE_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.2, 0.3, 0.5), f1=(0.2, 0.3, 0.5))
+NEAR_TIE_3 = ChannelSpec(outputs=(0, 1, 2), f0=(0.5, 0.25, 0.25), f1=(0.2, 0.4 - 1e-12, 0.4 + 1e-12))
+NEAR_NOISELESS_3 = ChannelSpec(outputs=(0, 1, 2), f0=(1 - 2e-9, 1e-9, 1e-9), f1=(1e-9, 1e-9, 1 - 2e-9))
+
+
+class TestFourierFormula:
+    """The m-ary route, V(t) = 1/4 M(c)^t int phi_c^t / sin(pi (c + i w)) dw
+    by the trapezoid rule, against the sum over every histogram."""
+
+    @staticmethod
+    def assert_matches_full_sum(ch: ChannelSpec, ts) -> None:
+        # The formula on each count's octave grid, whether or not the
+        # oracle sums its rows instead, where the grid is within the per-bit
+        # budget: certified on its first pass, its rounding within bounds,
+        # and within 1e-12 relative of the full sum, as is the oracle's value.
+        law, ts = window_law(ch), np.array(ts)
+        rho = decoder._first_rho(ts, law)
+        exact_bit_variance.cache_clear()
+        oracle = log_bit_variances(ts.tolist(), ch)
+        checked = 0
+        for t, r, value in zip(ts.tolist(), rho.tolist(), oracle):
+            full = full_log_v(t, ch)
+            assert value == pytest.approx(full, rel=1e-12), t
+            k = t.bit_length()
+            grid = decoder._grid(law, 2 ** (k - 1), 2**k - 1, r)
+            if grid.width.sum() > decoder.HISTOGRAM_BUDGET:
+                continue
+            (v,), (log_err,), (rounding,) = decoder._fourier_sums(np.array([t]), law, grid)
+            assert log_err <= v - decoder.WINDOW_CERTIFICATE, t
+            assert rounding - v <= math.log(decoder._ROUNDING * max(1.0, abs(v))), t
+            assert v == pytest.approx(full, rel=1e-12), t
+            checked += 1
+        assert checked >= len(ts) // 2
+
+    def test_random_ternary_channels_to_200(self):
+        rng = np.random.default_rng(26)
+        for _ in range(3):
+            self.assert_matches_full_sum(random_channel(rng, alphabet=3), [*range(1, 200, 7), 200])
+
+    @pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+    def test_random_channels_of_many_outputs_to_20(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(2):
+            self.assert_matches_full_sum(random_channel(rng, alphabet=m), [1, 2, 3, 8, 20])
+
+    @pytest.mark.parametrize(
+        "ch, t_max",
+        [(LATTICE_3, 150), (ZERO_MASS_4, 60), (NEAR_TIE_3, 150), (BOUNDARY_4, 60), (MIRROR_4, 60)],
+        ids=["lattice", "zero-mass-output", "near-tie", "boundary", "mirror"],
+    )
+    def test_edge_channels(self, ch, t_max):
+        # A lattice of ratios, an output of zero mass under one input, two
+        # outputs tied to 1e-12, and s* pinned at 1 and its mirror at 0.
+        self.assert_matches_full_sum(ch, [*range(1, 21), *range(25, t_max + 1, 5)])
+
+    def test_boundary_channel_at_large_t(self):
+        # The residue (1/2) M(1)^t carries ln V, and the integral past the
+        # pole moves it in the last digits; the window gave these values.
+        expected = [-223.8366993260717, -2232.1286603226695]
+        for ch in (BOUNDARY_4, MIRROR_4):
+            exact_bit_variance.cache_clear()
+            for t, want in zip([10**3, 10**4], expected):
+                law, ts = window_law(ch), np.array([t])
+                assert decoder._grid(law, t, t, float(decoder._first_rho(ts, law)[0])).residue
+                assert log_bit_variances([t], ch)[0] == pytest.approx(want, rel=0.0, abs=1e-10)
+
+    def test_pure_noise_is_a_quarter(self):
+        # Every lambda is 0: every posterior stays 1/2, and no node is summed.
+        assert bit_terms([1, 10**9], NOISE_3) == [0, 0]
+        assert log_bit_variances([1, 5, 10**9], NOISE_3) == [math.log(0.25)] * 3
+        for t in (1, 5, 12):
+            assert full_log_v(t, NOISE_3) == pytest.approx(math.log(0.25), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "ch, t, expected",
+        [
+            (NEAR_NOISELESS_3, 10**4, -96691.06220194261),
+            (NEAR_NOISELESS_3, 10**6, -9668479.140503973),
+            (load_channel(str(CHANNEL3)), 10**5, -16537.715784763775),
+        ],
+        ids=["near-noiseless-1e4", "near-noiseless-1e6", "channel3-1e5"],
+    )
+    def test_bits_the_window_answered(self, ch, t, expected):
+        # Values the window gave. A near-noiseless lattice needs the phase
+        # cut: without it, over 3e6 nodes at 1e6 uses.
+        (nodes,) = bit_terms([t], ch)
+        assert nodes <= 50_000
+        exact_bit_variance.cache_clear()
+        assert log_bit_variances([t], ch)[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_small_or_cancelling_bits_sum_every_row(self, monkeypatch):
+        # Likelihood ratios of e^27, e^-14, e^-44 and e^18: at t = 5 the 56
+        # histograms are fewer than the grid's nodes; at t = 60 the formula
+        # sums 29 261 nodes whose rounding may pass 2^-40 |ln V|, so the bit
+        # is summed again over its 39 711 histograms. Both equal the full sum.
+        ch = ChannelSpec(outputs=(0, 1, 2, 3),
+                         f0=(1.3941506051289498e-15, 7.020559547831197e-22, 0.9999999890828009, 1.0917197761922201e-08),
+                         f1=(0.0006436388661018915, 3.753636133530561e-28, 9.269087296172866e-20, 0.999356361133898))
+        assert bit_terms([5, 60], ch) == [math.comb(8, 3), 29_261]
+        rows, real_rows = [], decoder._every_row
+        monkeypatch.setattr(decoder, "_every_row", lambda ts, law: rows.append(ts.tolist()) or real_rows(ts, law))
+        exact_bit_variance.cache_clear()
+        log_v = log_bit_variances([5, 60], ch)
+        assert [r for r in rows if r] == [[5], [60]]
+        assert log_v == pytest.approx([full_log_v(5, ch), full_log_v(60, ch)], rel=1e-14)
+
+    def test_ties_merged_to_two_outputs_take_the_window(self, monkeypatch):
+        # TIED_3 has three outputs, two of them tied: merged, a binary
+        # window of rows, with no node summed.
+        calls = []
+        monkeypatch.setattr(decoder, "_fourier_sums", lambda *a: calls.append(a))
+        exact_bit_variance.cache_clear()
+        assert window_law(TIED_3).parts == 2
+        assert bit_terms([10, 1000], TIED_3) == bit_terms([10, 1000], decoder._merge_tied_outputs(TIED_3))
+        assert all(math.isfinite(v) for v in log_bit_variances([10, 1000], TIED_3)) and calls == []
+        exact_bit_variance.cache_clear()
+
+
+# ln V of binary bits, bit for bit as the rows of their windows sum them.
+BINARY_PINS = {
+    "bac:0.9,0.8": [-2.0693912058263346, -4.6076253483464, -1047.1682598616665,
+                    -694767.5658151464, -347379642.2444484],
+    "bsc:0.1": [-2.4079456086518722, -6.002478223758105, -1537.690694845224,
+                -1021659.7121070045, -510825635.3378714],
+    "bsc:0.4999": [-1.3862944011198914, -1.386294641119862, -1.3864143539278562,
+                   -1.463513575780576, -23.034083741268837],
+    "z-channel": [-2.1594842493533726, -9.12117548693014, -3612.6115601583683,
+                  -2407946.301799053, -1203972805.0190833],
+}
+
+
+@pytest.mark.parametrize("name", BINARY_PINS)
+def test_binary_values_pinned(name):
+    ch = Z_CHANNEL if name == "z-channel" else load_channel(name)
+    exact_bit_variance.cache_clear()
+    assert log_bit_variances([1, 7, 3000, 2 * 10**6, 10**9], ch) == BINARY_PINS[name]
 
 
 WINDOW_GRID_CHANNELS = [
@@ -831,7 +994,7 @@ class TestConstantWindow:
         # bac:0.9,0.8 bit, rho growing like ln(t) / 2: 53 rows at t = 3000,
         # 68 at 1e15.
         ts = np.array([3000, 10**5, 10**8 + 7, 10**12, 10**15])
-        rows = window_rows(ts, make_bac(0.9, 0.8))
+        rows = bit_terms(ts, make_bac(0.9, 0.8))
         assert rows == sorted(rows) and 50 <= rows[0] and rows[-1] <= 70
 
     @settings(max_examples=150, deadline=None)
@@ -853,8 +1016,8 @@ class TestConstantWindow:
         if law.parts < 2:
             return
         rho = decoder._rho(ts, 2)
-        window = decoder._window(ts, law, rho)
-        inside = composition_rows(ts, 2, *window)[0][:, 0]  # j ascending
+        lo, n = decoder._rows(ts, law, rho)
+        inside = np.arange(lo[0], lo[0] + n[0])  # j ascending
         outside = np.setdiff1d(np.arange(t + 1), inside)
         if outside.size:
             left_out = math.log(0.5) + float(np.logaddexp.reduce(full_row_terms(t, ch)[outside]))

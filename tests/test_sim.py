@@ -36,7 +36,7 @@ from dyadicsearch import (
 )
 from dyadicsearch import decoder, sim
 from dyadicsearch.channel import chernoff_tilt
-from dyadicsearch.policy import _staircase_walk, composition_sizes
+from dyadicsearch.policy import _staircase_walk
 from dyadicsearch.decoder import HISTOGRAM_BUDGET, _bit_offset
 from dyadicsearch.sim import (
     BLOCK_TRIALS,
@@ -654,9 +654,9 @@ class TestAurelianSweep:
 
         law = decoder._window_law(ch)
 
-        def rows(counts):  # counted from the prefixes, whatever the budget
+        def rows(counts):  # each bit's window, whatever the budget
             ts = np.array(counts)
-            return composition_sizes(ts, 2, *decoder._window(ts, law, decoder._rho(ts, 2))).tolist()
+            return decoder._rows(ts, law, decoder._rho(ts, 2))[1].tolist()
 
         # The block's gate runs in ``log_bit_variances``, the per-step one in the sweep.
         monkeypatch.setattr(decoder, "_check_histogram_total", gate)

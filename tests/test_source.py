@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 
 from dyadicsearch import (
-    Message,
     PriorSpec,
     ValidationError,
-    bit_of,
     from_uniform,
     load_prior,
     power_prior,
     uniform_prior,
 )
 from dyadicsearch.source import BIT_DEPTH_CAP, bits_array
+
+from oracles import Message, bit_of
 
 
 def to_uniform(prior, x):
