@@ -17,16 +17,19 @@ L_h = sum_i h_i lambda_i. ln V is kept in log space (V ~ e^(-C t)):
   times ceil(t/2)). Every input below is read from the Chernoff law
   (``channel.chernoff_tilt``): f_s, s*, M(s) = sum_i f0^(1-s) f1^s and
   kappa = min(s*, 1 - s*);
-* binary window (m' <= 2): the rows (t - j, j), j the count of the last
-  charged output, each term ln(1/2) + lp0 - softplus(-L_h), at most
-  (1/2) M^t P_s(h) e^(-kappa |L_h|). A bit sums the interval of j in the
-  box |j - t f_s*| <= w, w^2 = t rho / 2, and the slab |L_h| <= rho / kappa,
-  rho = 40 + ln(t)/2 + ln(2 m' - 1); by Hoeffding (JASA 58, 1963) the rows
-  outside sum to at most (1/2) M^t (2 m' - 1) e^-rho. That is about
-  2 rho / (kappa |lambda_1 - lambda_0|) rows (53 on bac:0.9,0.8 at
+* window: the rows h in the box |h_i - t f_s*(i)| <= w, w^2 = t rho / 2,
+  on every charged output but the second last, cut by the slab
+  |L_h| <= rho / kappa, rho = 40 + ln(t)/2 + ln(2 m' - 1). Each term is at
+  most (1/2) M^t P_s(h) e^(-kappa |L_h|), so by Hoeffding (JASA 58, 1963)
+  the rows outside sum to at most (1/2) M^t (2 m' - 1) e^-rho. Its
+  prefixes, the counts before the last two outputs, are built output by
+  output within the box, and per prefix the slab is one interval of j, the
+  last output's count: a binary bit's rows are (t - j, j), about
+  2 rho / (kappa |lambda_1 - lambda_0|) of them (53 on bac:0.9,0.8 at
   t = 3000, 68 at 1e15), or the box, sqrt(2 t rho) (13 907 on bsc:0.4999
-  at t = 2e6), summed in chunks of about ``CHUNK_ROWS`` rows, each bit's
-  value independent of its chunk;
+  at t = 2e6). Rows are summed in runs of about ``CHUNK_ROWS``, each
+  bit's value independent of its run. Binary bits (m' <= 2) take it, and
+  m-ary bits whose formula sum cancels (below);
 * m-ary formula (m' >= 3): the kernel sigmoid(L) e^(-c L) has transform
   pi / sin(pi (c + i w)), so for c in (0, 1)
   V(t) = 1/4 M(c)^t int phi_c(w)^t / sin(pi (c + i w)) dw over the real
@@ -50,20 +53,23 @@ L_h = sum_i h_i lambda_i. ln V is kept in log space (V ~ e^(-C t)):
   nodes on channel3.json at any t. The counts of an octave
   2^(k-1) <= t < 2^k share one grid; each count costs an exp and a cos
   per node;
-* m-ary rows: a bit of no more rows C(t + m' - 1, m' - 1) than its grid's
-  nodes sums every row by the window's kernel. A formula sum cancels where
-  f_s sits on histograms of large |L_h| (ratios past about e^10 at small
-  t); its rounding (64 ulps of each term, 3 t w sum_i f_c(i) |lambda_i|
-  ulps of its phase) is bounded, and one whose rounding may pass
-  ``_ROUNDING`` max(1, |ln V|) in ln V is summed over every row instead;
+* cancellation: a formula sum cancels where f_s sits on histograms of
+  large |L_h| (likelihood ratios past about e^10), whose L_h lie on a
+  sparse lattice. Its rounding (64 ulps of each term, 3 t w
+  sum_i f_c(i) |lambda_i| ulps of its phase) is bounded, and a bit whose
+  rounding may pass ``_ROUNDING`` max(1, |ln V|) in ln V is summed over
+  its window instead, where few rows lie near L_h = 0;
 * certificate: both routes hold their bound on what they leave out
-  ``WINDOW_CERTIFICATE`` = 38 nats below the bit's sum, or sum every row;
-  a bit that misses by delta (bsc:0.001 at odd t, by about 1) is summed
-  once more with rho + delta + 1;
-* budgets: a bit's terms, rows or nodes, are known in closed form before
-  any is summed. One gate (``_check_histogram_total``) holds each bit to
-  ``HISTOGRAM_BUDGET`` terms and a lookup's distinct counts to
-  ``PATTERN_HISTOGRAM_BUDGET`` together, and a second pass is gated the
+  ``WINDOW_CERTIFICATE`` = 38 nats below the bit's sum, or the window is
+  every row; a bit that misses by delta (bsc:0.001 at odd t, by about 1)
+  is summed once more on its route with rho + delta + 1;
+* budgets: a bit's terms, its window's rows or its grid's nodes, are
+  counted before any is summed. One gate (``_check_histogram_total``)
+  holds each bit to ``HISTOGRAM_BUDGET`` terms and a lookup's distinct
+  counts to ``PATTERN_HISTOGRAM_BUDGET`` together; windows whose full rows
+  C(t + m' - 1, m' - 1) pass both go uncounted, and a window whose box may
+  hold more prefixes than ``HISTOGRAM_BUDGET`` is refused before any is
+  built. A retry, and a window taken for a cancelling sum, are gated the
   same way. A count past 2^53 uses (``policy.MAX_USES``) is refused first.
   The sweep in ``sim`` looks up a block of steps at a time and, where a
   block fails, gates each step.
@@ -88,7 +94,7 @@ import numpy as np
 
 from .channel import ChannelSpec, chernoff_tilt
 from .errors import BudgetExceededError, ValidationError
-from .policy import TransmissionPattern, composition_counts, composition_rows
+from .policy import TransmissionPattern, composition_counts
 from .policy import _check_uses, _log_series, _series_sum, _series_terms
 
 HISTOGRAM_BUDGET = 1_000_000
@@ -218,12 +224,13 @@ def _segment_log_sums(
 
 class _Law(NamedTuple):
     """A merged channel's charged outputs, read from its Chernoff law: what
-    the binary window and the m-ary formula take from it."""
+    the window and the m-ary formula take from it."""
 
+    channel: ChannelSpec  # the merged channel, which keys the formula's grids
     parts: int  # m', the outputs with mass under both inputs
     log_f: tuple[np.ndarray, np.ndarray]  # ln f0, ln f1 of the charged outputs, in output order
-    centre: float  # f_s* of the last charged output, whose count j a binary window centres on
-    slope: np.ndarray  # lambda_i = ln f1(i) - ln f0(i) of the charged outputs, last first
+    f: np.ndarray  # f_s* of the charged outputs, in output order
+    lam: np.ndarray  # lambda_i = ln f1(i) - ln f0(i) of the charged outputs, in output order
     log_m: float
     kappa: float
     ends: tuple[np.ndarray, np.ndarray]  # log_f, swapped where s* < 1/2: the mirror's
@@ -236,15 +243,13 @@ def _window_law(ch: ChannelSpec) -> _Law:
     """``_Law`` of the merged ``ch``, read from its Chernoff law
     (``channel.chernoff_tilt``)."""
     law = chernoff_tilt(ch)
-    order = list(law.charged[::-1])
-    slope = np.take(law.llr, order)
-    f = law.f[order] if order else np.zeros(0)
-    var = float(f @ (slope - f @ slope) ** 2)
+    f = law.f[list(law.charged)] if law.charged else np.zeros(0)
+    lam = np.take(law.llr, law.charged)
+    var = float(f @ (lam - f @ lam) ** 2)
     mirror = law.s < 0.5
     ends = law.log_f[::-1] if mirror else law.log_f
-    centre = float(f[0]) if order else 0.0
     s = 1.0 - law.s if mirror else law.s
-    return _Law(len(order), law.log_f, centre, slope, law.log_m, law.kappa, ends, s, var)
+    return _Law(ch, len(f), law.log_f, f, lam, law.log_m, law.kappa, ends, s, var)
 
 
 def _rho(ts: np.ndarray, parts: int) -> np.ndarray:
@@ -260,20 +265,49 @@ def _first_rho(ts: np.ndarray, law: _Law) -> np.ndarray:
     return _rho(ts, law.parts)
 
 
-def _rows(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each binary bit's window as the first j of its rows (t - j, j) and
-    their number: the box |j - t f_s*| <= w, w^2 = t rho / 2, cut by the slab
-    |L_h| <= half, L_h = lambda_last j + lambda_first (t - j), half = rho /
-    kappa, or |lambda_last - lambda_first| where wider, which keeps the row
-    nearest L_h = 0 (bsc:1e-60, odd t). One row (t) where m' = 1."""
+def _box(t: np.ndarray, w: np.ndarray, f: float, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each count's interval |h - t f| <= w within 0..left."""
+    lo = np.clip(np.ceil(t * f - w), 0, left).astype(np.int64)
+    return lo, np.clip(np.floor(t * f + w), -1, left).astype(np.int64)
+
+
+def _prefix_bound(ts: np.ndarray, law: _Law, rho: np.ndarray) -> np.ndarray:
+    """At most how many prefixes each bit's window holds: the product of
+    their box widths, at most C(t + m' - 2, m' - 2); one below three parts."""
+    w, bound = np.sqrt(ts * rho / 2.0), np.ones(ts.size)
+    for f in law.f[2:]:
+        lo, hi = _box(ts, w, f, ts)
+        bound *= np.maximum(hi - lo + 1, 0)
+    return np.minimum(bound, composition_counts(ts.astype(np.float64), law.parts - 1))
+
+
+def _window(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each bit's window: the histograms h of its charged outputs in the box
+    |h_i - t f_s*(i)| <= w, w^2 = t rho / 2, on every output but the first,
+    and in the slab |L_h| <= half, half = rho / kappa, or where wider
+    sum_i |lambda_i - lambda_0|, which keeps the row nearest L_h = 0
+    (bsc:1e-60, odd t). Its prefixes, the counts of outputs m' - 1 down to
+    2, are built output by output within the box; per prefix, L_h is linear
+    in j, the count of output 1, so the slab is one interval of j. Returns
+    each prefix's counts (output m' - 1 first), its bit, the count n that
+    outputs 0 and 1 share and its interval of j (first value and width). A
+    binary bit is one prefix, and where m' = 1 its one row is (t)."""
+    n, bit = ts, np.arange(ts.size)
+    prefix, form = np.zeros((ts.size, 0), dtype=np.int64), np.zeros(ts.size)
     if law.parts == 1:
-        return np.zeros_like(ts), np.ones_like(ts)
+        return prefix, bit, n, np.zeros_like(ts), np.ones_like(ts)
     w = np.sqrt(ts * rho / 2.0)
-    centre = ts * law.centre
-    lo = np.clip(np.ceil(centre - w), 0, ts).astype(np.int64)
-    hi = np.clip(np.floor(centre + w), -1, ts).astype(np.int64)
-    d = law.slope[0] - law.slope[1]
-    half, base = np.maximum(rho / law.kappa, abs(d)), law.slope[1] * ts
+    for i in range(law.parts - 1, 1, -1):
+        lo, hi = _box(ts[bit], w[bit], law.f[i], n)
+        width = np.maximum(hi - lo + 1, 0)
+        up = np.repeat(np.arange(n.size), width)
+        part = np.arange(up.size) - (np.cumsum(width) - width)[up] + lo[up]
+        prefix, n, bit = np.column_stack([prefix[up], part]), n[up] - part, bit[up]
+        form = form[up] + law.lam[i] * part
+    lo, hi = _box(ts[bit], w[bit], law.f[1], n)
+    d = law.lam[1] - law.lam[0]
+    half = np.maximum(rho[bit] / law.kappa, np.abs(law.lam[1:] - law.lam[0]).sum())
+    base = form + law.lam[0] * n
     if d == 0.0:
         hi = np.where(np.abs(base) <= half, hi, lo - 1)
     else:  # |base + d j| <= half is one interval of j
@@ -281,7 +315,20 @@ def _rows(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.nd
         a, b = (a, b) if d > 0.0 else (b, a)
         lo = np.maximum(lo, np.ceil(np.clip(a, lo - 1, hi + 1)).astype(np.int64))
         hi = np.minimum(hi, np.floor(np.clip(b, lo - 1, hi + 1)).astype(np.int64))
-    return lo, np.maximum(hi - lo + 1, 0)
+    return prefix, bit, n, lo, np.maximum(hi - lo + 1, 0)
+
+
+def _windows(ts: np.ndarray, law: _Law, rho: np.ndarray) -> Iterator[tuple[slice, tuple, np.ndarray]]:
+    """Runs of bits of about ``CHUNK_ROWS`` prefixes, each with its
+    ``_window`` and its bits' rows."""
+    for b in _chunks(_prefix_bound(ts, law, rho)):
+        window = _window(ts[b], law, rho[b])
+        yield b, window, np.bincount(window[1], window[4], b.stop - b.start).astype(np.int64)
+
+
+def _window_sizes(ts: np.ndarray, law: _Law, rho: np.ndarray) -> np.ndarray:
+    """Each bit's window rows, counted from its prefixes."""
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(size for *_, size in _windows(ts, law, rho))])
 
 
 def _row_sums(H: np.ndarray, ts: np.ndarray, n: np.ndarray, law: _Law) -> np.ndarray:
@@ -296,25 +343,20 @@ def _row_sums(H: np.ndarray, ts: np.ndarray, n: np.ndarray, law: _Law) -> np.nda
 
 
 def _window_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each binary bit's window rows and its ln V over them, summed in
-    chunks of about ``CHUNK_ROWS`` rows."""
-    lo, sizes = _rows(ts, law, rho)
-    log_v = np.empty(ts.size)
-    for b in _chunks(sizes):
-        n = sizes[b]
-        j = np.arange(n.sum()) + np.repeat(lo[b] - (np.cumsum(n) - n), n)
-        H = np.column_stack([np.repeat(ts[b], n) - j, j])[:, : law.parts]
-        log_v[b] = _row_sums(H, ts[b], n, law)
+    """Each bit's window rows and its ln V over them, the rows
+    (n - j, j, prefix) built and summed in runs of bits of about
+    ``CHUNK_ROWS``."""
+    sizes, log_v = np.zeros(ts.size, dtype=np.int64), np.empty(ts.size)
+    for b, (prefix, bit, n, lo, width), size in _windows(ts, law, rho):
+        first = np.searchsorted(bit, np.arange(size.size + 1))  # each bit's first prefix
+        for c in _chunks(size):
+            p = slice(first[c.start], first[c.stop])
+            j = np.arange(size[c].sum()) + np.repeat(lo[p] - (np.cumsum(width[p]) - width[p]), width[p])
+            rest = np.repeat(n[p], width[p]) - j
+            H = np.column_stack([rest, j, np.repeat(prefix[p][:, ::-1], width[p], axis=0)])[:, : law.parts]
+            log_v[b][c] = _row_sums(H, ts[b][c], size[c], law)
+        sizes[b] = size
     return sizes, log_v
-
-
-def _every_row(ts: np.ndarray, law: _Law) -> np.ndarray:
-    """ln V of m-ary bits over every histogram of their charged outputs."""
-    log_v = np.empty(ts.size)
-    for b in _chunks(composition_counts(ts, law.parts)):
-        H, n = composition_rows(ts[b], law.parts)
-        log_v[b] = _row_sums(H, ts[b], n, law)
-    return log_v
 
 
 def _log_mass(ends: tuple[np.ndarray, np.ndarray], y: np.ndarray) -> np.ndarray:
@@ -352,12 +394,13 @@ def _contour(law: _Law, lo: int, hi: int, rho: float, a: float) -> _Grid:
     excess = ts * (lm_c - law.log_m) + 0.5 * np.log1p(ts * law.var) + rho
     q = math.sin(math.pi * (kappa - b))  # int |dw / sin(pi (c - y + i w))| <= 2 / pi (1 + ln(...))
     log_j = math.log(2.0 / math.pi * (1.0 + math.log((1.0 + math.sqrt(1.0 + q * q)) / q)))
-    # h <= 2 pi b: a contour whose integral lies far below the estimate needs few nodes, not none
-    h = 2.0 * math.pi * b / max(float(np.logaddexp(0.0, (_LN2 + ts * (strip - lm_c) + log_j + excess).max())), 1.0)
+    # x = 2 pi b / h >= 1: a contour whose integral lies far below the estimate needs few nodes, not none
+    x = max(float(np.logaddexp(0.0, (_LN2 + ts * (strip - lm_c) + log_j + excess).max())), 1.0)
+    h = 2.0 * math.pi * b / x
     last = int(max(excess.max() + 1.0, 0.0) / (math.pi * h)) + 1  # the nodes run to W = last h
     z = math.exp(-math.pi * last * h)  # int_W^inf dw / sinh(pi w) = 2 atanh(z) / pi
     tail = math.log(2.0 / math.pi) - math.pi * last * h + (math.log(math.atanh(z) / z) if z else 0.0)
-    bounds = [(strip, log_j - math.log(math.expm1(2.0 * math.pi * b / h))), (lm_c, tail)]
+    bounds = [(strip, log_j - x - math.log(-math.expm1(-x))), (lm_c, tail)]  # ln 1/(e^x - 1)
     grid = _Grid(bool(a), c, kappa, h, np.zeros(1, np.int64), np.array([last + 1]), (lm_c, lm_1), bounds)
     la, lb = law.ends
     f = np.exp((1.0 - c) * la + c * lb - lm_c)
@@ -380,11 +423,14 @@ def _contour(law: _Law, lo: int, hi: int, rho: float, a: float) -> _Grid:
     return grid._replace(first=first, width=np.maximum(end - first + 1, 0), bounds=[*bounds, cut])
 
 
-def _grid(law: _Law, lo: int, hi: int, rho: float) -> _Grid:
-    """The grid of the counts lo..hi: on the contour c = s*, or on c = 1 + a
-    past the pole if that holds fewer nodes, with a the largest of
-    2^-(1 + k/4) whose M(1 + a)^t lies within e of M(s*)^t, where s* lies
-    within a of 1."""
+@functools.lru_cache(maxsize=256)
+def _grid(ch: ChannelSpec, lo: int, hi: int, rho: float) -> _Grid:
+    """The grid of the counts lo..hi of the merged ``ch``: on the contour
+    c = s*, or on c = 1 + a past the pole if that holds fewer nodes, with a
+    the largest of 2^-(1 + k/4) whose M(1 + a)^t lies within e of M(s*)^t,
+    where s* lies within a of 1. Cached, so the gate and the pass build it
+    once."""
+    law = _window_law(ch)
     grid = _contour(law, lo, hi, rho, 0.0)
     a = 0.5 * 2.0 ** (-np.arange(160) / 4.0)
     a = a[np.multiply.outer([lo, hi], _log_mass(law.ends, 1.0 + a) - law.log_m).max(axis=0) <= 1.0]
@@ -395,18 +441,14 @@ def _grid(law: _Law, lo: int, hi: int, rho: float) -> _Grid:
     return grid
 
 
-def _octaves(ts: np.ndarray, law: _Law, rho: np.ndarray) -> Iterator[tuple[_Grid, np.ndarray, np.ndarray]]:
+def _octaves(ts: np.ndarray, law: _Law, rho: np.ndarray) -> Iterator[tuple[_Grid, np.ndarray]]:
     """The grid of each octave 2^(k-1) <= t < 2^k and rho, and its counts'
-    indices: those whose C(t + m' - 1, m' - 1) rows are no more than its
-    nodes, which sum every row, and the others."""
-    full = composition_counts(ts.astype(np.float64), law.parts)
+    indices."""
     groups: dict[tuple[int, float], list[int]] = {}
     for i, key in enumerate(zip(np.frexp(ts.astype(np.float64))[1].tolist(), rho.tolist())):
         groups.setdefault(key, []).append(i)
     for (k, r), at in groups.items():
-        grid = _grid(law, 2 ** (k - 1), 2**k - 1, r)
-        rows = full[at] <= grid.width.sum()
-        yield grid, np.array(at)[rows], np.array(at)[~rows]
+        yield _grid(law.channel, 2 ** (k - 1), 2**k - 1, r), np.array(at)
 
 
 def _fourier_sums(ts: np.ndarray, law: _Law, g: _Grid) -> tuple[np.ndarray, ...]:
@@ -459,95 +501,103 @@ def _fourier_sums(ts: np.ndarray, law: _Law, g: _Grid) -> tuple[np.ndarray, ...]
 
 
 def _mary_sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each m-ary bit's ln V over every row where its rows are no more than
-    its octave grid's nodes, by the formula otherwise, and the nats by which
-    a formula sum misses the certificate: nan where its rounding may pass
+    """Each m-ary bit's ln V by the formula on its octave's grid, and the
+    nats by which it misses the certificate: nan where its rounding may pass
     ``_ROUNDING`` max(1, |ln V|) in ln V."""
-    log_v, miss = np.empty(ts.size), np.full(ts.size, -np.inf)
-    for grid, rows, at in _octaves(ts, law, rho):
-        log_v[rows] = _every_row(ts[rows], law)
-        if at.size:
-            v, log_err, rounding = _fourier_sums(ts[at], law, grid)
-            with np.errstate(invalid="ignore"):
-                kept = rounding - v <= np.log(_ROUNDING * np.maximum(np.abs(v), 1.0))
-            log_v[at], miss[at] = v, np.where(kept, log_err - (v - WINDOW_CERTIFICATE), np.nan)
+    log_v, miss = np.empty(ts.size), np.empty(ts.size)
+    for grid, at in _octaves(ts, law, rho):
+        v, log_err, rounding = _fourier_sums(ts[at], law, grid)
+        with np.errstate(invalid="ignore"):
+            kept = rounding - v <= np.log(_ROUNDING * np.maximum(np.abs(v), 1.0))
+        log_v[at], miss[at] = v, np.where(kept, log_err - (v - WINDOW_CERTIFICATE), np.nan)
     return log_v, miss
 
 
 def _terms(ts: np.ndarray, law: _Law, rho: np.ndarray) -> np.ndarray:
     """Each bit's terms, known before any is summed: its window's rows
-    (m' <= 2), or its rows or its octave grid's nodes, the fewer (none on
-    pure noise)."""
+    (m' <= 2) or its octave grid's nodes (none on pure noise)."""
     if law.parts <= 2:
-        return _rows(ts, law, rho)[1]
+        return _window_sizes(ts, law, rho)
     terms = np.zeros(ts.size, dtype=np.int64)
-    for grid, rows, at in _octaves(ts, law, rho) if law.var > 0.0 else ():
-        terms[rows] = composition_counts(ts[rows], law.parts)
+    for grid, at in _octaves(ts, law, rho) if law.var > 0.0 else ():
         terms[at] = grid.width.sum()
     return terms
 
 
-def _gate(ts: np.ndarray, law: _Law, rho: np.ndarray) -> None:
-    """Refuse the bits of exponents ``rho`` past a budget of terms. Binary
-    bits whose full rows (t + 1) pass both budgets pass without a window."""
-    if law.parts <= 2:
-        full = (law.parts - 1) * ts.astype(np.float64) + 1.0
-        if full.max() <= HISTOGRAM_BUDGET and full.sum() <= PATTERN_HISTOGRAM_BUDGET:
-            return
-    _refuse(ts, _terms(ts, law, rho))
+def _gate(ts: np.ndarray, law: _Law, rho: np.ndarray, window: np.ndarray) -> None:
+    """Refuse the bits of exponents ``rho`` past a budget of terms: the
+    window's rows for the bits of ``window``, the formula's nodes for the
+    others. Windows whose full rows C(t + m' - 1, m' - 1) pass both budgets
+    pass uncounted, and a window whose box may hold more prefixes than
+    ``HISTOGRAM_BUDGET`` is refused before any is built."""
+    terms = np.zeros(ts.size, dtype=np.int64)
+    if not window.all():
+        terms[~window] = _terms(ts[~window], law, rho[~window])
+    full = composition_counts(ts[window].astype(np.float64), law.parts)
+    if full.max(initial=0.0) > HISTOGRAM_BUDGET or full.sum() > PATTERN_HISTOGRAM_BUDGET:
+        _refuse(ts[window], _prefix_bound(ts[window], law, rho[window]), "prefixes")
+        terms[window] = _window_sizes(ts[window], law, rho[window])
+    _refuse(ts, terms, "terms")
 
 
-def _refuse(ts: np.ndarray, terms: np.ndarray) -> None:
+def _refuse(ts: np.ndarray, terms: np.ndarray, noun: str) -> None:
     """Refuse bits of ``terms`` past the budget of one bit or together past
     that of one pattern."""
     i = int(terms.argmax())
     if terms[i] > HISTOGRAM_BUDGET:
         raise BudgetExceededError(
-            f"exact distortion too large: a bit of {ts[i]} uses sums {terms[i]} terms, over the "
+            f"exact distortion too large: a bit of {ts[i]} uses needs {terms[i]:.0f} {noun}, over the "
             f"{HISTOGRAM_BUDGET} budget of one bit"
         )
-    total = int(terms.sum())
+    total = terms.sum()
     if total > PATTERN_HISTOGRAM_BUDGET:
         raise BudgetExceededError(
-            f"exact distortion too large: {total} terms exceed the "
+            f"exact distortion too large: {total:.0f} {noun} exceed the "
             f"{PATTERN_HISTOGRAM_BUDGET} budget of one pattern"
         )
 
 
-def _sums(ts: np.ndarray, law: _Law, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each bit's ln V with exponents ``rho`` and the nats by which its
-    bound on the terms left out misses the certificate (-inf where it
-    sums every row)."""
-    if law.parts > 2:
-        return _mary_sums(ts, law, rho)
-    sizes, log_v = _window_sums(ts, law, rho)
-    bound = _LN_HALF + ts * law.log_m + math.log(2 * law.parts - 1) - rho
-    return log_v, np.where(sizes < (law.parts - 1) * ts + 1, bound - (log_v - WINDOW_CERTIFICATE), -np.inf)
+def _sums(ts: np.ndarray, law: _Law, rho: np.ndarray, window: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each bit's ln V with exponents ``rho``, the nats by which its bound
+    on what it leaves out misses the certificate (-inf where it sums every
+    row), whether it took the window, and its rho: the bits of ``window``
+    take the window, the others the formula, or, where the formula's
+    rounding may pass ``_ROUNDING`` max(1, |ln V|) in ln V, the window of
+    their own rho, gated."""
+    log_v, miss = np.empty(ts.size), np.empty(ts.size)
+    if not window.all():
+        log_v[~window], miss[~window] = _mary_sums(ts[~window], law, rho[~window])
+        lost = np.isnan(miss) & ~window
+        if lost.any():
+            rho = np.where(lost, _rho(ts, law.parts), rho)
+            _gate(ts[lost], law, rho[lost], np.ones(lost.sum(), dtype=bool))
+        window = window | lost
+    if window.any():
+        t, r = ts[window], rho[window]
+        sizes, v = _window_sums(t, law, r)
+        bound = _LN_HALF + t * law.log_m + math.log(2 * law.parts - 1) - r
+        full = composition_counts(t.astype(np.float64), law.parts)
+        log_v[window], miss[window] = v, np.where(sizes < full, bound - (v - WINDOW_CERTIFICATE), -np.inf)
+    return log_v, miss, window, rho
 
 
 def _log_variance_pass(ts: np.ndarray, ch: ChannelSpec) -> np.ndarray:
     """ln V(t) for distinct counts t >= 1 of the merged channel ``ch`` that
-    the gate (``_check_histogram_total``) has passed: a window of rows
-    where m' <= 2, every row or the formula otherwise. A bit whose
-    certificate misses by delta nats is gated and summed again with
-    rho + delta + 1; a formula sum that cancels is gated on its rows and
-    summed over every row."""
+    the gate (``_check_histogram_total``) has passed: the window where
+    m' <= 2, the formula otherwise, or the window where the formula's sum
+    cancels. A bit whose certificate misses by delta nats is gated and
+    summed again on its route with rho + delta + 1."""
     law = _window_law(ch)
     if law.parts == 0:  # V = 0: -1e30 for each count on a row's larger side
         return _LOG_ZERO * ((ts + 1) // 2)
     if law.parts > 2 and law.var == 0.0:  # pure noise: every posterior stays 1/2
         return np.full(ts.size, _LN_QUARTER)
-    rho = _first_rho(ts, law)
-    log_v, miss = _sums(ts, law, rho)
+    log_v, miss, window, rho = _sums(ts, law, _first_rho(ts, law), np.full(ts.size, law.parts <= 2))
     redo = np.flatnonzero(miss > 0.0)
     if redo.size:
         wider = rho[redo] + miss[redo] + 1.0
-        _gate(ts[redo], law, wider)
-        log_v[redo], miss[redo] = _sums(ts[redo], law, wider)
-    lost = np.flatnonzero(np.isnan(miss))
-    if lost.size:
-        _refuse(ts[lost], composition_counts(ts[lost].astype(np.float64), law.parts))
-        log_v[lost] = _every_row(ts[lost], law)
+        _gate(ts[redo], law, wider, window[redo])
+        log_v[redo] = _sums(ts[redo], law, wider, window[redo])[0]
     return log_v
 
 
@@ -603,11 +653,12 @@ def _check_histogram_total(counts: Iterable[int], ch: ChannelSpec) -> None:
     t >= 1 of the merged channel (t = 0 sums none): 49 us on the 815 of
     ``aurelian(10**6)`` on bac:0.9,0.8, whose full rows pass (every
     ``policy`` run makes one) (2-core x86_64 host). Nothing is summed
-    before a refusal, and the pass counts no term again."""
+    before a refusal; the formula's grids are built once, for the gate and
+    the pass."""
     law = _window_law(_merge_tied_outputs(ch))
     ts = np.fromiter({t for t in counts if t > 0}, np.int64)
     if ts.size and law.parts:
-        _gate(ts, law, _first_rho(ts, law))
+        _gate(ts, law, _first_rho(ts, law), np.full(ts.size, law.parts <= 2))
 
 
 def log_bit_variances(counts: Iterable[int], ch: ChannelSpec) -> list[float]:

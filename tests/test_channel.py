@@ -174,7 +174,7 @@ class TestChernoffLaw:
         charged = [i for i, (a, b) in enumerate(zip(ch.f0, ch.f1)) if a > 0.0 and b > 0.0]
         assert list(_histogram_chain(ch)[1]) == want
         assert list(chernoff_tilt(ch).llr) == want
-        assert decoder._window_law(ch).slope[::-1].tolist() == [want[i] for i in charged]
+        assert decoder._window_law(ch).lam.tolist() == [want[i] for i in charged]
 
     def test_ratios_on_channels_with_zero_masses(self, rng):
         for _ in range(40):

@@ -222,9 +222,8 @@ class TestFig3:
 
     def test_oracle_passes_stay_within_the_pattern_budget(self, tmp_path, monkeypatch):
         # The 8 budgets of channel3.json to 2000 share one block, whose
-        # distinct counts sum 107 661 terms (rows where fewer, else nodes);
-        # each step's own sum at most 30 942. Under a pattern budget of
-        # 50 000 the gate refuses the
+        # distinct counts sum 116 052 nodes; each step's own sum at most
+        # 32 843. Under a pattern budget of 50 000 the gate refuses the
         # block's counts together, so each step is looked up as its own
         # pattern: each oracle pass stays within the budget, and the CSV and
         # the cache counts stay the same.
@@ -243,7 +242,7 @@ class TestFig3:
         exact_bit_variance.cache_clear()
         assert main([*argv, "--out", str(tmp_path / "split")]) == 0
         assert len(passes) > 1 and max(passes) <= 50_000
-        assert sum(passes) == 107_661  # every distinct count summed once
+        assert sum(passes) == 116_052  # every distinct count summed once
         whole, split = (tmp_path / run for run in ("whole", "split"))
         assert (split / "fig3.csv").read_bytes() == (whole / "fig3.csv").read_bytes()
         cache = [json.loads((run / "manifest-fig3.json").read_text())["findings"]["oracle_cache"]

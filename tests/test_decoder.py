@@ -336,8 +336,8 @@ class TestExactBitVariance:
         # budget, then each bit's window: the 1000 counts near 1e9 above
         # pass on bac:0.9,0.8 (at most 64 rows a bit). The Z channel's
         # one-sided output leaves one row a bit, and a ternary bit's terms
-        # are its C(t + 2, 2) rows where fewer (t = 40), else the nodes its
-        # octave's grid sums, counted here as the pass evaluates them. On
+        # are the nodes its octave's grid sums, counted here as the pass
+        # evaluates them. On
         # each budget monkeypatched to the counts' largest or summed terms
         # they pass, one term fewer refuses them, and no ln i! is computed
         # before a refusal.
@@ -357,9 +357,9 @@ class TestExactBitVariance:
         cases = [
             (make_bac(0.9, 0.8), near_1e9, None),
             (Z_CHANNEL, [300, 1000], [1, 1]),
-            (ternary, [40, 90], [math.comb(42, 2), *summed]),
+            (ternary, [40, 90], summed),
         ]
-        assert len(summed) == 1 and summed[0] < math.comb(92, 2)
+        assert len(summed) == 2
         for ch, counts, expected in cases:
             rows = bit_terms(counts, ch)
             assert rows == expected if expected else max(rows) <= 64
@@ -542,7 +542,7 @@ class TestSharedTableKernel:
                              f1=(b * side[0], (1.0 - b) * side[0], *side[1:]))
             law, ts = window_law(ch), rng.integers(1, 25, size=3)
             rho = rng.uniform(0.0, 30.0, size=3)
-            lo, sizes = decoder._rows(ts, law, rho)
+            _, _, _, lo, sizes = decoder._window(ts, law, rho)
             tilt, lam = chernoff_tilt(ch), np.log(np.array(ch.f1[:2]) / np.array(ch.f0[:2]))
             for t, r, first, n in zip(ts.tolist(), rho.tolist(), lo.tolist(), sizes.tolist()):
                 w, half = math.sqrt(t * r / 2.0), max(r / law.kappa, abs(lam[1] - lam[0]))
@@ -550,6 +550,30 @@ class TestSharedTableKernel:
                         if not any(h[2:]) and abs(h[1] - t * tilt.f[1]) <= w
                         and abs(h[0] * lam[0] + h[1] * lam[1]) <= half]
                 assert kept[::-1] == list(range(first, first + n)), (trial, t)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_mary_window_matches_filtered_enumerator(self, m):
+        # An m-ary window's rows (n - j, j, prefix) are those of the
+        # recursive enumeration within the box |h_i - t f_s*(i)| <= w on
+        # every output but the first and the slab
+        # |L_h| <= max(rho / kappa, sum_i |lambda_i - lambda_0|), each
+        # once, and the bound on its prefixes holds.
+        rng = np.random.default_rng(10 + m)
+        for trial in range(30):
+            ch = random_channel(rng, alphabet=m)
+            law, ts = window_law(ch), rng.integers(1, 20, size=3)
+            rho = rng.uniform(0.0, 30.0, size=3)
+            prefix, bit, n, lo, width = decoder._window(ts, law, rho)
+            assert (np.bincount(bit, minlength=3) <= decoder._prefix_bound(ts, law, rho)).all()
+            half = np.maximum(rho / law.kappa, np.abs(law.lam[1:] - law.lam[0]).sum())
+            for b, t in enumerate(ts.tolist()):
+                w, got = math.sqrt(t * rho[b] / 2.0), []
+                for p in np.flatnonzero(bit == b).tolist():
+                    got += [(n[p] - j, j, *prefix[p][::-1].tolist()) for j in range(lo[p], lo[p] + width[p])]
+                kept = [tuple(h) for h in recursive_histograms(t, m).tolist()
+                        if all(abs(h[i] - t * law.f[i]) <= w for i in range(1, m))
+                        and abs(np.dot(h, law.lam)) <= half[b]]
+                assert sorted(got) == sorted(kept) and len(set(got)) == len(got), (trial, t)
 
     def test_ternary_call_order_independent(self, cold_table):
         # The m-ary twin of test_call_order_independent: a count's ln V is
@@ -613,10 +637,10 @@ class TestTiedOutputMerge:
     # reference at t = 900 on TIED_3), so the comparison stops below it.
     @pytest.mark.parametrize("ch, t_max", [(TIED_4, 120), (TIED_3, 250)], ids=["4-to-3", "3-to-2"])
     def test_equals_unmerged_full_sum(self, ch, t_max, cold_table):
-        # The unmerged sum over every histogram of the channel's outputs.
-        ts = [*range(1, 11), *range(15, t_max + 1, 15)]
-        unmerged = np.array([full_log_v(t, ch) for t in ts])
-        merged = np.array(log_bit_variances(ts, ch))
+        # An infinite rho makes the unmerged channel's window every row.
+        ts = np.arange(1, t_max + 1)
+        unmerged = decoder._window_sums(ts, decoder._window_law(ch), np.full(ts.size, math.inf))[1]
+        merged = np.array(log_bit_variances(ts.tolist(), ch))
         assert np.abs(np.expm1(merged - unmerged)).max() <= 1e-13
 
     def test_budgets_count_merged_rows(self, cold_table):
@@ -806,7 +830,7 @@ class TestFourierFormula:
             full = full_log_v(t, ch)
             assert value == pytest.approx(full, rel=1e-12), t
             k = t.bit_length()
-            grid = decoder._grid(law, 2 ** (k - 1), 2**k - 1, r)
+            grid = decoder._grid(law.channel, 2 ** (k - 1), 2**k - 1, r)
             if grid.width.sum() > decoder.HISTOGRAM_BUDGET:
                 continue
             (v,), (log_err,), (rounding,) = decoder._fourier_sums(np.array([t]), law, grid)
@@ -845,7 +869,7 @@ class TestFourierFormula:
             exact_bit_variance.cache_clear()
             for t, want in zip([10**3, 10**4], expected):
                 law, ts = window_law(ch), np.array([t])
-                assert decoder._grid(law, t, t, float(decoder._first_rho(ts, law)[0])).residue
+                assert decoder._grid(law.channel, t, t, float(decoder._first_rho(ts, law)[0])).residue
                 assert log_bit_variances([t], ch)[0] == pytest.approx(want, rel=0.0, abs=1e-10)
 
     def test_pure_noise_is_a_quarter(self):
@@ -872,21 +896,51 @@ class TestFourierFormula:
         exact_bit_variance.cache_clear()
         assert log_bit_variances([t], ch)[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_small_or_cancelling_bits_sum_every_row(self, monkeypatch):
-        # Likelihood ratios of e^27, e^-14, e^-44 and e^18: at t = 5 the 56
-        # histograms are fewer than the grid's nodes; at t = 60 the formula
-        # sums 29 261 nodes whose rounding may pass 2^-40 |ln V|, so the bit
-        # is summed again over its 39 711 histograms. Both equal the full sum.
+    @staticmethod
+    def window_counts(monkeypatch) -> list[list[int]]:
+        # The counts of each call of the window's sums, as it is made.
+        calls, real = [], decoder._window_sums
+        monkeypatch.setattr(decoder, "_window_sums", lambda ts, law, rho: calls.append(ts.tolist()) or real(ts, law, rho))
+        return calls
+
+    def test_cancelling_bits_take_the_window(self, monkeypatch):
+        # Likelihood ratios of e^27, e^-14, e^-44 and e^18: at t = 5 and 60
+        # the formula's terms cancel and its rounding may pass 2^-40 |ln V|,
+        # so each bit is summed over its window instead (twice: the first
+        # window misses the certificate). Both equal the full sum.
         ch = ChannelSpec(outputs=(0, 1, 2, 3),
                          f0=(1.3941506051289498e-15, 7.020559547831197e-22, 0.9999999890828009, 1.0917197761922201e-08),
                          f1=(0.0006436388661018915, 3.753636133530561e-28, 9.269087296172866e-20, 0.999356361133898))
-        assert bit_terms([5, 60], ch) == [math.comb(8, 3), 29_261]
-        rows, real_rows = [], decoder._every_row
-        monkeypatch.setattr(decoder, "_every_row", lambda ts, law: rows.append(ts.tolist()) or real_rows(ts, law))
+        windows = self.window_counts(monkeypatch)
         exact_bit_variance.cache_clear()
         log_v = log_bit_variances([5, 60], ch)
-        assert [r for r in rows if r] == [[5], [60]]
+        assert windows == [[5, 60], [5, 60]]
         assert log_v == pytest.approx([full_log_v(5, ch), full_log_v(60, ch)], rel=1e-14)
+
+    @pytest.mark.parametrize("t, expected", [(3000, -60375.45986355672), (10**5, -2011852.612808012)])
+    def test_cancelling_bits_past_the_full_rows_take_the_window(self, monkeypatch, t, expected):
+        # Ratios of e^-46 and e^38 on the two heavy outputs: the formula's
+        # terms cancel about 1e8-fold, and the C(t + 2, 2) rows pass the
+        # per-bit budget, so the window answers, with the value it gave
+        # before the formula (to 1e-12 relative).
+        ch = ChannelSpec(outputs=(0, 1, 2), f0=(1.0, 3.5e-17, 5.2e-24), f1=(9.1e-21, 1.0, 1.5e-24))
+        assert math.comb(t + 2, 2) > decoder.HISTOGRAM_BUDGET
+        windows = self.window_counts(monkeypatch)
+        exact_bit_variance.cache_clear()
+        assert log_bit_variances([t], ch)[0] == pytest.approx(expected, rel=1e-12)
+        assert windows and all(w == [t] for w in windows)
+
+    def test_fine_grid_near_pure_noise(self):
+        # Likelihood ratios of e^-11 to e^29 on outputs of masses down to
+        # 1e-28, near pure noise: the grid's step is so fine that
+        # e^(2 pi b / h) passes the double range, so its discretisation
+        # bound is taken in log space. The window gave the same value (to
+        # 1e-12 relative).
+        ch = ChannelSpec(outputs=(0, 1, 2, 3),
+                         f0=(5.789351836026595e-26, 2.140289147521666e-23, 8.081998089011616e-15, 0.9999999999999919),
+                         f1=(1.871903606030458e-28, 8.615819664039013e-11, 2.0035645881680976e-19, 0.9999999999138419))
+        exact_bit_variance.cache_clear()
+        assert log_bit_variances([3000], ch)[0] == pytest.approx(-1.3862944903691758, rel=1e-12)
 
     def test_ties_merged_to_two_outputs_take_the_window(self, monkeypatch):
         # TIED_3 has three outputs, two of them tied: merged, a binary
@@ -981,7 +1035,7 @@ class TestConstantWindow:
         bound = math.log(0.5) + ts * law.log_m + math.log(3.0) - rho
         assert ((bound <= log_v - decoder.WINDOW_CERTIFICATE) | (sizes == ts + 1)).all()
         box = 2.0 * np.sqrt(ts * rho / 2.0) + 1.0
-        slab = 2.0 * rho / (law.kappa * abs(law.slope[0] - law.slope[1])) + 1.0
+        slab = 2.0 * rho / (law.kappa * abs(law.lam[-1] - law.lam[-2])) + 1.0
         assert (sizes <= np.minimum(box, slab)).all()
         assert log_v.tolist() == log_bit_variances(ts.tolist(), ch)
         small = ts[ts + 1 <= decoder.HISTOGRAM_BUDGET]
@@ -1016,7 +1070,7 @@ class TestConstantWindow:
         if law.parts < 2:
             return
         rho = decoder._rho(ts, 2)
-        lo, n = decoder._rows(ts, law, rho)
+        _, _, _, lo, n = decoder._window(ts, law, rho)
         inside = np.arange(lo[0], lo[0] + n[0])  # j ascending
         outside = np.setdiff1d(np.arange(t + 1), inside)
         if outside.size:

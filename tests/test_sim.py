@@ -656,7 +656,7 @@ class TestAurelianSweep:
 
         def rows(counts):  # each bit's window, whatever the budget
             ts = np.array(counts)
-            return decoder._rows(ts, law, decoder._rho(ts, 2))[1].tolist()
+            return decoder._window_sizes(ts, law, decoder._rho(ts, 2)).tolist()
 
         # The block's gate runs in ``log_bit_variances``, the per-step one in the sweep.
         monkeypatch.setattr(decoder, "_check_histogram_total", gate)
